@@ -6,8 +6,6 @@ time-discrete scheme on a matching step (order ~1/2 in h).  Both errors
 are exact Gaussian second moments.
 """
 
-import math
-
 import numpy as np
 
 from stochheat import errors, fem, solvers
@@ -25,13 +23,14 @@ print("  fitted slope %.3f" % np.polyfit(np.log(taus), np.log(errs), 1)[0])
 print("space discretization (dtau matched to the noise step)")
 M = 1024
 K = 1024
-lam2 = (math.pi * np.arange(1, K + 1)) ** 2
-a_spec = solvers.propagator_time_profile(lam2, M, 1.0 / M, 1024)
+# the spectral side does not depend on the mesh: one map for all levels
+spectral = solvers.map_cn_spectral(1024, 256, 1.0, K, M, M)
 hs, errs = [], []
 for e in range(3, 7):
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
-    err = errors.sdr_error_exact(M, M, 1024, 256, eig, K=K,
-                                 a_spectral=a_spec)
+    fem_map = solvers.map_cn_fem(1024, 256, 1.0, eig, M, M)
+    err = errors.pair_error(spectral, fem_map,
+                            solvers.spectral_fem_gram(K, eig))
     print("  h = %-10g E = %.6f" % (2.0 ** -e, err))
     hs.append(2.0 ** -e)
     errs.append(err)

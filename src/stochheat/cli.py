@@ -109,6 +109,20 @@ def _get_int(cfg, key):
         raise ConfigError("bad or missing integer key %r" % key)
 
 
+def _at_least(cfg, key, lo):
+    value = _get_int(cfg, key)
+    if value < lo:
+        raise ConfigError("%s must be >= %d, got %d" % (key, lo, value))
+    return value
+
+
+def _horizon(cfg):
+    horizon = _get_float(cfg, "horizon")
+    if not horizon > 0.0:
+        raise ConfigError("horizon must be positive")
+    return horizon
+
+
 def _get_float(cfg, key):
     try:
         return float(cfg[key])
@@ -121,8 +135,9 @@ def _levels(cfg, key):
         vals = [int(tok) for tok in cfg[key].split(",") if tok.strip()]
     except (KeyError, ValueError):
         raise ConfigError("bad or missing level list %r" % key)
-    if not vals or any(v < 1 for v in vals):
-        raise ConfigError("level list %r must hold positive exponents" % key)
+    if len(vals) < 2 or any(v < 1 for v in vals):
+        raise ConfigError("level list %r must hold at least two positive "
+                          "exponents" % key)
     return vals
 
 
@@ -151,15 +166,17 @@ def run_study(cfg):
     study = cfg.get("study")
     if study not in STUDIES:
         raise ConfigError("unknown study %r" % study)
-    horizon = _get_float(cfg, "horizon")
+    horizon = _horizon(cfg)
     samples = _get_int(cfg, "samples")
+    if samples < 0 or samples == 1:
+        raise ConfigError("samples must be 0 or >= 2, got %d" % samples)
     seed = _get_int(cfg, "seed")
-    window = _get_int(cfg, "window")
+    window = _at_least(cfg, "window", 2)
     rep = errors.ErrorReport(study)
 
     if study == "model-space":
-        n_star = _get_int(cfg, "n_star")
-        K = _get_int(cfg, "K")
+        n_star = _at_least(cfg, "n_star", 1)
+        K = _at_least(cfg, "K", 1)
         for lvl, e in enumerate(_levels(cfg, "dx_levels")):
             j_star = 2 ** e
             err = errors.modeling_error_exact(horizon, n_star, j_star, K,
@@ -169,8 +186,8 @@ def run_study(cfg):
         rep.fit("dx", window)
 
     elif study == "model-time":
-        j_star = _get_int(cfg, "j_star")
-        K = _get_int(cfg, "K")
+        j_star = _at_least(cfg, "j_star", 1)
+        K = _at_least(cfg, "K", 1)
         for lvl, e in enumerate(_levels(cfg, "dt_levels")):
             n_star = 2 ** e
             err = errors.modeling_error_exact(horizon, n_star, j_star, K,
@@ -180,17 +197,20 @@ def run_study(cfg):
         rep.fit("dt", window)
 
     elif study == "tdr":
-        n_star = _get_int(cfg, "n_star")
-        j_star = _get_int(cfg, "j_star")
-        K = _get_int(cfg, "K")
-        for lvl, e in enumerate(_levels(cfg, "dtau_levels")):
+        n_star = _at_least(cfg, "n_star", 1)
+        j_star = _at_least(cfg, "j_star", 1)
+        K = _at_least(cfg, "K", 1)
+        levels = _levels(cfg, "dtau_levels")
+        if samples:
+            map_u = solvers.map_regularized(n_star, j_star, horizon, K,
+                                            horizon)
+        for lvl, e in enumerate(levels):
             M = 2 ** e
             err = errors.tdr_error_exact(M, M, n_star, j_star, horizon, K)
             mc, se = math.nan, math.nan
-            if samples > 1:
-                dmap = solvers.map_regularized(
-                    n_star, j_star, horizon, K, horizon).diff(
-                    solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M))
+            if samples:
+                dmap = map_u.diff(solvers.map_cn_spectral(
+                    n_star, j_star, horizon, K, M, M))
                 mc, se = _mc_same_basis(dmap, samples, seed, n_star, j_star,
                                         horizon)
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, horizon / M,
@@ -198,34 +218,26 @@ def run_study(cfg):
         rep.fit("dtau", window)
 
     elif study in ("sdr", "total"):
-        n_star = _get_int(cfg, "n_star")
-        j_star = _get_int(cfg, "j_star")
-        K = _get_int(cfg, "K")
-        M = _get_int(cfg, "M")
+        n_star = _at_least(cfg, "n_star", 1)
+        j_star = _at_least(cfg, "j_star", 1)
+        K = _at_least(cfg, "K", 1)
+        M = _at_least(cfg, "M", 1)
+        levels = _levels(cfg, "h_levels")
         dtau = horizon / M
-        lam2 = (math.pi * np.arange(1, K + 1).astype(float)) ** 2
-        a_spec = solvers.propagator_time_profile(lam2, M, dtau, n_star,
-                                                 horizon)
-        for lvl, e in enumerate(_levels(cfg, "h_levels")):
+        # the spectral side does not depend on the mesh: build it once
+        if study == "sdr":
+            map_a = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M)
+        else:
+            map_a = solvers.map_regularized(n_star, j_star, horizon, K,
+                                            M * dtau)
+        for lvl, e in enumerate(levels):
             mesh = fem.Mesh(2 ** e)
             eigen = fem.generalized_eigen(fem.assemble(mesh))
-            if study == "sdr":
-                err = errors.sdr_error_exact(M, M, n_star, j_star, eigen,
-                                             horizon, K, a_spectral=a_spec)
-                map_a = solvers.GaussianCoefficientMap(
-                    a_spec, noise.mode_cell_integrals(K, j_star),
-                    1.0 / ((horizon / n_star) * (1.0 / j_star)), "sine",
-                    n_star, j_star, horizon)
-            else:
-                err = errors.total_error_exact(M, M, n_star, j_star, eigen,
-                                               horizon, K)
-                map_a = solvers.map_regularized(n_star, j_star, horizon, K,
-                                                horizon)
+            map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, M)
+            gram = solvers.spectral_fem_gram(K, eigen)
+            err = errors.pair_error(map_a, map_h, gram)
             mc, se = math.nan, math.nan
-            if samples > 1:
-                map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen,
-                                           M, M)
-                gram = solvers.spectral_fem_gram(K, eigen)
+            if samples:
                 mc, se = _mc_cross_basis(map_a, map_h, gram, samples, seed,
                                          n_star, j_star, horizon)
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
@@ -245,7 +257,7 @@ def run_study(cfg):
                 rep.add_row(lvl, math.nan, math.nan, dtau, math.nan, 1, err)
             rep.fit("dtau", window)
         elif axis == "space":
-            M = _get_int(cfg, "M")
+            M = _at_least(cfg, "M", 1)
             dtau = horizon / M
             ref = deterministic.modified_cn_spectral(v0, M, dtau)
             for lvl, e in enumerate(_levels(cfg, "h_levels")):
@@ -263,12 +275,12 @@ def run_study(cfg):
 
 def run_sample_path(cfg):
     """One CN finite element path; one CSV row per step, interior nodes."""
-    n_star = _get_int(cfg, "n_star")
-    j_star = _get_int(cfg, "j_star")
-    M = _get_int(cfg, "M")
+    n_star = _at_least(cfg, "n_star", 1)
+    j_star = _at_least(cfg, "j_star", 1)
+    M = _at_least(cfg, "M", 1)
     seed = _get_int(cfg, "seed")
-    horizon = _get_float(cfg, "horizon")
-    mesh = fem.Mesh(_get_int(cfg, "mesh"))
+    horizon = _horizon(cfg)
+    mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
     grid = noise.sample(n_star, j_star, horizon, seed)
     traj = solvers.cn_fem_spde(grid, fem.assemble(mesh), M)
     lines = []

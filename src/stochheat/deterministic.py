@@ -11,6 +11,7 @@ which is also the Duhamel propagator of the stochastic schemes.
 import math
 
 import numpy as np
+from scipy import linalg as sla
 
 from .spectral import SpectralField, semigroup_apply, eigenvalue_sqrt
 from . import fem
@@ -20,6 +21,7 @@ __all__ = [
     "step_factors",
     "Trajectory",
     "modified_cn_spectral",
+    "cn_fem_steps",
     "modified_cn_fem",
     "exact_heat_solution",
     "exact_trajectory",
@@ -93,30 +95,38 @@ def modified_cn_spectral(v0, M, dtau):
     return Trajectory(dtau, states, "spectral")
 
 
-def modified_cn_fem(v0, system, M, dtau):
-    """Fully discrete scheme; starts from the L2 projection of v0.
+def cn_fem_steps(v0, system, M, dtau, loads=None):
+    """Banded Crank-Nicolson stepping of nodal values v0, M steps.
 
-    Step 1 solves (M + dtau/2 S) V1 = M V0, later steps solve
-    (M + dtau/2 S) Vm = (M - dtau/2 S) V(m-1).
+    Step 1 solves (M + dtau/2 S) V1 = M V0 + L1, later steps solve
+    (M + dtau/2 S) Vm = (M - dtau/2 S) V(m-1) + Lm, where column m-1 of
+    ``loads`` holds Lm (omit it for the homogeneous scheme).  From zero
+    initial data the damped first step equals the trapezoidal one.
     """
     if M < 1:
         raise ValueError("need at least one step")
-    from scipy import linalg as sla
     band = np.vstack([
         np.concatenate([[0.0], system.mass_off + 0.5 * dtau * system.stiff_off]),
         system.mass_diag + 0.5 * dtau * system.stiff_diag,
     ])
     chol = sla.cholesky_banded(band)
-    v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
     states = np.empty((M + 1, system.mesh.nu))
-    states[0] = v
-    v = sla.cho_solve_banded((chol, False), system.mass_apply(v))
-    states[1] = v
-    for m in range(2, M + 1):
-        rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+    states[0] = v0
+    rhs = system.mass_apply(v0)
+    for m in range(1, M + 1):
+        if loads is not None:
+            rhs = rhs + loads[:, m - 1]
         v = sla.cho_solve_banded((chol, False), rhs)
         states[m] = v
+        rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
     return Trajectory(dtau, states, "nodal", mesh=system.mesh)
+
+
+def modified_cn_fem(v0, system, M, dtau):
+    """Fully discrete scheme (``cn_fem_steps``); starts from the L2
+    projection of v0 unless v0 is already a nodal vector."""
+    v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
+    return cn_fem_steps(v, system, M, dtau)
 
 
 def exact_heat_solution(v0, t):

@@ -20,6 +20,7 @@ __all__ = [
     "tdr_error_exact",
     "sdr_error_exact",
     "total_error_exact",
+    "pair_error",
     "mc_error",
     "fit_rate",
     "ErrorReport",
@@ -151,11 +152,17 @@ def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
     return math.sqrt(max(e2, 0.0))
 
 
-def _pair_moment(map_a, map_b, gram):
+def pair_error(map_a, map_b, gram):
+    """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables.
+
+    ``gram`` is the basis Gram matrix of ``solvers.cross_moment`` (None
+    when both maps share one basis).  Rounding cancellation below zero
+    is clamped.
+    """
     ea = map_a.second_moment()
     eb = map_b.second_moment()
     cross = solvers.cross_moment(map_a, map_b, gram)
-    return max(ea - 2.0 * cross + eb, 0.0)
+    return math.sqrt(max(ea - 2.0 * cross + eb, 0.0))
 
 
 def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None,
@@ -164,35 +171,30 @@ def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None,
 
     The spectral side is truncated to K modes consistently in both the
     norm and the cross term, which keeps the result a genuine distance.
-    Pass ``a_spectral`` to reuse the spectral time profile across
-    meshes (it does not depend on the mesh).
+    ``a_spectral`` (deprecated) supplies a precomputed spectral time
+    profile; to reuse the spectral side across meshes, build
+    ``solvers.map_cn_spectral`` once and call ``pair_error`` instead.
     """
     if K is None:
         K = 4 * j_star
-    dtau = horizon / M
-    dt = horizon / n_star
-    dx = 1.0 / j_star
     if a_spectral is None:
-        lam2 = (math.pi * np.arange(1, K + 1).astype(float)) ** 2
-        a_spectral = solvers.propagator_time_profile(lam2, m, dtau,
-                                                     n_star, horizon)
-    map_s = solvers.GaussianCoefficientMap(
-        a_spectral, noise.mode_cell_integrals(K, j_star),
-        1.0 / (dt * dx), "sine", n_star, j_star, horizon)
+        map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
+    else:
+        map_s = solvers.GaussianCoefficientMap(
+            a_spectral, noise.mode_cell_integrals(K, j_star), "sine",
+            n_star, j_star, horizon)
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
-    gram = solvers.spectral_fem_gram(K, eigen)
-    return math.sqrt(_pair_moment(map_s, map_h, gram))
+    return pair_error(map_s, map_h, solvers.spectral_fem_gram(K, eigen))
 
 
 def total_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
     """Exact RMS gap between the regularized solution and CN-FEM."""
     if K is None:
         K = 4 * j_star
-    dtau = horizon / M
-    map_u = solvers.map_regularized(n_star, j_star, horizon, K, m * dtau)
+    map_u = solvers.map_regularized(n_star, j_star, horizon, K,
+                                    m * (horizon / M))
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
-    gram = solvers.spectral_fem_gram(K, eigen)
-    return math.sqrt(_pair_moment(map_u, map_h, gram))
+    return pair_error(map_u, map_h, solvers.spectral_fem_gram(K, eigen))
 
 
 def mc_error(pair_fn, samples, base_seed=0):

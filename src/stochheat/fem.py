@@ -29,7 +29,6 @@ __all__ = [
     "hat_cell_overlap_matrix",
     "nodal_l2_norm",
     "h1_seminorm",
-    "spectral_inner",
     "evaluate_nodal",
 ]
 
@@ -221,13 +220,6 @@ def nodal_l2_norm(v, system):
 def h1_seminorm(v, system):
     """H1 seminorm (energy norm) of the nodal function."""
     return math.sqrt(float(v @ system.stiff_apply(v)))
-
-
-def spectral_inner(v, field, mesh, C=None):
-    """Exact L2 inner product of a nodal function with a SpectralField."""
-    if C is None:
-        C = sine_hat_inner_matrix(field.K, mesh)
-    return float(field.coeffs @ (C @ v))
 
 
 def evaluate_nodal(v, mesh, x):

@@ -20,11 +20,8 @@ __all__ = [
     "coarsen",
     "w_eval",
     "project_pi",
-    "CellWeightTable",
-    "mode_cell_weights",
     "mode_cell_integrals",
     "mode_cell_sq_sums",
-    "time_overlap_integral",
     "time_overlaps",
     "time_overlap_sq_sum",
     "save_grid",
@@ -171,36 +168,6 @@ def mode_cell_sq_sums(ks, j_star):
     rem = ks % (2 * j_star)
     base = np.where(rem == 0, 0.0, base)  # mode integrates to zero cellwise
     return np.where(rem == j_star, 2.0 * base, base)
-
-
-class CellWeightTable:
-    """Exact sine-mode cell integrals for one noise grid geometry."""
-
-    def __init__(self, K, n_star, j_star, horizon=1.0):
-        self.K = int(K)
-        self.n_star = int(n_star)
-        self.j_star = int(j_star)
-        self.horizon = float(horizon)
-        self.b = mode_cell_integrals(K, j_star)
-
-    def time_overlap(self, k, n, t):
-        return time_overlap_integral(k, n, t, self.n_star, self.horizon)
-
-
-def mode_cell_weights(K, n_star, j_star, horizon=1.0):
-    return CellWeightTable(K, n_star, j_star, horizon)
-
-
-def time_overlap_integral(k, n, t, n_star, horizon=1.0):
-    """I_{k,n}(t) = integral of e^{-lam_k^2 (t-s)} over T_n intersected with (0, t)."""
-    dt = horizon / n_star
-    t_lo = (n - 1) * dt
-    t_hi = n * dt
-    if t <= t_lo:
-        return 0.0
-    lam2 = (k * math.pi) ** 2
-    upper = min(t, t_hi)
-    return (math.exp(-lam2 * (t - upper)) - math.exp(-lam2 * (t - t_lo))) / lam2
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):

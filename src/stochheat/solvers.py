@@ -14,10 +14,9 @@ map yields exact second moments without sampling.
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import fem, noise
-from .deterministic import Trajectory, step_factors
+from .deterministic import Trajectory, cn_fem_steps, step_factors
 
 __all__ = [
     "interval_overlaps",
@@ -127,28 +126,18 @@ def cn_time_discrete(grid, K, M):
     return Trajectory(dtau, states, "spectral")
 
 
-def cn_fem_spde(grid, system, M, K=None):
-    """Crank-Nicolson finite element stepping, zero initial data.
-
-    ``K`` is accepted for signature parity with the spectral solver and
-    ignored; the FEM space fixes its own resolution.
-    """
+def cn_fem_spde(grid, system, M):
+    """Crank-Nicolson finite element stepping, zero initial data."""
     if M < 1:
         raise ValueError("need at least one step")
-    dtau = grid.horizon / M
-    band = np.vstack([
-        np.concatenate([[0.0], system.mass_off + 0.5 * dtau * system.stiff_off]),
-        system.mass_diag + 0.5 * dtau * system.stiff_diag,
-    ])
-    chol = sla.cholesky_banded(band)
-    L = stochastic_loads_fem(grid, system, M)
-    states = np.zeros((M + 1, system.mesh.nu))
-    v = states[0].copy()
-    for m in range(1, M + 1):
-        rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v) + L[:, m - 1]
-        v = sla.cho_solve_banded((chol, False), rhs)
-        states[m] = v
-    return Trajectory(dtau, states, "nodal", mesh=system.mesh)
+    return cn_fem_steps(np.zeros(system.mesh.nu), system, M, grid.horizon / M,
+                        stochastic_loads_fem(grid, system, M))
+
+
+def _same_grid(a, b):
+    """Whether two maps (or a map and a NoiseGrid) share one noise grid."""
+    return ((a.n_star, a.j_star) == (b.n_star, b.j_star)
+            and math.isclose(a.horizon, b.horizon))
 
 
 class GaussianCoefficientMap:
@@ -157,19 +146,17 @@ class GaussianCoefficientMap:
     Basis coefficient i of the observable is
     ``scale * sum_{n,j} time[i, n] space[i, j] R[n, j]`` in an
     L2-orthonormal basis ('sine' modes or the FEM eigenbasis), which
-    makes second moments exact sums of squares.
+    makes second moments exact sums of squares.  The scale 1/(dt dx)
+    turns cell increments into the piecewise-constant noise.
     """
 
-    def __init__(self, time, space, scale, basis, n_star, j_star, horizon,
-                 eigen=None):
+    def __init__(self, time, space, basis, n_star, j_star, horizon):
         self.time = np.asarray(time, dtype=float)
         self.space = np.asarray(space, dtype=float)
-        self.scale = float(scale)
         self.basis = basis
         self.n_star = int(n_star)
         self.j_star = int(j_star)
         self.horizon = float(horizon)
-        self.eigen = eigen
         if self.time.shape[0] != self.space.shape[0]:
             raise ValueError("factor row counts differ")
 
@@ -177,10 +164,13 @@ class GaussianCoefficientMap:
     def cell_area(self):
         return (self.horizon / self.n_star) * (1.0 / self.j_star)
 
+    @property
+    def scale(self):
+        return 1.0 / self.cell_area
+
     def reconstruct(self, grid):
         """Basis coefficients of the observable on a sampled grid."""
-        if (grid.n_star, grid.j_star) != (self.n_star, self.j_star) \
-                or not math.isclose(grid.horizon, self.horizon):
+        if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
         return self.scale * np.einsum(
             "kn,kn->k", self.time, self.space @ grid.increments.T)
@@ -194,12 +184,12 @@ class GaussianCoefficientMap:
         """Map of X - Y when both share basis and space factors."""
         if self.basis != other.basis or self.space.shape != other.space.shape:
             raise ValueError("maps not compatible for subtraction")
-        if not np.array_equal(self.space, other.space) \
-                or self.scale != other.scale:
-            raise ValueError("maps must share space factors and scale")
+        if not (np.array_equal(self.space, other.space)
+                and _same_grid(self, other)):
+            raise ValueError("maps must share space factors and noise grid")
         return GaussianCoefficientMap(self.time - other.time, self.space,
-                                      self.scale, self.basis, self.n_star,
-                                      self.j_star, self.horizon, self.eigen)
+                                      self.basis, self.n_star, self.j_star,
+                                      self.horizon)
 
 
 def cross_moment(map_a, map_b, gram=None):
@@ -208,10 +198,8 @@ def cross_moment(map_a, map_b, gram=None):
     ``gram[i, p]`` holds the L2 inner products between the two bases;
     omit it when both maps use the same orthonormal basis.
     """
-    if (map_a.n_star, map_a.j_star) != (map_b.n_star, map_b.j_star):
+    if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
-    if not math.isclose(map_a.horizon, map_b.horizon):
-        raise ValueError("inconsistent time horizons")
     tt = map_a.time @ map_b.time.T
     ss = map_a.space @ map_b.space.T
     if gram is None:
@@ -237,9 +225,7 @@ def map_regularized(n_star, j_star, horizon, K, t):
     else:
         time = noise.time_overlaps(ks, t, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
-    dt, dx = horizon / n_star, 1.0 / j_star
-    return GaussianCoefficientMap(time, B, 1.0 / (dt * dx), "sine",
-                                  n_star, j_star, horizon)
+    return GaussianCoefficientMap(time, B, "sine", n_star, j_star, horizon)
 
 
 def map_cn_spectral(n_star, j_star, horizon, K, M, m):
@@ -250,9 +236,7 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
     A = propagator_time_profile(lam2, m, dtau, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
-    dt, dx = horizon / n_star, 1.0 / j_star
-    return GaussianCoefficientMap(A, B, 1.0 / (dt * dx), "sine",
-                                  n_star, j_star, horizon)
+    return GaussianCoefficientMap(A, B, "sine", n_star, j_star, horizon)
 
 
 def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
@@ -263,6 +247,4 @@ def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
     A = propagator_time_profile(eigen.values, m, dtau, n_star, horizon)
     O = fem.hat_cell_overlap_matrix(eigen.system.mesh, j_star)
     beta = eigen.vectors.T @ O
-    dt, dx = horizon / n_star, 1.0 / j_star
-    return GaussianCoefficientMap(A, beta, 1.0 / (dt * dx), "fem",
-                                  n_star, j_star, horizon, eigen=eigen)
+    return GaussianCoefficientMap(A, beta, "fem", n_star, j_star, horizon)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from stochheat import cli
+from stochheat import cli, errors, fem
 
 
 def run(argv):
@@ -32,6 +32,50 @@ def test_unknown_study_is_usage_error(capsys):
 def test_empty_level_list_is_config_error():
     assert run(["study", "--set", "study=tdr",
                 "--set", "dtau_levels="]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--set", "study=model-space", "--set", "K=0"],
+    ["study", "--set", "study=model-time", "--set", "K=-4"],
+    ["study", "--set", "study=model-time", "--set", "j_star=0"],
+    ["study", "--set", "study=tdr", "--set", "window=1"],
+    ["study", "--set", "study=tdr", "--set", "dtau_levels=4"],
+    ["study", "--set", "study=tdr", "--samples", "1"],
+    ["study", "--set", "study=tdr", "--samples", "-2"],
+    ["study", "--set", "study=tdr", "--set", "horizon=0"],
+    ["study", "--set", "study=sdr", "--set", "n_star=0"],
+    ["study", "--set", "study=sdr", "--set", "M=0"],
+    ["study", "--set", "study=total", "--set", "h_levels=3"],
+    ["study", "--set", "study=deterministic-cn", "--set", "axis=space",
+     "--set", "M=0"],
+    ["sample-path", "--set", "mesh=1"],
+    ["sample-path", "--set", "M=0"],
+])
+def test_out_of_range_config_is_config_error(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+@pytest.mark.parametrize("study", ["sdr", "total"])
+@pytest.mark.parametrize("samples", [0, 3])
+def test_study_exact_column_matches_error_functionals(study, samples):
+    # the study shares one map pair between the exact and MC columns;
+    # its exact column must equal the standalone functional bit for bit
+    n_star, j_star, K, M, levels = 16, 8, 24, 8, (2, 3, 4)
+    rep = cli.run_study({
+        "study": study, "horizon": "1.0", "seed": "1",
+        "samples": str(samples), "n_star": str(n_star),
+        "j_star": str(j_star), "K": str(K), "M": str(M),
+        "h_levels": ",".join(map(str, levels)), "window": "3"})
+    exact = {"sdr": errors.sdr_error_exact,
+             "total": errors.total_error_exact}[study]
+    for row, e in zip(rep.rows, levels):
+        eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
+        assert row["error_exact"] == exact(M, M, n_star, j_star, eigen,
+                                           1.0, K)
+        assert (row["error_mc"] > 0.0) == (samples > 0)
 
 
 def test_missing_subcommand():

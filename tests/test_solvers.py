@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochheat import fem, noise, solvers
+from stochheat import deterministic, fem, noise, solvers
 
 
 def small_grid(seed=11, n=16, j=8):
@@ -47,6 +47,19 @@ def test_fem_solver_matches_duhamel_map():
     m = solvers.map_cn_fem(16, 8, 1.0, eig, M, M)
     nodal = eig.vectors @ m.reconstruct(g)
     assert np.allclose(traj.states[-1], nodal, rtol=1e-9, atol=1e-12)
+
+
+def test_fem_stepper_superposes_initial_data_and_loads():
+    # the one banded stepper serves both schemes; it is linear in (v0, L)
+    g = small_grid(seed=17)
+    system = fem.assemble(fem.Mesh(8))
+    M = 8
+    v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
+    loads = solvers.stochastic_loads_fem(g, system, M)
+    both = deterministic.cn_fem_steps(v0, system, M, 1.0 / M, loads).states
+    parts = (deterministic.modified_cn_fem(v0, system, M, 1.0 / M).states
+             + solvers.cn_fem_spde(g, system, M).states)
+    np.testing.assert_allclose(both, parts, rtol=1e-12)
 
 
 def test_regularized_matches_map():
