@@ -141,20 +141,17 @@ def _levels(cfg, key):
     return vals
 
 
-def _mc_same_basis(dmap, samples, seed, n_star, j_star, horizon):
-    def one(s):
-        g = noise.sample(n_star, j_star, horizon, s)
-        d = dmap.reconstruct(g)
-        return float(d @ d)
-    mean, se = errors.mc_error(one, samples, seed)
-    return math.sqrt(mean), se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0
+def _mc_rms(map_a, map_b, gram, samples, seed, n_star, j_star, horizon):
+    """Monte Carlo RMS of X - Y and its standard error.
 
-
-def _mc_cross_basis(map_a, map_b, gram, samples, seed,
-                    n_star, j_star, horizon):
+    ``map_b`` None means ``map_a`` already maps the difference X - Y;
+    otherwise X and Y live in bases with Gram matrix ``gram``.
+    """
     def one(s):
         g = noise.sample(n_star, j_star, horizon, s)
         a = map_a.reconstruct(g)
+        if map_b is None:
+            return float(a @ a)
         b = map_b.reconstruct(g)
         return float(a @ a - 2.0 * (a @ gram @ b) + b @ b)
     mean, se = errors.mc_error(one, samples, seed)
@@ -211,8 +208,8 @@ def run_study(cfg):
             if samples:
                 dmap = map_u.diff(solvers.map_cn_spectral(
                     n_star, j_star, horizon, K, M, M))
-                mc, se = _mc_same_basis(dmap, samples, seed, n_star, j_star,
-                                        horizon)
+                mc, se = _mc_rms(dmap, None, None, samples, seed, n_star,
+                                 j_star, horizon)
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, horizon / M,
                         math.nan, K, err, mc, se)
         rep.fit("dtau", window)
@@ -238,8 +235,8 @@ def run_study(cfg):
             err = errors.pair_error(map_a, map_h, gram)
             mc, se = math.nan, math.nan
             if samples:
-                mc, se = _mc_cross_basis(map_a, map_h, gram, samples, seed,
-                                         n_star, j_star, horizon)
+                mc, se = _mc_rms(map_a, map_h, gram, samples, seed, n_star,
+                                 j_star, horizon)
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
                         K, err, mc, se)
         rep.fit("h", window)
@@ -333,6 +330,22 @@ def _selftest_checks():
         b = errors.modeling_error_quadrature(1.0, 2, 2, 40)
         return abs(a - b) <= 1e-8 * b
     yield "modeling error closed form", modeling_ok
+
+    def time_gram_ok():
+        K, M, n_star = 12, 8, 32
+        ks = np.arange(1, K + 1)
+        lam2 = (ks * math.pi) ** 2
+        over = solvers.OverlapProfile(ks, 1.0, n_star, 1.0)
+        cn = solvers.PropagatorProfile(lam2, M, 1.0 / M, n_star, 1.0)
+        for a, b, diag in ((over, over, True), (over, cn, True),
+                           (cn, cn, True), (over, cn, False), (cn, cn, False)):
+            dense = a.dense() @ b.dense().T
+            ref = np.diag(dense) if diag else dense
+            err = np.abs(solvers.time_gram(a, b, diag) - ref).max()
+            if not err <= 1e-12 * np.abs(ref).max():
+                return False
+        return True
+    yield "closed-form time Gram matches dense", time_gram_ok
 
 
 def run_selftest():

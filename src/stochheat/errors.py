@@ -133,36 +133,53 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
 def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
     """Exact RMS time-discretization error at step m of M.
 
-    Compares the regularized solution with the mode-wise CN scheme at
-    t = m * dtau; both share the sine basis, so the error is a plain
-    sum over modes of squared time-profile gaps times cell energies.
+    Compares the regularized solution I with the mode-wise CN scheme A
+    at t = m * dtau; both share the sine basis, so the squared error is
+    sum_k (II - 2 IA + AA)_k |b_k|^2 / (dt dx) over the diagonal time
+    Grams of ``solvers.time_gram`` and the cell energies |b_k|^2.
     """
     if K is None:
         K = 4 * j_star
     dtau = horizon / M
-    t = m * dtau
     ks = np.arange(1, K + 1)
     lam2 = (math.pi * ks.astype(float)) ** 2
-    I = noise.time_overlaps(ks, t, n_star, horizon)
-    A = solvers.propagator_time_profile(lam2, m, dtau, n_star, horizon)
-    bsq = noise.mode_cell_sq_sums(ks, j_star)
-    dt = horizon / n_star
-    dx = 1.0 / j_star
-    e2 = float((((I - A) ** 2).sum(1) * bsq).sum()) / (dt * dx)
-    return math.sqrt(max(e2, 0.0))
+    I = solvers.OverlapProfile(ks, m * dtau, n_star, horizon)
+    A = solvers.PropagatorProfile(lam2, m, dtau, n_star, horizon)
+    cell_area = (horizon / n_star) * (1.0 / j_star)
+    w = noise.mode_cell_sq_sums(ks, j_star) / cell_area
+    return _rms_gap(w * solvers.time_gram(I, I, diagonal=True),
+                    w * solvers.time_gram(I, A, diagonal=True),
+                    w * solvers.time_gram(A, A, diagonal=True))
+
+
+def _rms_gap(ea, cross, eb):
+    """sqrt(sum(ea - 2 cross + eb)), the RMS distance from second moments.
+
+    Array arguments are combined termwise before the sum.  A negative
+    sum within rounding (>= -1e-12 (ea + eb)) reads as 0; a larger one
+    means the moments are inconsistent and raises RuntimeError.
+    """
+    e2 = float(np.sum(ea - 2.0 * cross + eb))
+    if e2 < 0.0:
+        scale = float(np.sum(ea + eb))
+        if e2 < -1e-12 * scale:
+            raise RuntimeError("squared error %.3e is negative beyond "
+                               "rounding (second moments sum to %.3e)"
+                               % (e2, scale))
+        return 0.0
+    return math.sqrt(e2)
 
 
 def pair_error(map_a, map_b, gram):
     """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables.
 
     ``gram`` is the basis Gram matrix of ``solvers.cross_moment`` (None
-    when both maps share one basis).  Rounding cancellation below zero
-    is clamped.
+    when both maps share one basis).  See ``_rms_gap`` for how rounding
+    cancellation is handled.
     """
-    ea = map_a.second_moment()
-    eb = map_b.second_moment()
-    cross = solvers.cross_moment(map_a, map_b, gram)
-    return math.sqrt(max(ea - 2.0 * cross + eb, 0.0))
+    return _rms_gap(map_a.second_moment(),
+                    solvers.cross_moment(map_a, map_b, gram),
+                    map_b.second_moment())
 
 
 def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None,

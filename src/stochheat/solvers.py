@@ -8,7 +8,10 @@ Three routes to the same noise realization:
 
 All three are linear in the Gaussian cell increments, so every solver
 also exposes a factorized coefficient map against the increments; the
-map yields exact second moments without sampling.
+map yields exact second moments without sampling.  A map's time factor
+is a profile object: on aligned grids its time Grams are geometric sums
+evaluated in closed form (``time_gram``), and the dense K x N array is
+built only when sampling or a non-aligned grid needs it.
 """
 
 import math
@@ -26,6 +29,10 @@ __all__ = [
     "regularized_exact",
     "cn_time_discrete",
     "cn_fem_spde",
+    "DenseProfile",
+    "OverlapProfile",
+    "PropagatorProfile",
+    "time_gram",
     "GaussianCoefficientMap",
     "map_regularized",
     "map_cn_spectral",
@@ -51,6 +58,13 @@ def interval_overlaps(m, dtau, n_star, horizon=1.0):
     return np.maximum(hi - lo, 0.0)
 
 
+def _cells_per_step(dtau, dt):
+    """Noise cells of width dt spanned by one step dtau, or 0 if not whole."""
+    ratio = dtau / dt
+    p = round(ratio)
+    return p if p >= 1 and abs(ratio - p) < 1e-12 else 0
+
+
 def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     """A[i, n] = sum_l r_{m-l+1}(mus[i]) |Delta_l intersect T_n|.
 
@@ -61,16 +75,15 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     mus = np.asarray(mus, dtype=float)
     dt = horizon / n_star
     out = np.zeros((mus.size, n_star))
-    ratio = dtau / dt
-    p = round(ratio)
-    c = round(1.0 / ratio) if ratio > 0 else 0
+    p = _cells_per_step(dtau, dt)
+    c = _cells_per_step(dt, dtau)
     for lo in range(0, mus.size, _MODE_CHUNK):
         sl = slice(lo, min(lo + _MODE_CHUNK, mus.size))
         rfac = step_factors(mus[sl], m, dtau)[:, ::-1]  # col l-1 -> r_{m-l+1}
-        if p >= 1 and abs(ratio - p) < 1e-12:
+        if p:
             # each step spans p noise cells
             out[sl, : m * p] = dt * np.repeat(rfac, p, axis=1)
-        elif c >= 1 and abs(1.0 / ratio - c) < 1e-12:
+        elif c:
             # each noise cell spans c steps
             ncov = (m + c - 1) // c
             idx = np.arange(0, m, c)
@@ -140,6 +153,145 @@ def _same_grid(a, b):
             and math.isclose(a.horizon, b.horizon))
 
 
+class _Profile:
+    """Time factor of a coefficient map: rows are basis functions,
+    columns noise cells.  ``dense()`` builds the array once and caches
+    it; ``time_gram`` reads only the parameters where it can."""
+
+    _array = None
+
+    def dense(self):
+        if self._array is None:
+            self._array = self._build()
+        return self._array
+
+    def __getitem__(self, index):
+        return self.dense()[index]
+
+
+class DenseProfile(_Profile):
+    """An explicit time profile array."""
+
+    def __init__(self, array):
+        self._array = np.asarray(array, dtype=float)
+        self.shape = self._array.shape
+
+
+class OverlapProfile(_Profile):
+    """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t."""
+
+    def __init__(self, ks, t, n_star, horizon):
+        self.ks = np.asarray(ks, dtype=np.int64)
+        self.t = float(t)
+        self.n_star = int(n_star)
+        self.horizon = float(horizon)
+        self.shape = (self.ks.size, self.n_star)
+
+    def _build(self):
+        if self.t == 0.0:
+            return np.zeros(self.shape)
+        return noise.time_overlaps(self.ks, self.t, self.n_star, self.horizon)
+
+
+class PropagatorProfile(_Profile):
+    """CN Duhamel profile (``propagator_time_profile``) at step m."""
+
+    def __init__(self, mus, m, dtau, n_star, horizon):
+        self.mus = np.asarray(mus, dtype=float)
+        self.m = int(m)
+        self.dtau = float(dtau)
+        self.n_star = int(n_star)
+        self.horizon = float(horizon)
+        self.shape = (self.mus.size, self.n_star)
+
+    def _build(self):
+        return propagator_time_profile(self.mus, self.m, self.dtau,
+                                       self.n_star, self.horizon)
+
+    def cells_per_step(self, other):
+        """p = dtau/dt when this profile is geometric on ``other``'s noise
+        grid (aligned, and m steps fit in it), else 0."""
+        if (self.n_star != other.n_star
+                or not math.isclose(self.horizon, other.horizon)):
+            return 0
+        p = _cells_per_step(self.dtau, self.horizon / self.n_star)
+        return p if self.m * p <= self.n_star else 0
+
+    def log_abs_q(self):
+        """(rho, log|q|, q < 0) of the step factor q = (1 - rho)/(1 + rho).
+
+        1 - |q| = 2 min(rho, 1)/(1 + rho) has no cancellation; q = 0
+        (rho = 1) gives log|q| = -inf without a warning.
+        """
+        rho = 0.5 * self.dtau * self.mus
+        d = 2.0 * np.minimum(rho, 1.0) / (1.0 + rho)
+        log_q = np.log1p(-d, out=np.full(d.shape, -np.inf), where=d < 1.0)
+        return rho, log_q, rho > 1.0
+
+
+def _one_minus_power(log_abs, negative, m):
+    """1 - x^m without cancellation, for x = +-exp(log_abs), x < 0 where
+    ``negative``."""
+    flip = negative & (m % 2 == 1)
+    return np.where(flip, 1.0 + np.exp(m * log_abs), -np.expm1(m * log_abs))
+
+
+def time_gram(a, b, diagonal=False):
+    """Time Gram sum_n a[i, n] b[j, n] of two profiles.
+
+    Returns the diagonal i = j (same basis; equal row counts) or the
+    full matrix.  With q = (1 - rho)/(1 + rho), rho = dtau mu / 2 and
+    E = exp(-lam^2 dtau), each sum is geometric when every CN step
+    spans p whole noise cells and the overlap time is t = m dtau:
+
+    * CN x CN:       p dt^2 (1 - (q_a q_b)^m) / (2 (rho_a + rho_b))
+    * overlap x CN:  dt (1 - E)/lam^2 (1 - (E q_b)^m) / (1 - E + rho_b (1 + E))
+    * overlap x overlap (diagonal): ``noise.time_overlap_sq_sum``.
+
+    Any other pair (non-aligned grids, different steps or times, dense
+    profiles) takes the dense product of the materialized arrays.
+    """
+    if isinstance(a, PropagatorProfile) and isinstance(b, OverlapProfile):
+        g = time_gram(b, a, diagonal)
+        return g if diagonal else g.T
+    if diagonal and a.shape[0] != b.shape[0]:
+        raise ValueError("diagonal time Gram needs equal row counts")
+
+    def rows(v):
+        return v if diagonal else v[:, None]
+
+    def cols(v):
+        return v if diagonal else v[None, :]
+
+    closed = (isinstance(a, (OverlapProfile, PropagatorProfile))
+              and isinstance(b, PropagatorProfile))
+    p = b.cells_per_step(a) if closed else 0
+    if p:
+        dt = b.horizon / b.n_star
+        rho_b, lq_b, neg_b = b.log_abs_q()
+        if isinstance(a, PropagatorProfile) and (a.m, a.dtau) == (b.m, b.dtau):
+            rho_a, lq_a, neg_a = a.log_abs_q()
+            return (p * dt * dt
+                    * _one_minus_power(rows(lq_a) + cols(lq_b),
+                                       rows(neg_a) ^ cols(neg_b), b.m)
+                    / (2.0 * (rows(rho_a) + cols(rho_b))))
+        if (isinstance(a, OverlapProfile)
+                and abs(a.t - b.m * b.dtau) <= 1e-12 * dt):
+            lam2 = rows((a.ks * math.pi) ** 2)
+            x = lam2 * b.dtau
+            one_m_e = -np.expm1(-x)
+            return (dt * (one_m_e / lam2)
+                    * _one_minus_power(cols(lq_b) - x, cols(neg_b), b.m)
+                    / (one_m_e + cols(rho_b) * (1.0 + np.exp(-x))))
+    if (diagonal and isinstance(a, OverlapProfile)
+            and isinstance(b, OverlapProfile) and a.t == b.t
+            and a.n_star == b.n_star and math.isclose(a.horizon, b.horizon)
+            and np.array_equal(a.ks, b.ks)):
+        return noise.time_overlap_sq_sum(a.ks, a.t, a.n_star, a.horizon)
+    A, B = a.dense(), b.dense()
+    return (A * B).sum(1) if diagonal else A @ B.T
+
+
 class GaussianCoefficientMap:
     """Factorized coefficients of a field observable against the increments.
 
@@ -147,11 +299,12 @@ class GaussianCoefficientMap:
     ``scale * sum_{n,j} time[i, n] space[i, j] R[n, j]`` in an
     L2-orthonormal basis ('sine' modes or the FEM eigenbasis), which
     makes second moments exact sums of squares.  The scale 1/(dt dx)
-    turns cell increments into the piecewise-constant noise.
+    turns cell increments into the piecewise-constant noise.  ``time``
+    is a profile object (an array argument becomes a ``DenseProfile``).
     """
 
     def __init__(self, time, space, basis, n_star, j_star, horizon):
-        self.time = np.asarray(time, dtype=float)
+        self.time = time if isinstance(time, _Profile) else DenseProfile(time)
         self.space = np.asarray(space, dtype=float)
         self.basis = basis
         self.n_star = int(n_star)
@@ -173,12 +326,11 @@ class GaussianCoefficientMap:
         if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
         return self.scale * np.einsum(
-            "kn,kn->k", self.time, self.space @ grid.increments.T)
+            "kn,kn->k", self.time.dense(), self.space @ grid.increments.T)
 
     def second_moment(self):
         """E ||X||^2, exact (independent increments, orthonormal basis)."""
-        return (self.cell_area * self.scale**2
-                * float(np.sum((self.time**2).sum(1) * (self.space**2).sum(1))))
+        return _moment(self, self, None)
 
     def diff(self, other):
         """Map of X - Y when both share basis and space factors."""
@@ -187,7 +339,8 @@ class GaussianCoefficientMap:
         if not (np.array_equal(self.space, other.space)
                 and _same_grid(self, other)):
             raise ValueError("maps must share space factors and noise grid")
-        return GaussianCoefficientMap(self.time - other.time, self.space,
+        return GaussianCoefficientMap(self.time.dense() - other.time.dense(),
+                                      self.space,
                                       self.basis, self.n_star, self.j_star,
                                       self.horizon)
 
@@ -200,14 +353,21 @@ def cross_moment(map_a, map_b, gram=None):
     """
     if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
-    tt = map_a.time @ map_b.time.T
-    ss = map_a.space @ map_b.space.T
+    if gram is None and (map_a.basis != map_b.basis
+                         or map_a.time.shape[0] != map_b.time.shape[0]):
+        raise ValueError("cross moment between different bases needs a "
+                         "Gram matrix")
+    return _moment(map_a, map_b, gram)
+
+
+def _moment(map_a, map_b, gram):
+    """E <X, Y> from the time Gram and the space factors."""
     if gram is None:
-        if map_a.basis != map_b.basis or map_a.time.shape[0] != map_b.time.shape[0]:
-            raise ValueError("cross moment between different bases needs a Gram matrix")
-        total = float(np.sum(np.diag(tt) * np.diag(ss)))
+        total = float(np.sum(time_gram(map_a.time, map_b.time, diagonal=True)
+                             * (map_a.space * map_b.space).sum(1)))
     else:
-        total = float(np.sum(gram * tt * ss))
+        total = float(np.sum(gram * time_gram(map_a.time, map_b.time)
+                             * (map_a.space @ map_b.space.T)))
     return map_a.cell_area * map_a.scale * map_b.scale * total
 
 
@@ -219,11 +379,7 @@ def spectral_fem_gram(K, eigen):
 
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
-    ks = np.arange(1, K + 1)
-    if t == 0.0:
-        time = np.zeros((K, n_star))
-    else:
-        time = noise.time_overlaps(ks, t, n_star, horizon)
+    time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
     return GaussianCoefficientMap(time, B, "sine", n_star, j_star, horizon)
 
@@ -234,7 +390,7 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
         raise ValueError("step index out of range")
     dtau = horizon / M
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
-    A = propagator_time_profile(lam2, m, dtau, n_star, horizon)
+    A = PropagatorProfile(lam2, m, dtau, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
     return GaussianCoefficientMap(A, B, "sine", n_star, j_star, horizon)
 
@@ -244,7 +400,7 @@ def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
     if not (1 <= m <= M):
         raise ValueError("step index out of range")
     dtau = horizon / M
-    A = propagator_time_profile(eigen.values, m, dtau, n_star, horizon)
+    A = PropagatorProfile(eigen.values, m, dtau, n_star, horizon)
     O = fem.hat_cell_overlap_matrix(eigen.system.mesh, j_star)
     beta = eigen.vectors.T @ O
     return GaussianCoefficientMap(A, beta, "fem", n_star, j_star, horizon)

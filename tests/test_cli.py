@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from stochheat import cli, errors, fem
+from stochheat import cli, errors, fem, solvers
 
 
 def run(argv):
@@ -76,6 +76,19 @@ def test_study_exact_column_matches_error_functionals(study, samples):
         assert row["error_exact"] == exact(M, M, n_star, j_star, eigen,
                                            1.0, K)
         assert (row["error_mc"] > 0.0) == (samples > 0)
+
+
+def test_inconsistent_moments_exit_2(monkeypatch, capsys):
+    # a negative squared error beyond rounding is a numerical failure
+    gram = solvers.spectral_fem_gram
+    monkeypatch.setattr(solvers, "spectral_fem_gram",
+                        lambda K, eigen: 2.0 * gram(K, eigen))
+    assert run(["study", "--set", "study=sdr", "--set", "n_star=16",
+                "--set", "j_star=16", "--set", "K=32", "--set", "M=8",
+                "--set", "h_levels=3,4"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "negative beyond rounding" in out.err
 
 
 def test_missing_subcommand():

@@ -88,6 +88,49 @@ def test_triangle_inequality_exact():
             assert tot <= tdr + sdr + 1e-12 * (tdr + sdr)
 
 
+def _dense(m):
+    """The same map with its time profile materialized (the dense path)."""
+    return solvers.GaussianCoefficientMap(m.time.dense(), m.space, m.basis,
+                                          m.n_star, m.j_star, m.horizon)
+
+
+def test_exact_functionals_match_dense_maps():
+    n, j, K, M = 32, 16, 64, 8
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
+    gram = solvers.spectral_fem_gram(K, eig)
+    bsq = noise.mode_cell_sq_sums(np.arange(1, K + 1), j)
+    for m in (3, M):
+        u = solvers.map_regularized(n, j, 1.0, K, m / M)
+        s = solvers.map_cn_spectral(n, j, 1.0, K, M, m)
+        h = solvers.map_cn_fem(n, j, 1.0, eig, M, m)
+        gap = u.time.dense() - s.time.dense()
+        tdr = math.sqrt(float(((gap**2).sum(1) * bsq).sum()) * n * j)
+        sdr = errors.pair_error(_dense(s), _dense(h), gram)
+        tot = errors.pair_error(_dense(u), _dense(h), gram)
+        cases = [
+            (errors.tdr_error_exact(m, M, n, j, K=K), tdr),
+            (errors.sdr_error_exact(m, M, n, j, eig, K=K), sdr),
+            (errors.sdr_error_exact(m, M, n, j, eig, K=K,
+                                    a_spectral=s.time.dense()), sdr),
+            (errors.total_error_exact(m, M, n, j, eig, K=K), tot),
+        ]
+        for closed, dense in cases:
+            assert abs(closed - dense) <= 1e-12 * dense
+
+
+def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments():
+    n = j = 16
+    K, M = 32, 8
+    s = solvers.map_cn_spectral(n, j, 1.0, K, M, M)
+    assert errors.pair_error(s, s, None) == 0.0
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(16)))
+    h = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
+    gram = solvers.spectral_fem_gram(K, eig)
+    assert errors.pair_error(s, h, gram) > 0.0
+    with pytest.raises(RuntimeError):
+        errors.pair_error(s, h, 2.0 * gram)
+
+
 def test_mc_error_unbiased_on_known_distribution():
     rng_mean, se = errors.mc_error(
         lambda seed: float(np.random.default_rng(seed).normal() ** 2), 2000)

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochheat import deterministic, fem, noise, solvers
 
@@ -161,3 +163,64 @@ def test_map_diff_requires_shared_space_factors():
     c = solvers.map_cn_fem(8, 8, 1.0, eig, 8, 8)
     with pytest.raises(ValueError):
         a.diff(c)
+
+
+# rho = dtau mu / 2 below 1, exactly 1 (q = 0), above 1, and stiff
+_RHOS = st.lists(st.one_of(st.floats(1e-6, 0.999), st.just(1.0),
+                           st.floats(1.001, 50.0), st.floats(1e2, 1e8)),
+                 min_size=1, max_size=5)
+
+
+def _dense_gram(a, b, diagonal):
+    A, B = a.dense(), b.dense()
+    return (A * B).sum(1) if diagonal else A @ B.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 32), p=st.integers(1, 6), e=st.integers(4, 6),
+       data=st.data())
+def test_time_gram_closed_forms_match_dense(M, p, e, data):
+    # dtau = 2^-e keeps rho = dtau mu / 2 exact, so rho = 1 is hit exactly
+    dtau = 2.0 ** -e
+    horizon = M * dtau
+    m = data.draw(st.integers(1, M))
+    mus_a = 2.0 * np.array(data.draw(_RHOS)) / dtau
+    mus_b = 2.0 * np.array(data.draw(_RHOS)) / dtau
+    # low sine modes only: dense overlaps carry a relative error of about
+    # lam^2 t eps from the float cell endpoints
+    ks = data.draw(st.lists(st.integers(1, 8), min_size=mus_a.size,
+                            max_size=mus_a.size))
+    cn_a = solvers.PropagatorProfile(mus_a, m, dtau, M * p, horizon)
+    cn_b = solvers.PropagatorProfile(mus_b, m, dtau, M * p, horizon)
+    over = solvers.OverlapProfile(ks, m * dtau, M * p, horizon)
+    for a, b in ((cn_a, cn_b), (cn_a, cn_a), (over, cn_b), (cn_b, over),
+                 (over, cn_a)):
+        for diagonal in (True, False):
+            if diagonal and a.shape[0] != b.shape[0]:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solvers.time_gram(a, b, diagonal)
+            ref = _dense_gram(a, b, diagonal)
+            na = np.sqrt((a.dense() ** 2).sum(1))
+            nb = np.sqrt((b.dense() ** 2).sum(1))
+            scale = na * nb if diagonal else np.outer(na, nb)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (1.0, 8, 16)])
+def test_time_gram_falls_back_to_dense(horizon, n_star, M):
+    # non-aligned steps, and steps finer than the noise cells
+    K = 6
+    ks = np.arange(1, K + 1)
+    lam2 = (ks * math.pi) ** 2
+    dtau = horizon / M
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(K + 1)))
+    cn = solvers.PropagatorProfile(lam2, M, dtau, n_star, horizon)
+    cn_h = solvers.PropagatorProfile(eig.values, M, dtau, n_star, horizon)
+    over = solvers.OverlapProfile(ks, M * dtau, n_star, horizon)
+    for a, b in ((cn, cn), (cn, cn_h), (over, cn), (over, cn_h)):
+        for diagonal in (True, False):
+            assert np.array_equal(solvers.time_gram(a, b, diagonal),
+                                  _dense_gram(a, b, diagonal))
