@@ -156,7 +156,8 @@ def _same_grid(a, b):
 class _Profile:
     """Time factor of a coefficient map: rows are basis functions,
     columns noise cells.  ``dense()`` builds the array once and caches
-    it; ``time_gram`` reads only the parameters where it can."""
+    it (indexing reads that array); ``time_gram`` reads only the
+    parameters where it can."""
 
     _array = None
 
