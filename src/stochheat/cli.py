@@ -141,21 +141,49 @@ def _levels(cfg, key):
     return vals
 
 
-def _mc_rms(map_a, map_b, gram, samples, seed, n_star, j_star, horizon):
-    """Monte Carlo RMS of X - Y and its standard error.
+def _mc_rms(pairs, samples, seed, n_star, j_star, horizon):
+    """Monte Carlo RMS of X - Y and its standard error, one per level.
 
-    ``map_b`` None means ``map_a`` already maps the difference X - Y;
-    otherwise X and Y live in bases with Gram matrix ``gram``.
+    Each ``(map_a, map_b, gram)`` of ``pairs`` is a level: ``map_b``
+    None means ``map_a`` already maps the difference X - Y; otherwise X
+    and Y live in bases with Gram matrix ``gram``.  All levels see the
+    same grids, so each sample draws its grid once, projects it once per
+    distinct space factor and reconstructs each distinct map once.
     """
+    maps = list({id(m): m for pair in pairs for m in pair[:2]
+                 if m is not None}.values())
+
     def one(s):
         g = noise.sample(n_star, j_star, horizon, s)
-        a = map_a.reconstruct(g)
-        if map_b is None:
-            return float(a @ a)
-        b = map_b.reconstruct(g)
-        return float(a @ a - 2.0 * (a @ gram @ b) + b @ b)
-    mean, se = errors.mc_error(one, samples, seed)
-    return math.sqrt(mean), se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0
+        proj, coef = {}, {}
+        for m in maps:
+            if id(m.space) not in proj:
+                proj[id(m.space)] = m.project(g)
+            coef[id(m)] = m.reconstruct(g, proj[id(m.space)])
+        out = []
+        for map_a, map_b, gram in pairs:
+            a = coef[id(map_a)]
+            if map_b is None:
+                out.append(float(a @ a))
+            else:
+                b = coef[id(map_b)]
+                out.append(float(a @ a - 2.0 * (a @ gram @ b) + b @ b))
+        return out
+    means, ses = errors.mc_error(one, samples, seed)
+    return [(math.sqrt(mean),
+             se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
+            for mean, se in zip(means, ses)]
+
+
+def _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon):
+    """Add each level's row with its MC columns: one ``_mc_rms`` pass
+    over ``pairs`` when sampling, nan otherwise."""
+    if samples:
+        mc = _mc_rms(pairs, samples, seed, n_star, j_star, horizon)
+    else:
+        mc = [(math.nan, math.nan)] * len(rows)
+    for row, (err_mc, se) in zip(rows, mc):
+        rep.add_row(*row, err_mc, se)
 
 
 def run_study(cfg):
@@ -197,21 +225,19 @@ def run_study(cfg):
         n_star = _at_least(cfg, "n_star", 1)
         j_star = _at_least(cfg, "j_star", 1)
         K = _at_least(cfg, "K", 1)
-        levels = _levels(cfg, "dtau_levels")
         if samples:
             map_u = solvers.map_regularized(n_star, j_star, horizon, K,
                                             horizon)
-        for lvl, e in enumerate(levels):
+        rows, pairs = [], []
+        for lvl, e in enumerate(_levels(cfg, "dtau_levels")):
             M = 2 ** e
-            err = errors.tdr_error_exact(M, M, n_star, j_star, horizon, K)
-            mc, se = math.nan, math.nan
+            rows.append((lvl, horizon / n_star, 1.0 / j_star, horizon / M,
+                         math.nan, K, errors.tdr_error_exact(
+                             M, M, n_star, j_star, horizon, K)))
             if samples:
-                dmap = map_u.diff(solvers.map_cn_spectral(
-                    n_star, j_star, horizon, K, M, M))
-                mc, se = _mc_rms(dmap, None, None, samples, seed, n_star,
-                                 j_star, horizon)
-            rep.add_row(lvl, horizon / n_star, 1.0 / j_star, horizon / M,
-                        math.nan, K, err, mc, se)
+                pairs.append((map_u.diff(solvers.map_cn_spectral(
+                    n_star, j_star, horizon, K, M, M)), None, None))
+        _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon)
         rep.fit("dtau", window)
 
     elif study in ("sdr", "total"):
@@ -227,18 +253,17 @@ def run_study(cfg):
         else:
             map_a = solvers.map_regularized(n_star, j_star, horizon, K,
                                             M * dtau)
+        rows, pairs = [], []
         for lvl, e in enumerate(levels):
             mesh = fem.Mesh(2 ** e)
             eigen = fem.generalized_eigen(fem.assemble(mesh))
             map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, M)
             gram = solvers.spectral_fem_gram(K, eigen)
-            err = errors.pair_error(map_a, map_h, gram)
-            mc, se = math.nan, math.nan
+            rows.append((lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
+                         K, errors.pair_error(map_a, map_h, gram)))
             if samples:
-                mc, se = _mc_rms(map_a, map_h, gram, samples, seed, n_star,
-                                 j_star, horizon)
-            rep.add_row(lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
-                        K, err, mc, se)
+                pairs.append((map_a, map_h, gram))
+        _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon)
         rep.fit("h", window)
 
     else:  # deterministic-cn
@@ -280,10 +305,8 @@ def run_sample_path(cfg):
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
     grid = noise.sample(n_star, j_star, horizon, seed)
     traj = solvers.cn_fem_spde(grid, fem.assemble(mesh), M)
-    lines = []
-    for m in range(M + 1):
-        lines.append(",".join(format(v, ".17g") for v in traj.states[m]))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * traj.states.shape[1]) + "\n"
+    return "".join([row % tuple(v.tolist()) for v in traj.states])
 
 
 def _selftest_checks():

@@ -21,6 +21,7 @@ __all__ = [
     "sdr_error_exact",
     "total_error_exact",
     "pair_error",
+    "sample_seed",
     "mc_error",
     "fit_rate",
     "ErrorReport",
@@ -214,18 +215,34 @@ def total_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
     return pair_error(map_u, map_h, solvers.spectral_fem_gram(K, eigen))
 
 
+def sample_seed(base_seed, i):
+    """Seed of Monte Carlo sample i (from 0): the base xor a 64-bit
+    golden-ratio multiple of i + 1."""
+    return base_seed ^ (0x9E3779B97F4A7C15 * (i + 1) & 0xFFFFFFFFFFFFFFFF)
+
+
 def mc_error(pair_fn, samples, base_seed=0):
     """Monte Carlo mean and standard error of a squared-error functional.
 
-    ``pair_fn(seed)`` must return one squared-error sample; seeds are
-    derived from the base so runs are reproducible.
+    ``pair_fn(seed)`` returns one squared-error sample, or a sequence of
+    samples (one per level, all from the one grid of that seed); seeds
+    come from ``sample_seed``, so runs are reproducible.  A scalar
+    ``pair_fn`` gives floats (mean, stderr), a sequence one list of each.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    vals = np.array([pair_fn(base_seed ^ (0x9E3779B97F4A7C15 * (i + 1)
-                                          & 0xFFFFFFFFFFFFFFFF))
+    vals = np.array([pair_fn(sample_seed(base_seed, i))
                      for i in range(samples)])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    if vals.ndim == 1:
+        return _mean_se(vals)
+    # a contiguous copy per level sums exactly as a scalar run would
+    stats = [_mean_se(np.ascontiguousarray(col)) for col in vals.T]
+    return [m for m, _ in stats], [se for _, se in stats]
+
+
+def _mean_se(vals):
+    return (float(vals.mean()),
+            float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
 
 def fit_rate(steps, errors, window=None):

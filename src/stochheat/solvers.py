@@ -322,16 +322,36 @@ class GaussianCoefficientMap:
     def scale(self):
         return 1.0 / self.cell_area
 
-    def reconstruct(self, grid):
-        """Basis coefficients of the observable on a sampled grid."""
+    def project(self, grid):
+        """The grid factor ``space @ R^T`` of ``reconstruct`` (rows are
+        basis functions, columns time cells).  Maps with the same
+        ``space`` array, such as a map and its ``diff``s, share it."""
         if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
-        return self.scale * np.einsum(
-            "kn,kn->k", self.time.dense(), self.space @ grid.increments.T)
+        return self.space @ grid.increments.T
+
+    def reconstruct(self, grid, projection=None):
+        """Basis coefficients of the observable on a sampled grid.
+
+        ``projection`` passes in ``project(grid)`` when a map with the
+        same ``space`` array has already formed it for this grid.
+        """
+        if projection is None:
+            projection = self.project(grid)
+        elif not _same_grid(self, grid):
+            raise ValueError("noise grid does not match the map's grid")
+        return self.scale * np.einsum("kn,kn->k", self.time.dense(),
+                                      projection)
+
+    _second_moment = None
 
     def second_moment(self):
-        """E ||X||^2, exact (independent increments, orthonormal basis)."""
-        return _moment(self, self, None)
+        """E ||X||^2, exact (independent increments, orthonormal basis);
+        computed on the first call and kept, like a profile's dense
+        array, since a study compares one map against many."""
+        if self._second_moment is None:
+            self._second_moment = _moment(self, self, None)
+        return self._second_moment
 
     def diff(self, other):
         """Map of X - Y when both share basis and space factors."""

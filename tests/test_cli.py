@@ -1,8 +1,9 @@
+import math
 import os
 
 import pytest
 
-from stochheat import cli, errors, fem, solvers
+from stochheat import cli, errors, fem, noise, solvers
 
 
 def run(argv):
@@ -76,6 +77,86 @@ def test_study_exact_column_matches_error_functionals(study, samples):
         assert row["error_exact"] == exact(M, M, n_star, j_star, eigen,
                                            1.0, K)
         assert (row["error_mc"] > 0.0) == (samples > 0)
+
+
+def _study_cfg(study, samples, horizon, n_star, j_star, K, M, levels):
+    key = "dtau_levels" if study == "tdr" else "h_levels"
+    return {"study": study, "horizon": str(horizon), "seed": "5",
+            "samples": str(samples), "n_star": str(n_star),
+            "j_star": str(j_star), "K": str(K), "M": str(M),
+            key: ",".join(map(str, levels)), "window": "2"}
+
+
+def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
+    """Each level's (map_a, map_b, gram), built afresh per level."""
+    pairs = []
+    for e in levels:
+        if study == "tdr":
+            d = solvers.map_regularized(n_star, j_star, horizon, K, horizon)
+            pairs.append((d.diff(solvers.map_cn_spectral(
+                n_star, j_star, horizon, K, 2 ** e, 2 ** e)), None, None))
+            continue
+        if study == "sdr":
+            a = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M)
+        else:
+            a = solvers.map_regularized(n_star, j_star, horizon, K,
+                                        M * (horizon / M))
+        eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
+        pairs.append((a, solvers.map_cn_fem(n_star, j_star, horizon, eigen,
+                                            M, M),
+                      solvers.spectral_fem_gram(K, eigen)))
+    return pairs
+
+
+@pytest.mark.parametrize("study,horizon,n_star,M", [
+    ("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
+    ("total", 0.3, 24, 16), ("tdr", 0.3, 24, 16)])
+def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M):
+    # one shared pass over the samples must give, bit for bit, what one
+    # mc_error run per level with plain reconstruct calls gives
+    j_star, K, samples = 8, 24, 6
+    levels = (1, 2, 3) if study == "tdr" else (2, 3, 4)
+    rep = cli.run_study(_study_cfg(study, samples, horizon, n_star, j_star,
+                                   K, M, levels))
+    pairs = _level_pairs(study, horizon, n_star, j_star, K, M, levels)
+    for row, (map_a, map_b, gram) in zip(rep.rows, pairs):
+        def one(s):
+            g = noise.sample(n_star, j_star, horizon, s)
+            a = map_a.reconstruct(g)
+            if map_b is None:
+                return float(a @ a)
+            b = map_b.reconstruct(g)
+            return float(a @ a - 2.0 * (a @ gram @ b) + b @ b)
+        mean, se = errors.mc_error(one, samples, 5)
+        assert row["error_mc"] == math.sqrt(mean)
+        assert row["stderr"] == se / (2.0 * math.sqrt(mean))
+
+
+@pytest.mark.parametrize("study", ["tdr", "sdr", "total"])
+def test_study_draws_each_grid_once(study, monkeypatch):
+    drawn = []
+    sample = noise.sample
+
+    def counting(*args):
+        drawn.append(args[-1])
+        return sample(*args)
+    monkeypatch.setattr(noise, "sample", counting)
+    cli.run_study(_study_cfg(study, 7, 1.0, 16, 8, 24, 8, (1, 2, 3)))
+    assert drawn == [errors.sample_seed(5, i) for i in range(7)]
+
+
+def test_shared_projection_keeps_grid_check():
+    ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
+    # same space array (so the projection is shared), other horizon
+    foreign = solvers.GaussianCoefficientMap(ok.time.dense(), ok.space,
+                                             "sine", 16, 8, 2.0)
+    g = noise.sample(16, 8, 1.0, 0)
+    assert (ok.reconstruct(g, ok.project(g)) == ok.reconstruct(g)).all()
+    with pytest.raises(ValueError, match="does not match"):
+        foreign.reconstruct(g, ok.project(g))
+    with pytest.raises(ValueError, match="does not match"):
+        cli._mc_rms([(ok, None, None), (foreign, None, None)], 2, 0, 16, 8,
+                    1.0)
 
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):

@@ -137,6 +137,16 @@ def test_mc_error_unbiased_on_known_distribution():
     assert abs(rng_mean - 1.0) < 3.5 * se
 
 
+def test_mc_error_vector_matches_scalar_per_column():
+    def draws(seed):
+        x = np.random.default_rng(seed).normal(size=3)
+        return [float(x @ x), float(x[0] ** 2), 1e6 * float(x[1])]
+    means, ses = errors.mc_error(draws, 37, base_seed=4)
+    for c in range(3):
+        assert (means[c], ses[c]) == errors.mc_error(
+            lambda seed: draws(seed)[c], 37, base_seed=4)
+
+
 def test_mc_error_needs_samples():
     with pytest.raises(ValueError):
         errors.mc_error(lambda s: 1.0, 1)
