@@ -13,17 +13,17 @@ import math
 import numpy as np
 from scipy import linalg as sla
 
-from .spectral import SpectralField, semigroup_apply, eigenvalue_sqrt
+from .spectral import SpectralField, eigenvalue_sqrt
 from . import fem
 
 __all__ = [
     "amplification",
     "step_factors",
     "Trajectory",
+    "cn_spectral_steps",
     "modified_cn_spectral",
     "cn_fem_steps",
     "modified_cn_fem",
-    "exact_heat_solution",
     "exact_trajectory",
     "l2t_error",
 ]
@@ -70,29 +70,40 @@ class Trajectory:
     def steps(self):
         return self.states.shape[0] - 1
 
-    @property
-    def times(self):
-        return np.arange(self.states.shape[0]) * self.dtau
-
     def field(self, m):
         if self.kind != "spectral":
             raise ValueError("not a spectral trajectory")
         return SpectralField(self.states[m])
 
 
-def modified_cn_spectral(v0, M, dtau):
-    """Per-mode closed recursion: V^m_k = r_m(lam_k^2) v0_k."""
+def cn_spectral_steps(v0, lam2, M, dtau, loads=None):
+    """Crank-Nicolson stepping of sine coefficients v0 with eigenvalues
+    lam2, M steps: ``cn_fem_steps`` with identity mass and diagonal
+    stiffness.
+
+    V1 = (V0 + L1)/(1 + rho), then Vm = q V(m-1) + Lm/(1 + rho) with
+    q = (1 - rho)/(1 + rho), where column m-1 of ``loads`` holds Lm
+    (omit it for the homogeneous scheme, V^m = r_m(lam2) V0).
+    """
     if M < 1:
         raise ValueError("need at least one step")
-    lam2 = eigenvalue_sqrt(v0.modes) ** 2
-    states = np.empty((M + 1, v0.K))
-    states[0] = v0.coeffs
     rho = 0.5 * dtau * lam2
     q = (1.0 - rho) / (1.0 + rho)
-    states[1] = v0.coeffs / (1.0 + rho)
-    for m in range(2, M + 1):
-        states[m] = q * states[m - 1]
+    states = np.empty((M + 1, rho.size))
+    states[0] = v0
+    v = v0 / (1.0 + rho)
+    for m in range(1, M + 1):
+        if loads is not None:
+            v = v + loads[:, m - 1] / (1.0 + rho)
+        states[m] = v
+        v = q * v
     return Trajectory(dtau, states, "spectral")
+
+
+def modified_cn_spectral(v0, M, dtau):
+    """Per-mode closed recursion: V^m_k = r_m(lam_k^2) v0_k."""
+    return cn_spectral_steps(v0.coeffs, eigenvalue_sqrt(v0.modes) ** 2,
+                             M, dtau)
 
 
 def cn_fem_steps(v0, system, M, dtau, loads=None):
@@ -127,11 +138,6 @@ def modified_cn_fem(v0, system, M, dtau):
     projection of v0 unless v0 is already a nodal vector."""
     v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
     return cn_fem_steps(v, system, M, dtau)
-
-
-def exact_heat_solution(v0, t):
-    """Reference solution of the heat equation (alias of the semigroup)."""
-    return semigroup_apply(t, v0)
 
 
 def exact_trajectory(v0, M, dtau):

@@ -183,24 +183,17 @@ def pair_error(map_a, map_b, gram):
                     map_b.second_moment())
 
 
-def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None,
-                    a_spectral=None):
+def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
     """Exact RMS gap between CN-spectral and CN-FEM at step m of M.
 
     The spectral side is truncated to K modes consistently in both the
     norm and the cross term, which keeps the result a genuine distance.
-    ``a_spectral`` (deprecated) supplies a precomputed spectral time
-    profile; to reuse the spectral side across meshes, build
+    To reuse the spectral side across meshes, build
     ``solvers.map_cn_spectral`` once and call ``pair_error`` instead.
     """
     if K is None:
         K = 4 * j_star
-    if a_spectral is None:
-        map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
-    else:
-        map_s = solvers.GaussianCoefficientMap(
-            a_spectral, noise.mode_cell_integrals(K, j_star), "sine",
-            n_star, j_star, horizon)
+    map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
     return pair_error(map_s, map_h, solvers.spectral_fem_gram(K, eigen))
 

@@ -192,10 +192,6 @@ class FemEigenBasis:
         self.values = values      # (nu,)
         self.vectors = vectors    # (nu, nu), columns are phi_j
 
-    @property
-    def nu(self):
-        return self.values.size
-
 
 def generalized_eigen(system):
     """Full dense generalized symmetric eigendecomposition.

@@ -115,20 +115,14 @@ def w_eval(grid, t, x):
     return grid.increments[n, j] / (grid.dt * grid.dx)
 
 
-def project_pi(g, n_star, j_star, horizon=1.0, cell_integrals=None, npts=8, nsub=4):
+def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
     """Cell averages of g on the space-time grid (the projection Pi).
 
-    ``g`` is a vectorized callable g(t, x).  Supplying ``cell_integrals``
-    (an (N, J) matrix of exact integrals of g over each cell) bypasses
-    quadrature entirely.
+    ``g`` is a vectorized callable g(t, x), integrated by composite
+    Gauss quadrature on each cell.
     """
     dt = horizon / n_star
     dx = 1.0 / j_star
-    if cell_integrals is not None:
-        out = np.asarray(cell_integrals, dtype=float) / (dt * dx)
-        if out.shape != (n_star, j_star):
-            raise ValueError("cell integral matrix shape mismatch")
-        return out
     st, wt = gauss_points(0.0, dt, nsub, npts)
     sx, wx = gauss_points(0.0, dx, nsub, npts)
     out = np.empty((n_star, j_star))
@@ -171,19 +165,23 @@ def mode_cell_sq_sums(ks, j_star):
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):
-    """Matrix I[k, n] of exponential time overlaps, vectorized."""
+    """Matrix I[k, n] of exponential time overlaps, vectorized.
+
+    I[k, n] = integral over T_n intersect (0, t) of exp(-lam_k^2 (t - s)) ds.
+    The offsets t - t_n are taken in whole cells (t/dt snapped to an
+    integer when within 1e-12 of one), so float cell ends that miss t
+    by an ulp cannot cost the high modes their relative accuracy.
+    """
     ks = np.asarray(ks, dtype=np.int64)
     dt = horizon / n_star
     lam2 = (ks * math.pi) ** 2
-    t_lo = np.arange(n_star) * dt
-    t_hi = t_lo + dt
-    upper = np.minimum(t, t_hi)
-    active = t > t_lo
-    expo_hi = np.exp(-np.outer(lam2, np.where(active, t - upper, 0.0)))
-    expo_lo = np.exp(-np.outer(lam2, np.where(active, t - t_lo, 0.0)))
-    out = (expo_hi - expo_lo) / lam2[:, None]
-    out[:, ~active] = 0.0
-    return out
+    s = t / dt
+    if abs(s - round(s)) <= 1e-12 * s:
+        s = float(round(s))
+    n = np.arange(n_star)
+    expo_hi = np.exp(-np.outer(lam2, np.maximum(s - n - 1, 0.0) * dt))
+    expo_lo = np.exp(-np.outer(lam2, np.maximum(s - n, 0.0) * dt))
+    return (expo_hi - expo_lo) / lam2[:, None]
 
 
 def time_overlap_sq_sum(ks, t, n_star, horizon=1.0):

@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from . import fem, noise
-from .deterministic import Trajectory, cn_fem_steps, step_factors
+from .deterministic import cn_fem_steps, cn_spectral_steps, step_factors
+from .spectral import SpectralField
 
 __all__ = [
     "interval_overlaps",
@@ -69,25 +70,19 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     """A[i, n] = sum_l r_{m-l+1}(mus[i]) |Delta_l intersect T_n|.
 
     This is the exact time profile of the Duhamel sum of a stepped
-    solution against the noise cells.  Aligned dyadic grids take the
-    cheap block paths; anything else falls back to a dense product.
+    solution against the noise cells.  When each step spans whole noise
+    cells the profile is the step factors repeated per cell; anything
+    else takes the dense product with the interval overlaps.
     """
     mus = np.asarray(mus, dtype=float)
     dt = horizon / n_star
     out = np.zeros((mus.size, n_star))
     p = _cells_per_step(dtau, dt)
-    c = _cells_per_step(dt, dtau)
     for lo in range(0, mus.size, _MODE_CHUNK):
         sl = slice(lo, min(lo + _MODE_CHUNK, mus.size))
         rfac = step_factors(mus[sl], m, dtau)[:, ::-1]  # col l-1 -> r_{m-l+1}
         if p:
-            # each step spans p noise cells
             out[sl, : m * p] = dt * np.repeat(rfac, p, axis=1)
-        elif c:
-            # each noise cell spans c steps
-            ncov = (m + c - 1) // c
-            idx = np.arange(0, m, c)
-            out[sl, :ncov] = dtau * np.add.reduceat(rfac, idx, axis=1)
         else:
             out[sl] = rfac @ interval_overlaps(m, dtau, n_star, horizon)
     return out
@@ -115,28 +110,17 @@ def regularized_exact(grid, K, t):
     """The regularized solution at time t, exact given the grid."""
     if not (0.0 <= t <= grid.horizon + 1e-12):
         raise ValueError("time outside [0, T]")
-    from .spectral import SpectralField
-    if t == 0.0:
-        return SpectralField(np.zeros(K))
-    ks = np.arange(1, K + 1)
-    I = noise.time_overlaps(ks, t, grid.n_star, grid.horizon)
-    B = noise.mode_cell_integrals(K, grid.j_star)
-    coeffs = np.einsum("kn,kn->k", I, B @ grid.increments.T)
-    return SpectralField(coeffs / (grid.dt * grid.dx))
+    m = map_regularized(grid.n_star, grid.j_star, grid.horizon, K, t)
+    return SpectralField(m.reconstruct(grid))
 
 
 def cn_time_discrete(grid, K, M):
     """Crank-Nicolson time stepping per sine mode, zero initial data."""
     if M < 1:
         raise ValueError("need at least one step")
-    dtau = grid.horizon / M
-    lam2 = (np.arange(1, K + 1) * math.pi) ** 2
-    rho = 0.5 * dtau * lam2
-    W = stochastic_loads_spectral(grid, K, M)
-    states = np.zeros((M + 1, K))
-    for m in range(1, M + 1):
-        states[m] = ((1.0 - rho) * states[m - 1] + W[:, m - 1]) / (1.0 + rho)
-    return Trajectory(dtau, states, "spectral")
+    return cn_spectral_steps(np.zeros(K), (np.arange(1, K + 1) * math.pi) ** 2,
+                             M, grid.horizon / M,
+                             stochastic_loads_spectral(grid, K, M))
 
 
 def cn_fem_spde(grid, system, M):
@@ -156,8 +140,7 @@ def _same_grid(a, b):
 class _Profile:
     """Time factor of a coefficient map: rows are basis functions,
     columns noise cells.  ``dense()`` builds the array once and caches
-    it (indexing reads that array); ``time_gram`` reads only the
-    parameters where it can."""
+    it; ``time_gram`` reads only the parameters where it can."""
 
     _array = None
 
@@ -165,9 +148,6 @@ class _Profile:
         if self._array is None:
             self._array = self._build()
         return self._array
-
-    def __getitem__(self, index):
-        return self.dense()[index]
 
 
 class DenseProfile(_Profile):

@@ -110,8 +110,6 @@ def test_exact_functionals_match_dense_maps():
         cases = [
             (errors.tdr_error_exact(m, M, n, j, K=K), tdr),
             (errors.sdr_error_exact(m, M, n, j, eig, K=K), sdr),
-            (errors.sdr_error_exact(m, M, n, j, eig, K=K,
-                                    a_spectral=s.time.dense()), sdr),
             (errors.total_error_exact(m, M, n, j, eig, K=K), tot),
         ]
         for closed, dense in cases:

@@ -88,6 +88,17 @@ def test_time_overlap_sq_sum_matches_direct():
     assert np.allclose(direct, closed, rtol=1e-12, atol=1e-30)
 
 
+def test_time_overlaps_keep_high_modes_on_non_dyadic_grids():
+    # dt = 1/3 and 2/5 are not floats: offsets from float cell ends
+    # n dt + dt miss t by an ulp, and t = 3 (2/5) gives t/dt = 3 + 4e-16;
+    # either costs mode k a relative error of about lam^2 t eps
+    ks = np.array([194, 1000])
+    for t, N, horizon in ((2.0, 6, 2.0), (3 * (2.0 / 5), 5, 2.0)):
+        direct = (noise.time_overlaps(ks, t, N, horizon) ** 2).sum(axis=1)
+        closed = noise.time_overlap_sq_sum(ks, t, N, horizon)
+        assert np.all(np.abs(direct - closed) <= 1e-14 * closed)
+
+
 def test_project_pi_reproduces_cell_averages():
     g = lambda t, x: np.sin(2.0 * t) * (x - x**2)
     P = noise.project_pi(g, 4, 4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochheat import deterministic, fem, noise, solvers
+from stochheat.spectral import SpectralField
 
 
 def small_grid(seed=11, n=16, j=8):
@@ -51,24 +52,42 @@ def test_fem_solver_matches_duhamel_map():
     assert np.allclose(traj.states[-1], nodal, rtol=1e-9, atol=1e-12)
 
 
-def test_fem_stepper_superposes_initial_data_and_loads():
-    # the one banded stepper serves both schemes; it is linear in (v0, L)
-    g = small_grid(seed=17)
+def _fem_schemes(g, M):
     system = fem.assemble(fem.Mesh(8))
-    M = 8
     v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
     loads = solvers.stochastic_loads_fem(g, system, M)
-    both = deterministic.cn_fem_steps(v0, system, M, 1.0 / M, loads).states
-    parts = (deterministic.modified_cn_fem(v0, system, M, 1.0 / M).states
-             + solvers.cn_fem_spde(g, system, M).states)
-    np.testing.assert_allclose(both, parts, rtol=1e-12)
+    return (deterministic.cn_fem_steps(v0, system, M, 1.0 / M, loads),
+            deterministic.modified_cn_fem(v0, system, M, 1.0 / M),
+            solvers.cn_fem_spde(g, system, M))
+
+
+def _spectral_schemes(g, M):
+    K = 10
+    v0 = np.linspace(1.0, -0.5, K)
+    lam2 = (np.arange(1, K + 1) * math.pi) ** 2
+    loads = solvers.stochastic_loads_spectral(g, K, M)
+    return (deterministic.cn_spectral_steps(v0, lam2, M, 1.0 / M, loads),
+            deterministic.modified_cn_spectral(SpectralField(v0), M, 1.0 / M),
+            solvers.cn_time_discrete(g, K, M))
+
+
+@pytest.mark.parametrize("schemes", [_fem_schemes, _spectral_schemes],
+                         ids=["fem", "spectral"])
+def test_cn_stepper_superposes_initial_data_and_loads(schemes):
+    # one stepper per basis serves both schemes; it is linear in (v0, L)
+    both, homogeneous, forced = schemes(small_grid(seed=17), 8)
+    np.testing.assert_allclose(both.states,
+                               homogeneous.states + forced.states, rtol=1e-12)
 
 
 def test_regularized_matches_map():
     g = small_grid(seed=5)
-    u = solvers.regularized_exact(g, 12, 1.0)
-    m = solvers.map_regularized(16, 8, 1.0, 12, 1.0)
-    assert np.allclose(u.coeffs, m.reconstruct(g), rtol=1e-13)
+    K = 12
+    u = solvers.regularized_exact(g, K, 1.0)
+    I = noise.time_overlaps(np.arange(1, K + 1), 1.0, g.n_star)
+    P = noise.mode_cell_integrals(K, g.j_star) @ g.increments.T
+    ref = np.einsum("kn,kn->k", I, P) / (g.dt * g.dx)
+    assert np.allclose(u.coeffs, ref, rtol=1e-13)
 
 
 def test_solvers_linear_in_noise():
@@ -107,7 +126,7 @@ def test_second_moment_matches_direct_covariance():
     cell_var = (1.0 / n) * (1.0 / j)
     for nn in range(n):
         for jj in range(j):
-            w = m.scale * m.time[:, nn] * m.space[:, jj]
+            w = m.scale * m.time.dense()[:, nn] * m.space[:, jj]
             direct += cell_var * float(w @ w)
     assert abs(m.second_moment() - direct) < 1e-15 * direct
 
@@ -186,9 +205,7 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
     m = data.draw(st.integers(1, M))
     mus_a = 2.0 * np.array(data.draw(_RHOS)) / dtau
     mus_b = 2.0 * np.array(data.draw(_RHOS)) / dtau
-    # low sine modes only: dense overlaps carry a relative error of about
-    # lam^2 t eps from the float cell endpoints
-    ks = data.draw(st.lists(st.integers(1, 8), min_size=mus_a.size,
+    ks = data.draw(st.lists(st.integers(1, 256), min_size=mus_a.size,
                             max_size=mus_a.size))
     cn_a = solvers.PropagatorProfile(mus_a, m, dtau, M * p, horizon)
     cn_b = solvers.PropagatorProfile(mus_b, m, dtau, M * p, horizon)
