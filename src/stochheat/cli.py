@@ -141,20 +141,20 @@ def _levels(cfg, key):
     return vals
 
 
-def _mc_rms(pairs, samples, seed, n_star, j_star, horizon):
+def _mc_rms(pairs, samples, seed):
     """Monte Carlo RMS of X - Y and its standard error, one per level.
 
-    Each ``(map_a, map_b, gram)`` of ``pairs`` is a level: ``map_b``
-    None means ``map_a`` already maps the difference X - Y; otherwise X
-    and Y live in bases with Gram matrix ``gram``.  All levels see the
-    same grids, so each sample draws its grid once, projects it once per
+    Each ``(map_a, map_b, gram)`` of ``pairs`` is a level: X and Y live
+    in one basis when ``gram`` is None, otherwise in bases with Gram
+    matrix ``gram``.  All levels see the same grids (read from the first
+    map), so each sample draws its grid once, projects it once per
     distinct space factor and reconstructs each distinct map once.
     """
-    maps = list({id(m): m for pair in pairs for m in pair[:2]
-                 if m is not None}.values())
+    maps = list({id(m): m for pair in pairs for m in pair[:2]}.values())
+    first = maps[0]
 
     def one(s):
-        g = noise.sample(n_star, j_star, horizon, s)
+        g = noise.sample(first.n_star, first.j_star, first.horizon, s)
         proj, coef = {}, {}
         for m in maps:
             if id(m.space) not in proj:
@@ -162,11 +162,11 @@ def _mc_rms(pairs, samples, seed, n_star, j_star, horizon):
             coef[id(m)] = m.reconstruct(g, proj[id(m.space)])
         out = []
         for map_a, map_b, gram in pairs:
-            a = coef[id(map_a)]
-            if map_b is None:
-                out.append(float(a @ a))
+            a, b = coef[id(map_a)], coef[id(map_b)]
+            if gram is None:
+                d = a - b
+                out.append(float(d @ d))
             else:
-                b = coef[id(map_b)]
                 out.append(float(a @ a - 2.0 * (a @ gram @ b) + b @ b))
         return out
     means, ses = errors.mc_error(one, samples, seed)
@@ -175,11 +175,11 @@ def _mc_rms(pairs, samples, seed, n_star, j_star, horizon):
             for mean, se in zip(means, ses)]
 
 
-def _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon):
+def _add_rows(rep, rows, pairs, samples, seed):
     """Add each level's row with its MC columns: one ``_mc_rms`` pass
     over ``pairs`` when sampling, nan otherwise."""
     if samples:
-        mc = _mc_rms(pairs, samples, seed, n_star, j_star, horizon)
+        mc = _mc_rms(pairs, samples, seed)
     else:
         mc = [(math.nan, math.nan)] * len(rows)
     for row, (err_mc, se) in zip(rows, mc):
@@ -235,9 +235,9 @@ def run_study(cfg):
                          math.nan, K, errors.tdr_error_exact(
                              M, M, n_star, j_star, horizon, K)))
             if samples:
-                pairs.append((map_u.diff(solvers.map_cn_spectral(
-                    n_star, j_star, horizon, K, M, M)), None, None))
-        _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon)
+                pairs.append((map_u, solvers.map_cn_spectral(
+                    n_star, j_star, horizon, K, M, M), None))
+        _add_rows(rep, rows, pairs, samples, seed)
         rep.fit("dtau", window)
 
     elif study in ("sdr", "total"):
@@ -263,7 +263,7 @@ def run_study(cfg):
                          K, errors.pair_error(map_a, map_h, gram)))
             if samples:
                 pairs.append((map_a, map_h, gram))
-        _add_rows(rep, rows, pairs, samples, seed, n_star, j_star, horizon)
+        _add_rows(rep, rows, pairs, samples, seed)
         rep.fit("h", window)
 
     else:  # deterministic-cn

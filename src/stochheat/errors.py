@@ -32,10 +32,11 @@ def _mode_tail(K, t):
     """sum_{k > K} exp(-2 lam_k^2 t) / (2 lam_k^2), exact to roundoff.
 
     The t-independent part is a trigamma value; the correction decays
-    like exp(-2 pi^2 K^2 t) and is summed until it underflows.
+    like exp(-2 pi^2 K^2 t) and is summed until it underflows.  A
+    result below 0 goes through ``_nonnegative`` against the trigamma term.
     """
     pis2 = math.pi ** 2
-    tail = special.polygamma(1, K + 1) / (2.0 * pis2)
+    tail = trigamma = special.polygamma(1, K + 1) / (2.0 * pis2)
     if t <= 0.0:
         return tail
     k = K + 1
@@ -48,7 +49,7 @@ def _mode_tail(K, t):
         if s < 1e-300 or terms[-1] < 1e-20 * abs(tail):
             break
         k += 4096
-    return max(tail, 0.0)
+    return float(_nonnegative(tail, trigamma, "mode tail"))
 
 
 def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
@@ -59,6 +60,8 @@ def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
     strip, so the squared error is the semigroup variance minus the
     energy captured by the cells; both have closed forms.  Modes above
     K contribute through the analytic tail of the semigroup variance.
+    Each mode's gap goes through ``_nonnegative`` against its semigroup
+    variance.
     """
     if t == 0.0:
         return 0.0
@@ -71,7 +74,7 @@ def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
     semi = -np.expm1(-2.0 * lam2 * t) / (2.0 * lam2)
     proj = (noise.time_overlap_sq_sum(ks, t, n_star, horizon) / dt
             * noise.mode_cell_sq_sums(ks, j_star) / dx)
-    z2 = float(np.maximum(semi - proj, 0.0).sum())
+    z2 = float(_nonnegative(semi - proj, semi, "modeling error term").sum())
     if include_tail:
         z2 += _mode_tail(K, t)
     return math.sqrt(z2)
@@ -161,14 +164,18 @@ def _rms_gap(ea, cross, eb):
     means the moments are inconsistent and raises RuntimeError.
     """
     e2 = float(np.sum(ea - 2.0 * cross + eb))
-    if e2 < 0.0:
-        scale = float(np.sum(ea + eb))
-        if e2 < -1e-12 * scale:
-            raise RuntimeError("squared error %.3e is negative beyond "
-                               "rounding (second moments sum to %.3e)"
-                               % (e2, scale))
-        return 0.0
-    return math.sqrt(e2)
+    return math.sqrt(_nonnegative(e2, float(np.sum(ea + eb)),
+                                  "squared error"))
+
+
+def _nonnegative(x, scale, what):
+    """``x`` with values negative within rounding (>= -1e-12 ``scale``,
+    termwise for arrays) read as 0; one below that raises RuntimeError,
+    because the terms are inconsistent, not rounded."""
+    if np.any(x < -1e-12 * scale):
+        raise RuntimeError("%s %.3e is negative beyond rounding (scale "
+                           "%.3e)" % (what, np.min(x), np.max(scale)))
+    return np.maximum(x, 0.0)
 
 
 def pair_error(map_a, map_b, gram):

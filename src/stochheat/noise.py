@@ -7,6 +7,7 @@ functionals (sine-mode cell integrals and exponential time overlaps)
 that make all downstream second-moment computations exact.
 """
 
+import functools
 import math
 import struct
 
@@ -135,17 +136,22 @@ def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
     return out / (dt * dx)
 
 
+@functools.lru_cache(maxsize=1)
 def mode_cell_integrals(K, j_star):
     """Matrix b with b[k-1, j-1] = integral of e_k over space cell D_j.
 
     Exact antiderivative: sqrt(2) (cos(lam_k x_{j-1}) - cos(lam_k x_j)) / lam_k.
+    The last result is kept (read-only), so every sine map on one
+    (K, j_star) shares one array and one projection per sample.
     """
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
     lam = np.arange(1, K + 1) * math.pi
     x = np.arange(j_star + 1) / j_star
     cosv = np.cos(np.outer(lam, x))
-    return math.sqrt(2.0) * (cosv[:, :-1] - cosv[:, 1:]) / lam[:, None]
+    b = math.sqrt(2.0) * (cosv[:, :-1] - cosv[:, 1:]) / lam[:, None]
+    b.flags.writeable = False
+    return b
 
 
 def mode_cell_sq_sums(ks, j_star):

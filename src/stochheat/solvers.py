@@ -30,7 +30,6 @@ __all__ = [
     "regularized_exact",
     "cn_time_discrete",
     "cn_fem_spde",
-    "DenseProfile",
     "OverlapProfile",
     "PropagatorProfile",
     "time_gram",
@@ -78,13 +77,14 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     dt = horizon / n_star
     out = np.zeros((mus.size, n_star))
     p = _cells_per_step(dtau, dt)
+    V = None if p else interval_overlaps(m, dtau, n_star, horizon)
     for lo in range(0, mus.size, _MODE_CHUNK):
         sl = slice(lo, min(lo + _MODE_CHUNK, mus.size))
         rfac = step_factors(mus[sl], m, dtau)[:, ::-1]  # col l-1 -> r_{m-l+1}
         if p:
             out[sl, : m * p] = dt * np.repeat(rfac, p, axis=1)
         else:
-            out[sl] = rfac @ interval_overlaps(m, dtau, n_star, horizon)
+            out[sl] = rfac @ V
     return out
 
 
@@ -150,14 +150,6 @@ class _Profile:
         return self._array
 
 
-class DenseProfile(_Profile):
-    """An explicit time profile array."""
-
-    def __init__(self, array):
-        self._array = np.asarray(array, dtype=float)
-        self.shape = self._array.shape
-
-
 class OverlapProfile(_Profile):
     """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t."""
 
@@ -169,8 +161,6 @@ class OverlapProfile(_Profile):
         self.shape = (self.ks.size, self.n_star)
 
     def _build(self):
-        if self.t == 0.0:
-            return np.zeros(self.shape)
         return noise.time_overlaps(self.ks, self.t, self.n_star, self.horizon)
 
 
@@ -229,8 +219,8 @@ def time_gram(a, b, diagonal=False):
     * overlap x CN:  dt (1 - E)/lam^2 (1 - (E q_b)^m) / (1 - E + rho_b (1 + E))
     * overlap x overlap (diagonal): ``noise.time_overlap_sq_sum``.
 
-    Any other pair (non-aligned grids, different steps or times, dense
-    profiles) takes the dense product of the materialized arrays.
+    Any other pair (non-aligned grids, different steps or times) takes
+    the dense product of the materialized arrays.
     """
     if isinstance(a, PropagatorProfile) and isinstance(b, OverlapProfile):
         g = time_gram(b, a, diagonal)
@@ -244,9 +234,7 @@ def time_gram(a, b, diagonal=False):
     def cols(v):
         return v if diagonal else v[None, :]
 
-    closed = (isinstance(a, (OverlapProfile, PropagatorProfile))
-              and isinstance(b, PropagatorProfile))
-    p = b.cells_per_step(a) if closed else 0
+    p = b.cells_per_step(a) if isinstance(b, PropagatorProfile) else 0
     if p:
         dt = b.horizon / b.n_star
         rho_b, lq_b, neg_b = b.log_abs_q()
@@ -281,18 +269,21 @@ class GaussianCoefficientMap:
     L2-orthonormal basis ('sine' modes or the FEM eigenbasis), which
     makes second moments exact sums of squares.  The scale 1/(dt dx)
     turns cell increments into the piecewise-constant noise.  ``time``
-    is a profile object (an array argument becomes a ``DenseProfile``).
+    is an ``OverlapProfile`` or a ``PropagatorProfile``; the noise grid
+    is read from the factors (``n_star`` and ``horizon`` from ``time``,
+    ``j_star`` from the columns of ``space``).
     """
 
-    def __init__(self, time, space, basis, n_star, j_star, horizon):
-        self.time = time if isinstance(time, _Profile) else DenseProfile(time)
+    def __init__(self, time, space, basis):
+        self.time = time
         self.space = np.asarray(space, dtype=float)
         self.basis = basis
-        self.n_star = int(n_star)
-        self.j_star = int(j_star)
-        self.horizon = float(horizon)
         if self.time.shape[0] != self.space.shape[0]:
             raise ValueError("factor row counts differ")
+
+    n_star = property(lambda self: self.time.n_star)
+    j_star = property(lambda self: self.space.shape[1])
+    horizon = property(lambda self: self.time.horizon)
 
     @property
     def cell_area(self):
@@ -305,7 +296,7 @@ class GaussianCoefficientMap:
     def project(self, grid):
         """The grid factor ``space @ R^T`` of ``reconstruct`` (rows are
         basis functions, columns time cells).  Maps with the same
-        ``space`` array, such as a map and its ``diff``s, share it."""
+        ``space`` array, such as every sine map on one (K, J*), share it."""
         if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
         return self.space @ grid.increments.T
@@ -332,18 +323,6 @@ class GaussianCoefficientMap:
         if self._second_moment is None:
             self._second_moment = _moment(self, self, None)
         return self._second_moment
-
-    def diff(self, other):
-        """Map of X - Y when both share basis and space factors."""
-        if self.basis != other.basis or self.space.shape != other.space.shape:
-            raise ValueError("maps not compatible for subtraction")
-        if not (np.array_equal(self.space, other.space)
-                and _same_grid(self, other)):
-            raise ValueError("maps must share space factors and noise grid")
-        return GaussianCoefficientMap(self.time.dense() - other.time.dense(),
-                                      self.space,
-                                      self.basis, self.n_star, self.j_star,
-                                      self.horizon)
 
 
 def cross_moment(map_a, map_b, gram=None):
@@ -382,7 +361,7 @@ def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
     time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
-    return GaussianCoefficientMap(time, B, "sine", n_star, j_star, horizon)
+    return GaussianCoefficientMap(time, B, "sine")
 
 
 def map_cn_spectral(n_star, j_star, horizon, K, M, m):
@@ -393,7 +372,7 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
     A = PropagatorProfile(lam2, m, dtau, n_star, horizon)
     B = noise.mode_cell_integrals(K, j_star)
-    return GaussianCoefficientMap(A, B, "sine", n_star, j_star, horizon)
+    return GaussianCoefficientMap(A, B, "sine")
 
 
 def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
@@ -404,4 +383,4 @@ def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
     A = PropagatorProfile(eigen.values, m, dtau, n_star, horizon)
     O = fem.hat_cell_overlap_matrix(eigen.system.mesh, j_star)
     beta = eigen.vectors.T @ O
-    return GaussianCoefficientMap(A, beta, "fem", n_star, j_star, horizon)
+    return GaussianCoefficientMap(A, beta, "fem")

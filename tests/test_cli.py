@@ -92,9 +92,10 @@ def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
     pairs = []
     for e in levels:
         if study == "tdr":
-            d = solvers.map_regularized(n_star, j_star, horizon, K, horizon)
-            pairs.append((d.diff(solvers.map_cn_spectral(
-                n_star, j_star, horizon, K, 2 ** e, 2 ** e)), None, None))
+            pairs.append((
+                solvers.map_regularized(n_star, j_star, horizon, K, horizon),
+                solvers.map_cn_spectral(n_star, j_star, horizon, K, 2 ** e,
+                                        2 ** e), None))
             continue
         if study == "sdr":
             a = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M)
@@ -122,10 +123,10 @@ def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M):
     for row, (map_a, map_b, gram) in zip(rep.rows, pairs):
         def one(s):
             g = noise.sample(n_star, j_star, horizon, s)
-            a = map_a.reconstruct(g)
-            if map_b is None:
-                return float(a @ a)
-            b = map_b.reconstruct(g)
+            a, b = map_a.reconstruct(g), map_b.reconstruct(g)
+            if gram is None:
+                d = a - b
+                return float(d @ d)
             return float(a @ a - 2.0 * (a @ gram @ b) + b @ b)
         mean, se = errors.mc_error(one, samples, 5)
         assert row["error_mc"] == math.sqrt(mean)
@@ -148,15 +149,14 @@ def test_study_draws_each_grid_once(study, monkeypatch):
 def test_shared_projection_keeps_grid_check():
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
     # same space array (so the projection is shared), other horizon
-    foreign = solvers.GaussianCoefficientMap(ok.time.dense(), ok.space,
-                                             "sine", 16, 8, 2.0)
+    foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
+    assert foreign.space is ok.space
     g = noise.sample(16, 8, 1.0, 0)
     assert (ok.reconstruct(g, ok.project(g)) == ok.reconstruct(g)).all()
     with pytest.raises(ValueError, match="does not match"):
         foreign.reconstruct(g, ok.project(g))
     with pytest.raises(ValueError, match="does not match"):
-        cli._mc_rms([(ok, None, None), (foreign, None, None)], 2, 0, 16, 8,
-                    1.0)
+        cli._mc_rms([(ok, foreign, None)], 2, 0)
 
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):
@@ -170,6 +170,17 @@ def test_inconsistent_moments_exit_2(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "negative beyond rounding" in out.err
+
+
+def test_modeling_error_beyond_rounding_exits_2(monkeypatch, capsys):
+    # projected energy above the semigroup variance is not clamped to 0
+    sq_sums = noise.mode_cell_sq_sums
+    monkeypatch.setattr(noise, "mode_cell_sq_sums",
+                        lambda ks, j_star: 2.0 * sq_sums(ks, j_star))
+    assert run(["study", "--set", "study=model-space"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "beyond rounding" in out.err
 
 
 def test_missing_subcommand():

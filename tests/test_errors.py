@@ -50,11 +50,12 @@ def test_tdr_against_monte_carlo():
     n = j = 16
     K, M = 64, 8
     exact = errors.tdr_error_exact(M, M, n, j, K=K)
-    dmap = solvers.map_regularized(n, j, 1.0, K, 1.0).diff(
-        solvers.map_cn_spectral(n, j, 1.0, K, M, M))
+    u = solvers.map_regularized(n, j, 1.0, K, 1.0)
+    a = solvers.map_cn_spectral(n, j, 1.0, K, M, M)
 
     def one(seed):
-        d = dmap.reconstruct(noise.sample(n, j, 1.0, seed))
+        g = noise.sample(n, j, 1.0, seed)
+        d = u.reconstruct(g) - a.reconstruct(g)
         return float(d @ d)
 
     mean, se = errors.mc_error(one, 500, base_seed=21)
@@ -88,10 +89,15 @@ def test_triangle_inequality_exact():
             assert tot <= tdr + sdr + 1e-12 * (tdr + sdr)
 
 
-def _dense(m):
-    """The same map with its time profile materialized (the dense path)."""
-    return solvers.GaussianCoefficientMap(m.time.dense(), m.space, m.basis,
-                                          m.n_star, m.j_star, m.horizon)
+def _dense_rms(a, b, gram):
+    """sqrt(E ||X - Y||^2) from the materialized time profiles: each
+    moment is sum gram (A_a A_b^T) (B_a B_b^T) / cell_area."""
+    def moment(x, y, g):
+        return float(np.sum(g * (x.time.dense() @ y.time.dense().T)
+                            * (x.space @ y.space.T))) / x.cell_area
+    return math.sqrt(moment(a, a, np.eye(a.space.shape[0]))
+                     - 2.0 * moment(a, b, gram)
+                     + moment(b, b, np.eye(b.space.shape[0])))
 
 
 def test_exact_functionals_match_dense_maps():
@@ -105,8 +111,8 @@ def test_exact_functionals_match_dense_maps():
         h = solvers.map_cn_fem(n, j, 1.0, eig, M, m)
         gap = u.time.dense() - s.time.dense()
         tdr = math.sqrt(float(((gap**2).sum(1) * bsq).sum()) * n * j)
-        sdr = errors.pair_error(_dense(s), _dense(h), gram)
-        tot = errors.pair_error(_dense(u), _dense(h), gram)
+        sdr = _dense_rms(s, h, gram)
+        tot = _dense_rms(u, h, gram)
         cases = [
             (errors.tdr_error_exact(m, M, n, j, K=K), tdr),
             (errors.sdr_error_exact(m, M, n, j, eig, K=K), sdr),
