@@ -144,11 +144,12 @@ def _levels(cfg, key):
 def _mc_rms(pairs, samples, seed):
     """Monte Carlo RMS of X - Y and its standard error, one per level.
 
-    Each ``(map_a, map_b, gram)`` of ``pairs`` is a level: X and Y live
-    in one basis when ``gram`` is None, otherwise in bases with Gram
-    matrix ``gram``.  All levels see the same grids (read from the first
-    map), so each sample draws its grid once, projects it once per
-    distinct space factor and reconstructs each distinct map once.
+    Each ``(map_a, map_b, pairing)`` of ``pairs`` is a level: X and Y
+    live in one basis when ``pairing`` is None, otherwise in the bases
+    that ``solvers.spectral_fem_gram`` pairs.  All levels see the same
+    grids (read from the first map), so each sample draws its grid once,
+    projects it once per distinct space factor and reconstructs each
+    distinct map once.
     """
     maps = list({id(m): m for pair in pairs for m in pair[:2]}.values())
     first = maps[0]
@@ -161,13 +162,14 @@ def _mc_rms(pairs, samples, seed):
                 proj[id(m.space)] = m.project(g)
             coef[id(m)] = m.reconstruct(g, proj[id(m.space)])
         out = []
-        for map_a, map_b, gram in pairs:
+        for map_a, map_b, pairing in pairs:
             a, b = coef[id(map_a)], coef[id(map_b)]
-            if gram is None:
+            if pairing is None:
                 d = a - b
                 out.append(float(d @ d))
             else:
-                out.append(float(a @ a - 2.0 * (a @ gram @ b) + b @ b))
+                rows, gk = pairing
+                out.append(float(a @ a - 2.0 * (a @ (gk * b[rows])) + b @ b))
         return out
     means, ses = errors.mc_error(one, samples, seed)
     return [(math.sqrt(mean),
@@ -258,11 +260,11 @@ def run_study(cfg):
             mesh = fem.Mesh(2 ** e)
             eigen = fem.generalized_eigen(fem.assemble(mesh))
             map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, M)
-            gram = solvers.spectral_fem_gram(K, eigen)
+            pairing = solvers.spectral_fem_gram(K, eigen)
             rows.append((lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
-                         K, errors.pair_error(map_a, map_h, gram)))
+                         K, errors.pair_error(map_a, map_h, pairing)))
             if samples:
-                pairs.append((map_a, map_h, gram))
+                pairs.append((map_a, map_h, pairing))
         _add_rows(rep, rows, pairs, samples, seed)
         rep.fit("h", window)
 
@@ -360,11 +362,11 @@ def _selftest_checks():
         lam2 = (ks * math.pi) ** 2
         over = solvers.OverlapProfile(ks, 1.0, n_star, 1.0)
         cn = solvers.PropagatorProfile(lam2, M, 1.0 / M, n_star, 1.0)
-        for a, b, diag in ((over, over, True), (over, cn, True),
-                           (cn, cn, True), (over, cn, False), (cn, cn, False)):
-            dense = a.dense() @ b.dense().T
-            ref = np.diag(dense) if diag else dense
-            err = np.abs(solvers.time_gram(a, b, diag) - ref).max()
+        rev = np.arange(K)[::-1]
+        for a, b, r in ((over, over, None), (over, cn, None), (cn, cn, None),
+                        (over, cn, rev), (cn, cn, rev)):
+            ref = (a.dense() * b.dense()[ks - 1 if r is None else r]).sum(1)
+            err = np.abs(solvers.time_gram(a, b, r) - ref).max()
             if not err <= 1e-12 * np.abs(ref).max():
                 return False
         return True

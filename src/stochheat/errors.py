@@ -113,7 +113,7 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
         return 0.0
     dt = horizon / n_star
     dx = 1.0 / j_star
-    total = 0.0
+    total = scale = 0.0
     for k in range(1, K + 1):
         lam = k * math.pi
         lam2 = lam * lam
@@ -131,7 +131,8 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
         # per cell: integral of kernel^2 minus captured projection energy
         captured = float((np.outer(s1, y1) ** 2).sum()) / (dt * dx)
         total += s2.sum() * y2.sum() - captured
-    return math.sqrt(max(total, 0.0))
+        scale += s2.sum() * y2.sum()
+    return math.sqrt(_nonnegative(total, scale, "quadrature modeling error"))
 
 
 def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
@@ -139,7 +140,7 @@ def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
 
     Compares the regularized solution I with the mode-wise CN scheme A
     at t = m * dtau; both share the sine basis, so the squared error is
-    sum_k (II - 2 IA + AA)_k |b_k|^2 / (dt dx) over the diagonal time
+    sum_k (II - 2 IA + AA)_k |b_k|^2 / (dt dx) over the row-paired time
     Grams of ``solvers.time_gram`` and the cell energies |b_k|^2.
     """
     if K is None:
@@ -151,9 +152,9 @@ def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
     A = solvers.PropagatorProfile(lam2, m, dtau, n_star, horizon)
     cell_area = (horizon / n_star) * (1.0 / j_star)
     w = noise.mode_cell_sq_sums(ks, j_star) / cell_area
-    return _rms_gap(w * solvers.time_gram(I, I, diagonal=True),
-                    w * solvers.time_gram(I, A, diagonal=True),
-                    w * solvers.time_gram(A, A, diagonal=True))
+    return _rms_gap(w * solvers.time_gram(I, I),
+                    w * solvers.time_gram(I, A),
+                    w * solvers.time_gram(A, A))
 
 
 def _rms_gap(ea, cross, eb):
@@ -178,15 +179,15 @@ def _nonnegative(x, scale, what):
     return np.maximum(x, 0.0)
 
 
-def pair_error(map_a, map_b, gram):
+def pair_error(map_a, map_b, pairing):
     """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables.
 
-    ``gram`` is the basis Gram matrix of ``solvers.cross_moment`` (None
+    ``pairing`` is the basis pairing of ``solvers.cross_moment`` (None
     when both maps share one basis).  See ``_rms_gap`` for how rounding
     cancellation is handled.
     """
     return _rms_gap(map_a.second_moment(),
-                    solvers.cross_moment(map_a, map_b, gram),
+                    solvers.cross_moment(map_a, map_b, pairing),
                     map_b.second_moment())
 
 

@@ -1,8 +1,8 @@
 """Piecewise-linear finite elements on a uniform mesh of (0, 1).
 
 Provides the tridiagonal mass/stiffness assembly, the L2 projection,
-the discrete elliptic inverse, the generalized eigenbasis that is
-L2-orthonormal and energy-orthogonal, and the exact cross inner
+the discrete elliptic inverse, the closed-form generalized eigenbasis
+(L2-orthonormal and energy-orthogonal), and the exact cross inner
 products between hat functions, sine modes and noise cells.
 """
 
@@ -23,9 +23,7 @@ __all__ = [
     "l2_project",
     "elliptic_solve_discrete",
     "generalized_eigen",
-    "sine_hat_inner",
     "sine_hat_inner_matrix",
-    "hat_cell_overlap",
     "hat_cell_overlap_matrix",
     "nodal_l2_norm",
     "h1_seminorm",
@@ -100,23 +98,12 @@ def assemble(mesh):
     return FemSystem(mesh)
 
 
-def sine_hat_inner(k, i, mesh):
-    """(e_k, hat_i) over D, exact.
+def sine_hat_inner_matrix(K, mesh):
+    """Matrix C with C[k-1, i-1] = (e_k, hat_i), exact.
 
     Integrating sin(lam x) against the tent at node x_i gives
     sqrt(2) (2 sin(lam x_i) - sin(lam x_{i-1}) - sin(lam x_{i+1})) / (h lam^2).
     """
-    if not (1 <= i <= mesh.nu):
-        raise ValueError("interior node index out of range")
-    lam = k * math.pi
-    x = mesh.nodes
-    return (math.sqrt(2.0) / (mesh.h * lam**2)
-            * (2.0 * math.sin(lam * x[i]) - math.sin(lam * x[i - 1])
-               - math.sin(lam * x[i + 1])))
-
-
-def sine_hat_inner_matrix(K, mesh):
-    """Matrix C with C[k-1, i-1] = (e_k, hat_i), exact, vectorized."""
     lam = np.arange(1, K + 1) * math.pi
     s = np.sin(np.outer(lam, mesh.nodes))
     core = 2.0 * s[:, 1:-1] - s[:, :-2] - s[:, 2:]
@@ -133,26 +120,11 @@ def _hat_antiderivative(i, mesh, x):
     return rise**2 / (2.0 * h) + fall - fall**2 / (2.0 * h)
 
 
-def hat_cell_overlap(i, j, mesh, j_star):
-    """Integral of hat_i over noise cell D_j (grids may be misaligned)."""
-    if not (1 <= i <= mesh.nu):
-        raise ValueError("interior node index out of range")
-    if not (1 <= j <= j_star):
-        raise ValueError("cell index out of range")
-    dx = 1.0 / j_star
-    lo = _hat_antiderivative(i, mesh, (j - 1) * dx)
-    hi = _hat_antiderivative(i, mesh, j * dx)
-    return float(hi - lo)
-
-
 def hat_cell_overlap_matrix(mesh, j_star):
     """Matrix O with O[i-1, j-1] = integral of hat_i over D_j."""
     edges = np.arange(j_star + 1) / j_star
-    out = np.empty((mesh.nu, j_star))
-    for i in range(1, mesh.nu + 1):
-        anti = _hat_antiderivative(i, mesh, edges)
-        out[i - 1] = np.diff(anti)
-    return out
+    i = np.arange(1, mesh.nu + 1)[:, None]
+    return np.diff(_hat_antiderivative(i, mesh, edges), axis=1)
 
 
 def load_vector(f, mesh, npts=8, nsub=4):
@@ -193,19 +165,25 @@ class FemEigenBasis:
         self.vectors = vectors    # (nu, nu), columns are phi_j
 
 
-def generalized_eigen(system):
-    """Full dense generalized symmetric eigendecomposition.
+def _eigen_scale(p, intervals):
+    """c_p = sqrt(6/(2 + cos(p pi h))): phi_p(x_i) = c_p sin(p pi x_i)."""
+    return np.sqrt(6.0 / (2.0 + np.cos(p * (math.pi / intervals))))
 
-    Eigenvectors come back M-orthonormal from LAPACK; a convergence
-    failure surfaces as an explicit error rather than partial output.
+
+def generalized_eigen(system):
+    """Eigenpairs of S phi = eps M phi on the uniform mesh, in closed form.
+
+    With a = p pi h (Strang & Fix): eps_p = (6/h^2) 2 sin^2(a/2)/(2 + cos a)
+    and phi_p(x_i) = c_p sin(p pi x_i) (``_eigen_scale``), p = 1..nu.  The
+    sine arguments are reduced to [0, 2 pi) on the integers i p.
     """
-    try:
-        vals, vecs = sla.eigh(system.stiff_dense(), system.mass_dense())
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise RuntimeError("generalized eigensolver failed to converge") from exc
-    if np.any(vals <= 0.0):
-        raise RuntimeError("nonpositive stiffness eigenvalue; assembly broken")
-    return FemEigenBasis(system, vals, vecs)
+    J = system.mesh.intervals
+    p = np.arange(1, J)
+    a = p * (math.pi / J)
+    values = 12.0 * J * J * np.sin(0.5 * a) ** 2 / (2.0 + np.cos(a))
+    vectors = _eigen_scale(p, J) * np.sin((math.pi / J)
+                                          * (np.outer(p, p) % (2 * J)))
+    return FemEigenBasis(system, values, vectors)
 
 
 def nodal_l2_norm(v, system):

@@ -207,58 +207,51 @@ def _one_minus_power(log_abs, negative, m):
     return np.where(flip, 1.0 + np.exp(m * log_abs), -np.expm1(m * log_abs))
 
 
-def time_gram(a, b, diagonal=False):
-    """Time Gram sum_n a[i, n] b[j, n] of two profiles.
+def time_gram(a, b, rows=None):
+    """Paired time Gram sum_n a[i, n] b[rows[i], n] of two profiles.
 
-    Returns the diagonal i = j (same basis; equal row counts) or the
-    full matrix.  With q = (1 - rho)/(1 + rho), rho = dtau mu / 2 and
-    E = exp(-lam^2 dtau), each sum is geometric when every CN step
-    spans p whole noise cells and the overlap time is t = m dtau:
+    ``rows`` picks the row of ``b`` paired with each row of ``a``; None
+    pairs the rows in order (same basis; equal row counts).  With
+    q = (1 - rho)/(1 + rho), rho = dtau mu / 2 and E = exp(-lam^2 dtau),
+    each sum is geometric when every CN step of ``b`` spans p whole noise
+    cells and the overlap time is t = m dtau:
 
     * CN x CN:       p dt^2 (1 - (q_a q_b)^m) / (2 (rho_a + rho_b))
     * overlap x CN:  dt (1 - E)/lam^2 (1 - (E q_b)^m) / (1 - E + rho_b (1 + E))
-    * overlap x overlap (diagonal): ``noise.time_overlap_sq_sum``.
+    * overlap x overlap (same modes): ``noise.time_overlap_sq_sum``.
 
     Any other pair (non-aligned grids, different steps or times) takes
     the dense product of the materialized arrays.
     """
-    if isinstance(a, PropagatorProfile) and isinstance(b, OverlapProfile):
-        g = time_gram(b, a, diagonal)
-        return g if diagonal else g.T
-    if diagonal and a.shape[0] != b.shape[0]:
-        raise ValueError("diagonal time Gram needs equal row counts")
-
-    def rows(v):
-        return v if diagonal else v[:, None]
-
-    def cols(v):
-        return v if diagonal else v[None, :]
-
+    if rows is None:
+        if isinstance(a, PropagatorProfile) and isinstance(b, OverlapProfile):
+            return time_gram(b, a)
+        if a.shape[0] != b.shape[0]:
+            raise ValueError("time Gram in row order needs equal row counts")
+        rows = slice(None)
     p = b.cells_per_step(a) if isinstance(b, PropagatorProfile) else 0
     if p:
         dt = b.horizon / b.n_star
-        rho_b, lq_b, neg_b = b.log_abs_q()
+        rho_b, lq_b, neg_b = (v[rows] for v in b.log_abs_q())
         if isinstance(a, PropagatorProfile) and (a.m, a.dtau) == (b.m, b.dtau):
             rho_a, lq_a, neg_a = a.log_abs_q()
             return (p * dt * dt
-                    * _one_minus_power(rows(lq_a) + cols(lq_b),
-                                       rows(neg_a) ^ cols(neg_b), b.m)
-                    / (2.0 * (rows(rho_a) + cols(rho_b))))
+                    * _one_minus_power(lq_a + lq_b, neg_a ^ neg_b, b.m)
+                    / (2.0 * (rho_a + rho_b)))
         if (isinstance(a, OverlapProfile)
                 and abs(a.t - b.m * b.dtau) <= 1e-12 * dt):
-            lam2 = rows((a.ks * math.pi) ** 2)
+            lam2 = (a.ks * math.pi) ** 2
             x = lam2 * b.dtau
             one_m_e = -np.expm1(-x)
             return (dt * (one_m_e / lam2)
-                    * _one_minus_power(cols(lq_b) - x, cols(neg_b), b.m)
-                    / (one_m_e + cols(rho_b) * (1.0 + np.exp(-x))))
-    if (diagonal and isinstance(a, OverlapProfile)
-            and isinstance(b, OverlapProfile) and a.t == b.t
-            and a.n_star == b.n_star and math.isclose(a.horizon, b.horizon)
-            and np.array_equal(a.ks, b.ks)):
+                    * _one_minus_power(lq_b - x, neg_b, b.m)
+                    / (one_m_e + rho_b * (1.0 + np.exp(-x))))
+    if (isinstance(a, OverlapProfile) and isinstance(b, OverlapProfile)
+            and a.t == b.t and a.n_star == b.n_star
+            and math.isclose(a.horizon, b.horizon)
+            and np.array_equal(a.ks, b.ks[rows])):
         return noise.time_overlap_sq_sum(a.ks, a.t, a.n_star, a.horizon)
-    A, B = a.dense(), b.dense()
-    return (A * B).sum(1) if diagonal else A @ B.T
+    return (a.dense() * b.dense()[rows]).sum(1)
 
 
 class GaussianCoefficientMap:
@@ -325,36 +318,57 @@ class GaussianCoefficientMap:
         return self._second_moment
 
 
-def cross_moment(map_a, map_b, gram=None):
+def cross_moment(map_a, map_b, pairing=None):
     """E <X, Y> for two observables of the same noise grid.
 
-    ``gram[i, p]`` holds the L2 inner products between the two bases;
-    omit it when both maps use the same orthonormal basis.
+    ``pairing`` is the ``(rows, g)`` of ``spectral_fem_gram``: basis
+    function i of X meets only function rows[i] of Y, with L2 inner
+    product g[i].  Omit it when both maps use the same orthonormal basis.
     """
     if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
-    if gram is None and (map_a.basis != map_b.basis
-                         or map_a.time.shape[0] != map_b.time.shape[0]):
+    n_a, n_b = map_a.time.shape[0], map_b.time.shape[0]
+    if pairing is None and (map_a.basis != map_b.basis or n_a != n_b):
         raise ValueError("cross moment between different bases needs a "
-                         "Gram matrix")
-    return _moment(map_a, map_b, gram)
+                         "pairing")
+    if pairing is not None and (len(pairing[0]) != n_a or np.any(
+            (pairing[0] < 0) | (pairing[0] >= n_b))):
+        raise ValueError("pairing needs one of the %d rows of map_b for "
+                         "each of the %d rows of map_a" % (n_b, n_a))
+    return _moment(map_a, map_b, pairing)
 
 
-def _moment(map_a, map_b, gram):
-    """E <X, Y> from the time Gram and the space factors."""
-    if gram is None:
-        total = float(np.sum(time_gram(map_a.time, map_b.time, diagonal=True)
+def _moment(map_a, map_b, pairing):
+    """E <X, Y> from the paired time Grams and the space factors."""
+    if pairing is None:
+        total = float(np.sum(time_gram(map_a.time, map_b.time)
                              * (map_a.space * map_b.space).sum(1)))
     else:
-        total = float(np.sum(gram * time_gram(map_a.time, map_b.time)
-                             * (map_a.space @ map_b.space.T)))
+        rows, g = pairing
+        S = map_a.space @ map_b.space.T
+        total = float(np.sum(g * time_gram(map_a.time, map_b.time, rows)
+                             * S[np.arange(rows.size), rows]))
     return map_a.cell_area * map_a.scale * map_b.scale * total
 
 
 def spectral_fem_gram(K, eigen):
-    """Gram matrix (e_k, phi_p) between sine modes and FEM eigenfunctions."""
-    C = fem.sine_hat_inner_matrix(K, eigen.system.mesh)
-    return C @ eigen.vectors
+    """Alias pairing ``(rows, g)``: g_k = (e_k, phi_p), p = rows_k + 1.
+
+    (e_k, phi_p) vanishes unless p = +-k (mod 2J), so with r = k mod 2J
+    mode k meets only p = min(r, 2J - r), where (e_k, phi_p) is
+    +-(J/2) c_p sqrt(2) 4 sin^2(k pi h/2)/(h lam_k^2) (+ for r < J).
+    Where p is 0 or J it is 0, and rows_k reads 0.
+    """
+    J = eigen.system.mesh.intervals
+    ks = np.arange(1, K + 1)
+    r = ks % (2 * J)
+    p = np.minimum(r, 2 * J - r)
+    live = (p > 0) & (p < J)
+    # sin^2(k pi h/2) has period 2J in k: take it at r, a small argument
+    g = (np.where(r < J, 0.5, -0.5) * J * J * fem._eigen_scale(p, J)
+         * math.sqrt(2.0) * 4.0 * np.sin(r * (0.5 * math.pi / J)) ** 2
+         / (ks * math.pi) ** 2)
+    return np.where(live, p - 1, 0), np.where(live, g, 0.0)
 
 
 def map_regularized(n_star, j_star, horizon, K, t):

@@ -88,7 +88,7 @@ def _study_cfg(study, samples, horizon, n_star, j_star, K, M, levels):
 
 
 def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
-    """Each level's (map_a, map_b, gram), built afresh per level."""
+    """Each level's (map_a, map_b, pairing), built afresh per level."""
     pairs = []
     for e in levels:
         if study == "tdr":
@@ -120,14 +120,15 @@ def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M):
     rep = cli.run_study(_study_cfg(study, samples, horizon, n_star, j_star,
                                    K, M, levels))
     pairs = _level_pairs(study, horizon, n_star, j_star, K, M, levels)
-    for row, (map_a, map_b, gram) in zip(rep.rows, pairs):
+    for row, (map_a, map_b, pairing) in zip(rep.rows, pairs):
         def one(s):
             g = noise.sample(n_star, j_star, horizon, s)
             a, b = map_a.reconstruct(g), map_b.reconstruct(g)
-            if gram is None:
+            if pairing is None:
                 d = a - b
                 return float(d @ d)
-            return float(a @ a - 2.0 * (a @ gram @ b) + b @ b)
+            rows, gk = pairing
+            return float(a @ a - 2.0 * (a @ (gk * b[rows])) + b @ b)
         mean, se = errors.mc_error(one, samples, 5)
         assert row["error_mc"] == math.sqrt(mean)
         assert row["stderr"] == se / (2.0 * math.sqrt(mean))
@@ -161,9 +162,12 @@ def test_shared_projection_keeps_grid_check():
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):
     # a negative squared error beyond rounding is a numerical failure
-    gram = solvers.spectral_fem_gram
-    monkeypatch.setattr(solvers, "spectral_fem_gram",
-                        lambda K, eigen: 2.0 * gram(K, eigen))
+    pairing = solvers.spectral_fem_gram
+
+    def doubled(K, eigen):
+        rows, g = pairing(K, eigen)
+        return rows, 2.0 * g
+    monkeypatch.setattr(solvers, "spectral_fem_gram", doubled)
     assert run(["study", "--set", "study=sdr", "--set", "n_star=16",
                 "--set", "j_star=16", "--set", "K=32", "--set", "M=8",
                 "--set", "h_levels=3,4"]) == 2

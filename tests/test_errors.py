@@ -16,6 +16,18 @@ def test_modeling_error_against_quadrature_oracle():
     assert abs(a - b) <= 1e-8 * b
 
 
+def test_modeling_error_quadrature_raises_on_negative_sum(monkeypatch):
+    # captured energy above the kernel energy is not clamped to 0
+    integrals = errors._cell_time_integrals
+
+    def inflated(*args, **kwargs):
+        s1, s2 = integrals(*args, **kwargs)
+        return 10.0 * s1, s2
+    monkeypatch.setattr(errors, "_cell_time_integrals", inflated)
+    with pytest.raises(RuntimeError, match="beyond rounding"):
+        errors.modeling_error_quadrature(1.0, 2, 2, 4, nsub=8)
+
+
 def test_modeling_error_tail_tiny_for_large_K():
     lo = errors.modeling_error_exact(1.0, 8, 8, 2000, include_tail=False)
     hi = errors.modeling_error_exact(1.0, 8, 8, 2000, include_tail=True)
@@ -103,7 +115,8 @@ def _dense_rms(a, b, gram):
 def test_exact_functionals_match_dense_maps():
     n, j, K, M = 32, 16, 64, 8
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
-    gram = solvers.spectral_fem_gram(K, eig)
+    # dense sine/FEM Gram oracle; the functionals use the alias pairing
+    gram = fem.sine_hat_inner_matrix(K, eig.system.mesh) @ eig.vectors
     bsq = noise.mode_cell_sq_sums(np.arange(1, K + 1), j)
     for m in (3, M):
         u = solvers.map_regularized(n, j, 1.0, K, m / M)
@@ -129,10 +142,10 @@ def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments():
     assert errors.pair_error(s, s, None) == 0.0
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(16)))
     h = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
-    gram = solvers.spectral_fem_gram(K, eig)
-    assert errors.pair_error(s, h, gram) > 0.0
+    rows, g = solvers.spectral_fem_gram(K, eig)
+    assert errors.pair_error(s, h, (rows, g)) > 0.0
     with pytest.raises(RuntimeError):
-        errors.pair_error(s, h, 2.0 * gram)
+        errors.pair_error(s, h, (rows, 2.0 * g))
 
 
 def test_mc_error_unbiased_on_known_distribution():

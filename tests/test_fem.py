@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
 
 from stochheat import fem, quadrature
 from stochheat.spectral import SpectralField
@@ -32,6 +34,7 @@ def test_mass_solve_round_trip():
 
 def test_sine_hat_inner_matches_quadrature():
     mesh = fem.Mesh(6)
+    C = fem.sine_hat_inner_matrix(9, mesh)
     for k in (1, 4, 9):
         for i in (1, 3, 6 - 1):
             f = lambda x: math.sqrt(2.0) * np.sin(k * math.pi * x) \
@@ -41,18 +44,40 @@ def test_sine_hat_inner_matches_quadrature():
                 f, mesh.nodes[i - 1], mesh.nodes[i], nsub=64) \
                 + quadrature.composite_gauss(
                     f, mesh.nodes[i], mesh.nodes[i + 1], nsub=64)
-            assert abs(fem.sine_hat_inner(k, i, mesh) - direct) < 1e-12
+            assert abs(C[k - 1, i - 1] - direct) < 1e-12
 
 
 def test_hat_cell_overlap_matches_quadrature():
     mesh = fem.Mesh(4)
     j_star = 3  # deliberately incommensurate with the mesh
+    O = fem.hat_cell_overlap_matrix(mesh, j_star)
     for i in (1, 2, 3):
         for j in range(j_star):
             direct = quadrature.composite_gauss(
                 lambda x: hat(i, mesh, x), j / 3, (j + 1) / 3, nsub=300)
-            val = fem.hat_cell_overlap(i, j + 1, mesh, j_star)
-            assert abs(val - direct) < 1e-12
+            assert abs(O[i - 1, j] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("J, j_star", [(8, 16), (24, 7), (5, 12)])
+def test_hat_cell_overlap_matrix_exact_on_linear_pieces(J, j_star):
+    mesh = fem.Mesh(J)
+    O = fem.hat_cell_overlap_matrix(mesh, j_star)
+    assert O.shape == (mesh.nu, j_star)
+    # row by row, with the same arithmetic: the same bits
+    edges = np.arange(j_star + 1) / j_star
+    for i in range(1, mesh.nu + 1):
+        assert np.array_equal(
+            O[i - 1], np.diff(fem._hat_antiderivative(i, mesh, edges)))
+    # hat_i is linear between the cell edges and the mesh nodes, so the
+    # midpoint rule on those pieces is exact
+    for j in range(j_star):
+        lo, hi = j / j_star, (j + 1) / j_star
+        cuts = np.union1d([lo, hi], mesh.nodes[(mesh.nodes > lo)
+                                               & (mesh.nodes < hi)])
+        mid = 0.5 * (cuts[1:] + cuts[:-1])
+        for i in range(1, mesh.nu + 1):
+            ref = float(np.diff(cuts) @ hat(i, mesh, mid))
+            assert abs(O[i - 1, j] - ref) < 1e-15
 
 
 def test_hat_cell_overlap_rows_sum_to_h():
@@ -107,6 +132,19 @@ def test_generalized_eigen_orthonormal_and_ordered():
     R = system.stiff_dense() @ eig.vectors \
         - system.mass_dense() @ eig.vectors @ np.diag(eig.values)
     assert np.max(np.abs(R)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.integers(2, 256))
+def test_generalized_eigen_matches_dense_solver(J):
+    # closed-form eigenpairs against LAPACK's, up to each vector's sign
+    system = fem.assemble(fem.Mesh(J))
+    eig = fem.generalized_eigen(system)
+    vals, vecs = sla.eigh(system.stiff_dense(), system.mass_dense())
+    assert np.abs(eig.values - vals).max() <= 1e-13 * vals.max()
+    signs = np.sign((vecs * eig.vectors).sum(0))
+    assert np.all(signs != 0.0)
+    assert np.abs(vecs * signs - eig.vectors).max() < 1e-10
 
 
 def test_low_eigenvalues_approach_continuum():

@@ -146,8 +146,8 @@ def test_cross_moment_cross_basis_matches_monte_carlo():
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
     a = solvers.map_regularized(n, j, 1.0, K, 1.0)
     b = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
-    gram = solvers.spectral_fem_gram(K, eig)
-    exact = solvers.cross_moment(a, b, gram)
+    exact = solvers.cross_moment(a, b, solvers.spectral_fem_gram(K, eig))
+    gram = fem.sine_hat_inner_matrix(K, eig.system.mesh) @ eig.vectors
     vals = []
     for s in range(400):
         g = noise.sample(n, j, 1.0, 5000 + s)
@@ -155,6 +155,35 @@ def test_cross_moment_cross_basis_matches_monte_carlo():
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) < 3.5 * se
+
+
+@pytest.mark.parametrize("J, K", [(16, 7), (16, 16), (16, 32), (8, 200),
+                                  (2, 9)])
+def test_pairing_matches_dense_gram(J, K):
+    # K < nu, K = J, K = 2J and K >> J; k = 0, J (mod 2J) meet no phi_p
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    dense = fem.sine_hat_inner_matrix(K, eig.system.mesh) @ eig.vectors
+    rows, g = solvers.spectral_fem_gram(K, eig)
+    ks = np.arange(1, K + 1)
+    zero = (ks % J) == 0
+    assert np.all(g[zero] == 0.0) and np.all(rows[zero] == 0)
+    assert np.all((0 <= rows) & (rows < J - 1))
+    paired = np.zeros_like(dense)
+    paired[np.arange(K), rows] = g
+    assert np.abs(paired - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_cross_moment_rejects_bad_pairing():
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
+    a = solvers.map_regularized(8, 8, 1.0, 12, 1.0)
+    b = solvers.map_cn_fem(8, 8, 1.0, eig, 8, 8)
+    rows, g = solvers.spectral_fem_gram(12, eig)
+    solvers.cross_moment(a, b, (rows, g))
+    bad_row = rows.copy()
+    bad_row[3] = 7                       # b has rows 0..6
+    for pairing in ((rows[:-1], g[:-1]), (bad_row, g), (rows - 1, g)):
+        with pytest.raises(ValueError, match="pairing needs"):
+            solvers.cross_moment(a, b, pairing)
 
 
 def test_map_rejects_foreign_grid():
@@ -186,9 +215,9 @@ _RHOS = st.lists(st.one_of(st.floats(1e-6, 0.999), st.just(1.0),
                  min_size=1, max_size=5)
 
 
-def _dense_gram(a, b, diagonal):
-    A, B = a.dense(), b.dense()
-    return (A * B).sum(1) if diagonal else A @ B.T
+def _dense_gram(a, b, rows):
+    B = b.dense() if rows is None else b.dense()[rows]
+    return (a.dense() * B).sum(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,16 +237,19 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
     over = solvers.OverlapProfile(ks, m * dtau, M * p, horizon)
     for a, b in ((cn_a, cn_b), (cn_a, cn_a), (over, cn_b), (cn_b, over),
                  (over, cn_a)):
-        for diagonal in (True, False):
-            if diagonal and a.shape[0] != b.shape[0]:
+        paired = np.array(data.draw(st.lists(
+            st.integers(0, b.shape[0] - 1), min_size=a.shape[0],
+            max_size=a.shape[0])))
+        for rows in (None, paired):
+            if rows is None and a.shape[0] != b.shape[0]:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = solvers.time_gram(a, b, diagonal)
-            ref = _dense_gram(a, b, diagonal)
+                got = solvers.time_gram(a, b, rows)
+            ref = _dense_gram(a, b, rows)
             na = np.sqrt((a.dense() ** 2).sum(1))
             nb = np.sqrt((b.dense() ** 2).sum(1))
-            scale = na * nb if diagonal else np.outer(na, nb)
+            scale = na * (nb if rows is None else nb[rows])
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
@@ -234,6 +266,6 @@ def test_time_gram_falls_back_to_dense(horizon, n_star, M):
     cn_h = solvers.PropagatorProfile(eig.values, M, dtau, n_star, horizon)
     over = solvers.OverlapProfile(ks, M * dtau, n_star, horizon)
     for a, b in ((cn, cn), (cn, cn_h), (over, cn), (over, cn_h)):
-        for diagonal in (True, False):
-            assert np.array_equal(solvers.time_gram(a, b, diagonal),
-                                  _dense_gram(a, b, diagonal))
+        for rows in (None, np.arange(K)[::-1]):
+            assert np.array_equal(solvers.time_gram(a, b, rows),
+                                  _dense_gram(a, b, rows))
