@@ -29,8 +29,7 @@ hs, errs = [], []
 for e in range(3, 7):
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
     fem_map = solvers.map_cn_fem(1024, 256, 1.0, eig, M, M)
-    err = errors.pair_error(spectral, fem_map,
-                            solvers.spectral_fem_gram(K, eig))
+    err = errors.pair_error(spectral, fem_map)
     print("  h = %-10g E = %.6f" % (2.0 ** -e, err))
     hs.append(2.0 ** -e)
     errs.append(err)

@@ -118,8 +118,8 @@ def _at_least(cfg, key, lo):
 
 def _horizon(cfg):
     horizon = _get_float(cfg, "horizon")
-    if not horizon > 0.0:
-        raise ConfigError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ConfigError("horizon must be positive and finite")
     return horizon
 
 
@@ -144,48 +144,29 @@ def _levels(cfg, key):
 def _mc_rms(pairs, samples, seed):
     """Monte Carlo RMS of X - Y and its standard error, one per level.
 
-    Each ``(map_a, map_b, pairing)`` of ``pairs`` is a level: X and Y
-    live in one basis when ``pairing`` is None, otherwise in the bases
-    that ``solvers.spectral_fem_gram`` pairs.  All levels see the same
-    grids (read from the first map), so each sample draws its grid once,
-    projects it once per distinct space factor and reconstructs each
-    distinct map once.
+    Each ``(map_a, map_b)`` of ``pairs`` is a level, whose squared
+    distance ``solvers.squared_distance`` pairs once.  All levels see the
+    same grids (read from the first map), so each sample draws its grid
+    once, projects it once per distinct space factor and reconstructs
+    each distinct map once.
     """
-    maps = list({id(m): m for pair in pairs for m in pair[:2]}.values())
+    maps = list({id(m): m for pair in pairs for m in pair}.values())
+    dists = [solvers.squared_distance(a, b) for a, b in pairs]
     first = maps[0]
 
     def one(s):
         g = noise.sample(first.n_star, first.j_star, first.horizon, s)
         proj, coef = {}, {}
         for m in maps:
-            if id(m.space) not in proj:
-                proj[id(m.space)] = m.project(g)
-            coef[id(m)] = m.reconstruct(g, proj[id(m.space)])
-        out = []
-        for map_a, map_b, pairing in pairs:
-            a, b = coef[id(map_a)], coef[id(map_b)]
-            if pairing is None:
-                d = a - b
-                out.append(float(d @ d))
-            else:
-                rows, gk = pairing
-                out.append(float(a @ a - 2.0 * (a @ (gk * b[rows])) + b @ b))
-        return out
+            if id(m.space()) not in proj:
+                proj[id(m.space())] = m.project(g)
+            coef[id(m)] = m.reconstruct(g, proj[id(m.space())])
+        return [dist(coef[id(a)], coef[id(b)])
+                for dist, (a, b) in zip(dists, pairs)]
     means, ses = errors.mc_error(one, samples, seed)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
             for mean, se in zip(means, ses)]
-
-
-def _add_rows(rep, rows, pairs, samples, seed):
-    """Add each level's row with its MC columns: one ``_mc_rms`` pass
-    over ``pairs`` when sampling, nan otherwise."""
-    if samples:
-        mc = _mc_rms(pairs, samples, seed)
-    else:
-        mc = [(math.nan, math.nan)] * len(rows)
-    for row, (err_mc, se) in zip(rows, mc):
-        rep.add_row(*row, err_mc, se)
 
 
 def run_study(cfg):
@@ -223,50 +204,42 @@ def run_study(cfg):
                         math.nan, K, err)
         rep.fit("dt", window)
 
-    elif study == "tdr":
+    elif study in ("tdr", "sdr", "total"):
         n_star = _at_least(cfg, "n_star", 1)
         j_star = _at_least(cfg, "j_star", 1)
         K = _at_least(cfg, "K", 1)
-        if samples:
-            map_u = solvers.map_regularized(n_star, j_star, horizon, K,
-                                            horizon)
-        rows, pairs = [], []
-        for lvl, e in enumerate(_levels(cfg, "dtau_levels")):
-            M = 2 ** e
-            rows.append((lvl, horizon / n_star, 1.0 / j_star, horizon / M,
-                         math.nan, K, errors.tdr_error_exact(
-                             M, M, n_star, j_star, horizon, K)))
-            if samples:
-                pairs.append((map_u, solvers.map_cn_spectral(
-                    n_star, j_star, horizon, K, M, M), None))
-        _add_rows(rep, rows, pairs, samples, seed)
-        rep.fit("dtau", window)
-
-    elif study in ("sdr", "total"):
-        n_star = _at_least(cfg, "n_star", 1)
-        j_star = _at_least(cfg, "j_star", 1)
-        K = _at_least(cfg, "K", 1)
-        M = _at_least(cfg, "M", 1)
-        levels = _levels(cfg, "h_levels")
-        dtau = horizon / M
-        # the spectral side does not depend on the mesh: build it once
+        key = "dtau" if study == "tdr" else "h"
+        if key == "h":
+            M = _at_least(cfg, "M", 1)
+        # map_a does not depend on the level: build it once
         if study == "sdr":
             map_a = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M)
         else:
-            map_a = solvers.map_regularized(n_star, j_star, horizon, K,
-                                            M * dtau)
+            t = horizon if study == "tdr" else M * (horizon / M)
+            map_a = solvers.map_regularized(n_star, j_star, horizon, K, t)
         rows, pairs = [], []
-        for lvl, e in enumerate(levels):
-            mesh = fem.Mesh(2 ** e)
-            eigen = fem.generalized_eigen(fem.assemble(mesh))
-            map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, M)
-            pairing = solvers.spectral_fem_gram(K, eigen)
-            rows.append((lvl, horizon / n_star, 1.0 / j_star, dtau, mesh.h,
-                         K, errors.pair_error(map_a, map_h, pairing)))
+        for lvl, e in enumerate(_levels(cfg, key + "_levels")):
+            if study == "tdr":
+                M, h = 2 ** e, math.nan
+                map_b = solvers.map_cn_spectral(n_star, j_star, horizon, K,
+                                                M, M)
+            else:
+                mesh = fem.Mesh(2 ** e)
+                h = mesh.h
+                eigen = fem.generalized_eigen(fem.assemble(mesh))
+                map_b = solvers.map_cn_fem(n_star, j_star, horizon, eigen,
+                                           M, M)
+            rows.append((lvl, horizon / n_star, 1.0 / j_star, horizon / M, h,
+                         K, errors.pair_error(map_a, map_b)))
             if samples:
-                pairs.append((map_a, map_h, pairing))
-        _add_rows(rep, rows, pairs, samples, seed)
-        rep.fit("h", window)
+                pairs.append((map_a, map_b))
+        if samples:
+            mc = _mc_rms(pairs, samples, seed)
+        else:
+            mc = [(math.nan, math.nan)] * len(rows)
+        for row, (err_mc, se) in zip(rows, mc):
+            rep.add_row(*row, err_mc, se)
+        rep.fit(key, window)
 
     else:  # deterministic-cn
         axis = cfg.get("axis", "time")

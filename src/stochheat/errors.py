@@ -136,25 +136,14 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
 
 
 def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
-    """Exact RMS time-discretization error at step m of M.
-
-    Compares the regularized solution I with the mode-wise CN scheme A
-    at t = m * dtau; both share the sine basis, so the squared error is
-    sum_k (II - 2 IA + AA)_k |b_k|^2 / (dt dx) over the row-paired time
-    Grams of ``solvers.time_gram`` and the cell energies |b_k|^2.
-    """
+    """Exact RMS time-discretization error at step m of M: the regularized
+    solution against the mode-wise CN scheme at t = m * dtau."""
     if K is None:
         K = 4 * j_star
-    dtau = horizon / M
-    ks = np.arange(1, K + 1)
-    lam2 = (math.pi * ks.astype(float)) ** 2
-    I = solvers.OverlapProfile(ks, m * dtau, n_star, horizon)
-    A = solvers.PropagatorProfile(lam2, m, dtau, n_star, horizon)
-    cell_area = (horizon / n_star) * (1.0 / j_star)
-    w = noise.mode_cell_sq_sums(ks, j_star) / cell_area
-    return _rms_gap(w * solvers.time_gram(I, I),
-                    w * solvers.time_gram(I, A),
-                    w * solvers.time_gram(A, A))
+    map_u = solvers.map_regularized(n_star, j_star, horizon, K,
+                                    m * (horizon / M))
+    map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
+    return pair_error(map_u, map_s)
 
 
 def _rms_gap(ea, cross, eb):
@@ -179,16 +168,10 @@ def _nonnegative(x, scale, what):
     return np.maximum(x, 0.0)
 
 
-def pair_error(map_a, map_b, pairing):
-    """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables.
-
-    ``pairing`` is the basis pairing of ``solvers.cross_moment`` (None
-    when both maps share one basis).  See ``_rms_gap`` for how rounding
-    cancellation is handled.
-    """
-    return _rms_gap(map_a.second_moment(),
-                    solvers.cross_moment(map_a, map_b, pairing),
-                    map_b.second_moment())
+def pair_error(map_a, map_b):
+    """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables,
+    from ``solvers.distance_moments``; ``_rms_gap`` handles cancellation."""
+    return _rms_gap(*solvers.distance_moments(map_a, map_b))
 
 
 def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
@@ -203,7 +186,7 @@ def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
         K = 4 * j_star
     map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
-    return pair_error(map_s, map_h, solvers.spectral_fem_gram(K, eigen))
+    return pair_error(map_s, map_h)
 
 
 def total_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
@@ -213,7 +196,7 @@ def total_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
     map_u = solvers.map_regularized(n_star, j_star, horizon, K,
                                     m * (horizon / M))
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
-    return pair_error(map_u, map_h, solvers.spectral_fem_gram(K, eigen))
+    return pair_error(map_u, map_h)
 
 
 def sample_seed(base_seed, i):

@@ -38,6 +38,8 @@ __all__ = [
     "map_cn_spectral",
     "map_cn_fem",
     "cross_moment",
+    "distance_moments",
+    "squared_distance",
     "spectral_fem_gram",
 ]
 
@@ -88,22 +90,21 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     return out
 
 
+def _cell_loads(space, grid, M):
+    """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``."""
+    V = interval_overlaps(M, grid.horizon / M, grid.n_star, grid.horizon)
+    return (space @ grid.increments.T) @ V.T / (grid.dt * grid.dx)
+
+
 def stochastic_loads_spectral(grid, K, M):
     """W[k-1, l-1] = integral over Delta_l of (noise, e_k)."""
-    dtau = grid.horizon / M
-    B = noise.mode_cell_integrals(K, grid.j_star)
-    P = B @ grid.increments.T                       # (K, N)
-    V = interval_overlaps(M, dtau, grid.n_star, grid.horizon)
-    return (P @ V.T) / (grid.dt * grid.dx)
+    return _cell_loads(noise.mode_cell_integrals(K, grid.j_star), grid, M)
 
 
 def stochastic_loads_fem(grid, system, M):
     """L[i-1, l-1] = integral over Delta_l of (noise, hat_i)."""
-    dtau = grid.horizon / M
-    O = fem.hat_cell_overlap_matrix(system.mesh, grid.j_star)
-    Q = O @ grid.increments.T                       # (nu, N)
-    V = interval_overlaps(M, dtau, grid.n_star, grid.horizon)
-    return (Q @ V.T) / (grid.dt * grid.dx)
+    return _cell_loads(fem.hat_cell_overlap_matrix(system.mesh, grid.j_star),
+                       grid, M)
 
 
 def regularized_exact(grid, K, t):
@@ -258,24 +259,24 @@ class GaussianCoefficientMap:
     """Factorized coefficients of a field observable against the increments.
 
     Basis coefficient i of the observable is
-    ``scale * sum_{n,j} time[i, n] space[i, j] R[n, j]`` in an
-    L2-orthonormal basis ('sine' modes or the FEM eigenbasis), which
-    makes second moments exact sums of squares.  The scale 1/(dt dx)
-    turns cell increments into the piecewise-constant noise.  ``time``
-    is an ``OverlapProfile`` or a ``PropagatorProfile``; the noise grid
-    is read from the factors (``n_star`` and ``horizon`` from ``time``,
-    ``j_star`` from the columns of ``space``).
+    ``scale * sum_{n,j} time[i, n] space()[i, j] R[n, j]`` in an
+    L2-orthonormal ``basis``, K (the sine modes e_1..e_K) or a
+    ``fem.FemEigenBasis``, which makes second moments exact sums of
+    squares.  The scale 1/(dt dx) turns cell increments into the
+    piecewise-constant noise.  ``time``, an ``OverlapProfile`` or a
+    ``PropagatorProfile``, gives ``n_star`` and ``horizon``.
     """
 
-    def __init__(self, time, space, basis):
+    def __init__(self, time, basis, j_star):
         self.time = time
-        self.space = np.asarray(space, dtype=float)
         self.basis = basis
-        if self.time.shape[0] != self.space.shape[0]:
-            raise ValueError("factor row counts differ")
+        self.j_star = int(j_star)
+        self._space = self._terms = None    # built on first use and kept
+        rows = basis.values.size if _is_fem(basis) else basis
+        if self.time.shape[0] != rows:
+            raise ValueError("time profile rows differ from the basis size")
 
     n_star = property(lambda self: self.time.n_star)
-    j_star = property(lambda self: self.space.shape[1])
     horizon = property(lambda self: self.time.horizon)
 
     @property
@@ -286,19 +287,31 @@ class GaussianCoefficientMap:
     def scale(self):
         return 1.0 / self.cell_area
 
+    def space(self):
+        """Space factor: basis function i integrated over space cell j."""
+        if self._space is None:
+            if _is_fem(self.basis):
+                O = fem.hat_cell_overlap_matrix(self.basis.system.mesh,
+                                                self.j_star)
+                self._space = self.basis.vectors.T @ O
+            else:
+                self._space = noise.mode_cell_integrals(self.basis,
+                                                        self.j_star)
+        return self._space
+
     def project(self, grid):
-        """The grid factor ``space @ R^T`` of ``reconstruct`` (rows are
-        basis functions, columns time cells).  Maps with the same
-        ``space`` array, such as every sine map on one (K, J*), share it."""
+        """The grid factor ``space() @ R^T`` of ``reconstruct`` (rows are
+        basis functions, columns time cells).  Maps with the same space
+        array, such as every sine map on one (K, J*), share it."""
         if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
-        return self.space @ grid.increments.T
+        return self.space() @ grid.increments.T
 
     def reconstruct(self, grid, projection=None):
         """Basis coefficients of the observable on a sampled grid.
 
         ``projection`` passes in ``project(grid)`` when a map with the
-        same ``space`` array has already formed it for this grid.
+        same space array has already formed it for this grid.
         """
         if projection is None:
             projection = self.project(grid)
@@ -307,48 +320,79 @@ class GaussianCoefficientMap:
         return self.scale * np.einsum("kn,kn->k", self.time.dense(),
                                       projection)
 
-    _second_moment = None
-
     def second_moment(self):
-        """E ||X||^2, exact (independent increments, orthonormal basis);
-        computed on the first call and kept, like a profile's dense
-        array, since a study compares one map against many."""
-        if self._second_moment is None:
-            self._second_moment = _moment(self, self, None)
-        return self._second_moment
+        """E ||X||^2, exact (independent increments, orthonormal basis):
+        the sum of per-row terms that are computed on the first call and
+        kept, since a study compares one map against many."""
+        if self._terms is None:
+            self._terms = _moment(self, self, None)
+        return float(np.sum(self._terms))
 
 
-def cross_moment(map_a, map_b, pairing=None):
-    """E <X, Y> for two observables of the same noise grid.
+def _is_fem(basis):
+    return isinstance(basis, fem.FemEigenBasis)
 
-    ``pairing`` is the ``(rows, g)`` of ``spectral_fem_gram``: basis
-    function i of X meets only function rows[i] of Y, with L2 inner
-    product g[i].  Omit it when both maps use the same orthonormal basis.
-    """
-    if not _same_grid(map_a, map_b):
-        raise ValueError("maps live on different noise grids")
-    n_a, n_b = map_a.time.shape[0], map_b.time.shape[0]
-    if pairing is None and (map_a.basis != map_b.basis or n_a != n_b):
-        raise ValueError("cross moment between different bases needs a "
-                         "pairing")
-    if pairing is not None and (len(pairing[0]) != n_a or np.any(
-            (pairing[0] < 0) | (pairing[0] >= n_b))):
-        raise ValueError("pairing needs one of the %d rows of map_b for "
-                         "each of the %d rows of map_a" % (n_b, n_a))
-    return _moment(map_a, map_b, pairing)
+
+def _pairing(map_a, map_b):
+    """None for one basis (the same K or FEM eigenbasis object), the
+    ``spectral_fem_gram`` pairing for sine against FEM; else ValueError."""
+    a, b = map_a.basis, map_b.basis
+    if a == b:
+        return None
+    if not _is_fem(a) and _is_fem(b):
+        return spectral_fem_gram(a, b)
+    raise ValueError("the bases of these maps do not pair")
+
+
+def cross_moment(map_a, map_b):
+    """E <X, Y> for two observables of the same noise grid, both in one
+    basis or X in sine modes and Y in a FEM eigenbasis."""
+    return float(np.sum(_moment(map_a, map_b, _pairing(map_a, map_b))))
+
+
+def distance_moments(map_a, map_b):
+    """(E ||X||^2, E <X, Y>, E ||Y||^2) of two maps on one noise grid:
+    per basis row for maps in one basis, so that the distance combines
+    row by row, and as sums for a sine map against a FEM map."""
+    pairing = _pairing(map_a, map_b)
+    cross = _moment(map_a, map_b, pairing)
+    ea, eb = map_a.second_moment(), map_b.second_moment()  # keeps _terms
+    if pairing is None:
+        return map_a._terms, cross, map_b._terms
+    return ea, float(np.sum(cross)), eb
+
+
+def squared_distance(map_a, map_b):
+    """``f(a, b) = ||X - Y||^2`` from the coefficients a and b that the two
+    maps ``reconstruct`` from one sample; the bases are paired once here."""
+    pairing = _pairing(map_a, map_b)
+    if pairing is None:
+        return lambda a, b: float((a - b) @ (a - b))
+    rows, g = pairing
+    return lambda a, b: float(a @ a - 2.0 * (a @ (g * b[rows])) + b @ b)
 
 
 def _moment(map_a, map_b, pairing):
-    """E <X, Y> from the paired time Grams and the space factors."""
+    """Per-row terms of E <X, Y> (one per row of X) from the paired time
+    Grams and space factors; sine row k meets FEM row rows_k of beta."""
+    if not _same_grid(map_a, map_b):
+        raise ValueError("maps live on different noise grids")
     if pairing is None:
-        total = float(np.sum(time_gram(map_a.time, map_b.time)
-                             * (map_a.space * map_b.space).sum(1)))
+        if _is_fem(map_a.basis):
+            space = (map_a.space() ** 2).sum(1)
+        else:
+            space = noise.mode_cell_sq_sums(np.arange(1, map_a.basis + 1),
+                                            map_a.j_star)
+        terms = time_gram(map_a.time, map_b.time) * space
     else:
         rows, g = pairing
-        S = map_a.space @ map_b.space.T
-        total = float(np.sum(g * time_gram(map_a.time, map_b.time, rows)
-                             * S[np.arange(rows.size), rows]))
-    return map_a.cell_area * map_a.scale * map_b.scale * total
+        B, beta = map_a.space(), map_b.space()
+        space = np.empty(rows.size)
+        for lo in range(0, rows.size, _MODE_CHUNK):
+            sl = slice(lo, lo + _MODE_CHUNK)
+            space[sl] = np.einsum("kj,kj->k", B[sl], beta[rows[sl]])
+        terms = g * time_gram(map_a.time, map_b.time, rows) * space
+    return map_a.cell_area * map_a.scale * map_b.scale * terms
 
 
 def spectral_fem_gram(K, eigen):
@@ -374,8 +418,7 @@ def spectral_fem_gram(K, eigen):
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
     time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
-    B = noise.mode_cell_integrals(K, j_star)
-    return GaussianCoefficientMap(time, B, "sine")
+    return GaussianCoefficientMap(time, K, j_star)
 
 
 def map_cn_spectral(n_star, j_star, horizon, K, M, m):
@@ -385,8 +428,7 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
     dtau = horizon / M
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
     A = PropagatorProfile(lam2, m, dtau, n_star, horizon)
-    B = noise.mode_cell_integrals(K, j_star)
-    return GaussianCoefficientMap(A, B, "sine")
+    return GaussianCoefficientMap(A, K, j_star)
 
 
 def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
@@ -395,6 +437,4 @@ def map_cn_fem(n_star, j_star, horizon, eigen, M, m):
         raise ValueError("step index out of range")
     dtau = horizon / M
     A = PropagatorProfile(eigen.values, m, dtau, n_star, horizon)
-    O = fem.hat_cell_overlap_matrix(eigen.system.mesh, j_star)
-    beta = eigen.vectors.T @ O
-    return GaussianCoefficientMap(A, beta, "fem")
+    return GaussianCoefficientMap(A, eigen, j_star)

@@ -51,6 +51,8 @@ def test_empty_level_list_is_config_error():
      "--set", "M=0"],
     ["sample-path", "--set", "mesh=1"],
     ["sample-path", "--set", "M=0"],
+    ["study", "--set", "study=tdr", "--set", "horizon=inf"],
+    ["sample-path", "--set", "horizon=inf"],
 ])
 def test_out_of_range_config_is_config_error(argv, capsys):
     assert run(argv) == 1
@@ -59,23 +61,28 @@ def test_out_of_range_config_is_config_error(argv, capsys):
     assert "error" in captured.err
 
 
-@pytest.mark.parametrize("study", ["sdr", "total"])
+@pytest.mark.parametrize("study", ["tdr", "sdr", "total"])
 @pytest.mark.parametrize("samples", [0, 3])
 def test_study_exact_column_matches_error_functionals(study, samples):
     # the study shares one map pair between the exact and MC columns;
     # its exact column must equal the standalone functional bit for bit
     n_star, j_star, K, M, levels = 16, 8, 24, 8, (2, 3, 4)
+    key = "dtau_levels" if study == "tdr" else "h_levels"
     rep = cli.run_study({
         "study": study, "horizon": "1.0", "seed": "1",
         "samples": str(samples), "n_star": str(n_star),
         "j_star": str(j_star), "K": str(K), "M": str(M),
-        "h_levels": ",".join(map(str, levels)), "window": "3"})
-    exact = {"sdr": errors.sdr_error_exact,
-             "total": errors.total_error_exact}[study]
+        key: ",".join(map(str, levels)), "window": "3"})
     for row, e in zip(rep.rows, levels):
-        eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
-        assert row["error_exact"] == exact(M, M, n_star, j_star, eigen,
+        if study == "tdr":
+            exact = errors.tdr_error_exact(2 ** e, 2 ** e, n_star, j_star,
                                            1.0, K)
+        else:
+            eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
+            exact = {"sdr": errors.sdr_error_exact,
+                     "total": errors.total_error_exact}[study](
+                         M, M, n_star, j_star, eigen, 1.0, K)
+        assert row["error_exact"] == exact
         assert (row["error_mc"] > 0.0) == (samples > 0)
 
 
@@ -151,13 +158,13 @@ def test_shared_projection_keeps_grid_check():
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
     # same space array (so the projection is shared), other horizon
     foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
-    assert foreign.space is ok.space
+    assert foreign.space() is ok.space()
     g = noise.sample(16, 8, 1.0, 0)
     assert (ok.reconstruct(g, ok.project(g)) == ok.reconstruct(g)).all()
     with pytest.raises(ValueError, match="does not match"):
         foreign.reconstruct(g, ok.project(g))
     with pytest.raises(ValueError, match="does not match"):
-        cli._mc_rms([(ok, foreign, None)], 2, 0)
+        cli._mc_rms([(ok, foreign)], 2, 0)
 
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochheat import errors, fem, noise, solvers
+from stochheat import cli, errors, fem, noise, solvers
 
 
 def test_modeling_error_zero_at_start():
@@ -106,10 +106,23 @@ def _dense_rms(a, b, gram):
     moment is sum gram (A_a A_b^T) (B_a B_b^T) / cell_area."""
     def moment(x, y, g):
         return float(np.sum(g * (x.time.dense() @ y.time.dense().T)
-                            * (x.space @ y.space.T))) / x.cell_area
-    return math.sqrt(moment(a, a, np.eye(a.space.shape[0]))
+                            * (x.space() @ y.space().T))) / x.cell_area
+    return math.sqrt(moment(a, a, np.eye(a.space().shape[0]))
                      - 2.0 * moment(a, b, gram)
-                     + moment(b, b, np.eye(b.space.shape[0])))
+                     + moment(b, b, np.eye(b.space().shape[0])))
+
+
+def test_tdr_needs_no_cell_integral_matrix(monkeypatch):
+    # the sine space term of a tdr moment is closed form (mode_cell_sq_sums)
+    def dense(K, j_star):
+        raise AssertionError("dense cell integrals built")
+    monkeypatch.setattr(noise, "mode_cell_integrals", dense)
+    rep = cli.run_study({
+        "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
+        "n_star": "64", "j_star": "32", "K": "128", "dtau_levels": "2,3,4",
+        "window": "2"})
+    assert len(rep.rows) == 3
+    assert errors.tdr_error_exact(4, 8, 64, 32, K=128) > 0.0
 
 
 def test_exact_functionals_match_dense_maps():
@@ -135,17 +148,23 @@ def test_exact_functionals_match_dense_maps():
             assert abs(closed - dense) <= 1e-12 * dense
 
 
-def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments():
+def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments(
+        monkeypatch):
     n = j = 16
     K, M = 32, 8
     s = solvers.map_cn_spectral(n, j, 1.0, K, M, M)
-    assert errors.pair_error(s, s, None) == 0.0
+    assert errors.pair_error(s, s) == 0.0
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(16)))
     h = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
-    rows, g = solvers.spectral_fem_gram(K, eig)
-    assert errors.pair_error(s, h, (rows, g)) > 0.0
+    assert errors.pair_error(s, h) > 0.0
+    pairing = solvers.spectral_fem_gram
+
+    def doubled(K, eigen):
+        rows, g = pairing(K, eigen)
+        return rows, 2.0 * g
+    monkeypatch.setattr(solvers, "spectral_fem_gram", doubled)
     with pytest.raises(RuntimeError):
-        errors.pair_error(s, h, (rows, 2.0 * g))
+        errors.pair_error(s, h)
 
 
 def test_mc_error_unbiased_on_known_distribution():

@@ -127,7 +127,7 @@ def test_second_moment_matches_direct_covariance():
         direct = 0.0
         for nn in range(n):
             for jj in range(j):
-                w = m.scale * m.time.dense()[:, nn] * m.space[:, jj]
+                w = m.scale * m.time.dense()[:, nn] * m.space()[:, jj]
                 direct += cell_var * float(w @ w)
         assert abs(m.second_moment() - direct) <= 1e-15 * direct
 
@@ -146,7 +146,7 @@ def test_cross_moment_cross_basis_matches_monte_carlo():
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
     a = solvers.map_regularized(n, j, 1.0, K, 1.0)
     b = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
-    exact = solvers.cross_moment(a, b, solvers.spectral_fem_gram(K, eig))
+    exact = solvers.cross_moment(a, b)
     gram = fem.sine_hat_inner_matrix(K, eig.system.mesh) @ eig.vectors
     vals = []
     for s in range(400):
@@ -173,17 +173,17 @@ def test_pairing_matches_dense_gram(J, K):
     assert np.abs(paired - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_cross_moment_rejects_bad_pairing():
-    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
-    a = solvers.map_regularized(8, 8, 1.0, 12, 1.0)
-    b = solvers.map_cn_fem(8, 8, 1.0, eig, 8, 8)
-    rows, g = solvers.spectral_fem_gram(12, eig)
-    solvers.cross_moment(a, b, (rows, g))
-    bad_row = rows.copy()
-    bad_row[3] = 7                       # b has rows 0..6
-    for pairing in ((rows[:-1], g[:-1]), (bad_row, g), (rows - 1, g)):
-        with pytest.raises(ValueError, match="pairing needs"):
-            solvers.cross_moment(a, b, pairing)
+def test_cross_moment_rejects_unpaired_bases():
+    # FEM maps on different meshes share no basis and have no pairing;
+    # a FEM map meets a sine map only as the second map
+    fem4, fem8 = [solvers.map_cn_fem(8, 8, 1.0, fem.generalized_eigen(
+        fem.assemble(fem.Mesh(J))), 8, 8) for J in (4, 8)]
+    sine = solvers.map_cn_spectral(8, 8, 1.0, 12, 8, 8)
+    solvers.cross_moment(fem4, fem4)
+    solvers.cross_moment(sine, fem8)
+    for pair in ((fem4, fem8), (fem8, sine)):
+        with pytest.raises(ValueError, match="do not pair"):
+            solvers.cross_moment(*pair)
 
 
 def test_map_rejects_foreign_grid():
@@ -205,8 +205,8 @@ def test_sine_maps_share_one_space_factor():
     # the cell integrals depend only on (K, J*): one array per pair
     u = solvers.map_regularized(8, 8, 1.0, 6, 1.0)
     a = solvers.map_cn_spectral(8, 8, 1.0, 6, 4, 4)
-    assert u.space is a.space
-    assert not u.space.flags.writeable
+    assert u.space() is a.space()
+    assert not u.space().flags.writeable
 
 
 # rho = dtau mu / 2 below 1, exactly 1 (q = 0), above 1, and stiff
