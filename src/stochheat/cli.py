@@ -335,9 +335,11 @@ def _selftest_checks():
         lam2 = (ks * math.pi) ** 2
         over = solvers.OverlapProfile(ks, 1.0, n_star, 1.0)
         cn = solvers.PropagatorProfile(lam2, M, 1.0 / M, n_star, 1.0)
+        cn2 = solvers.PropagatorProfile(lam2, M // 2, 2.0 / M, n_star, 1.0)
         rev = np.arange(K)[::-1]
         for a, b, r in ((over, over, None), (over, cn, None), (cn, cn, None),
-                        (over, cn, rev), (cn, cn, rev)):
+                        (over, cn, rev), (cn, cn, rev), (cn, over, rev),
+                        (cn, cn2, None)):
             ref = (a.dense() * b.dense()[ks - 1 if r is None else r]).sum(1)
             err = np.abs(solvers.time_gram(a, b, r) - ref).max()
             if not err <= 1e-12 * np.abs(ref).max():

@@ -9,11 +9,12 @@ Three routes to the same noise realization:
 All three are linear in the Gaussian cell increments, so every solver
 also exposes a factorized coefficient map against the increments; the
 map yields exact second moments without sampling.  A map's time factor
-is a profile object: on aligned grids its time Grams are geometric sums
-evaluated in closed form (``time_gram``), and the dense K x N array is
-built only when sampling or a non-aligned grid needs it.
+is a profile object, geometric on aligned grids, and the time Gram of
+two geometric profiles is one closed form (``time_gram``).  The dense
+K x N array is built only for sampling and non-aligned grids.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -109,8 +110,6 @@ def stochastic_loads_fem(grid, system, M):
 
 def regularized_exact(grid, K, t):
     """The regularized solution at time t, exact given the grid."""
-    if not (0.0 <= t <= grid.horizon + 1e-12):
-        raise ValueError("time outside [0, T]")
     m = map_regularized(grid.n_star, grid.j_star, grid.horizon, K, t)
     return SpectralField(m.reconstruct(grid))
 
@@ -139,11 +138,13 @@ def _same_grid(a, b):
 
 
 class _Profile:
-    """Time factor of a coefficient map: rows are basis functions,
-    columns noise cells.  ``dense()`` builds the array once and caches
-    it; ``time_gram`` reads only the parameters where it can."""
+    """Time factor of a map: rows are basis functions, columns noise
+    cells; ``dense()`` builds the array once and keeps it.  ``geometric``
+    is (amp, log|x|, x < 0, p, blocks) when row i is amp_i x_i^l on the p
+    cells of block l, counted back from end cell p * blocks, 0 after."""
 
     _array = None
+    geometric = None
 
     def dense(self):
         if self._array is None:
@@ -152,7 +153,8 @@ class _Profile:
 
 
 class OverlapProfile(_Profile):
-    """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t."""
+    """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t;
+    geometric (p = 1, x = exp(-lam^2 dt)) when t ends a noise cell."""
 
     def __init__(self, ks, t, n_star, horizon):
         self.ks = np.asarray(ks, dtype=np.int64)
@@ -160,13 +162,21 @@ class OverlapProfile(_Profile):
         self.n_star = int(n_star)
         self.horizon = float(horizon)
         self.shape = (self.ks.size, self.n_star)
+        dt = self.horizon / self.n_star
+        s = self.t / dt          # snapped as in noise.time_overlaps
+        if 0 <= round(s) <= self.n_star and abs(s - round(s)) <= 1e-12 * s:
+            lam2 = (self.ks * math.pi) ** 2
+            self.geometric = (-np.expm1(-lam2 * dt) / lam2, -lam2 * dt,
+                              np.zeros(self.ks.size, bool), 1, round(s))
 
     def _build(self):
         return noise.time_overlaps(self.ks, self.t, self.n_star, self.horizon)
 
 
 class PropagatorProfile(_Profile):
-    """CN Duhamel profile (``propagator_time_profile``) at step m."""
+    """CN Duhamel profile (``propagator_time_profile``) at step m;
+    geometric (p = dtau/dt, x = q = (1 - rho)/(1 + rho), rho = dtau mu/2)
+    when each step spans whole noise cells and m steps fit in the grid."""
 
     def __init__(self, mus, m, dtau, n_star, horizon):
         self.mus = np.asarray(mus, dtype=float)
@@ -175,83 +185,61 @@ class PropagatorProfile(_Profile):
         self.n_star = int(n_star)
         self.horizon = float(horizon)
         self.shape = (self.mus.size, self.n_star)
+        dt = self.horizon / self.n_star
+        p = _cells_per_step(self.dtau, dt)
+        if p and 1 <= self.m <= self.n_star // p:
+            # 1 - |q| = 2 min(rho, 1)/(1 + rho) has no cancellation; q = 0
+            # (rho = 1) gives log|q| = -inf without a warning
+            rho = 0.5 * self.dtau * self.mus
+            d = 2.0 * np.minimum(rho, 1.0) / (1.0 + rho)
+            log_q = np.log1p(-d, out=np.full(d.shape, -np.inf),
+                             where=d < 1.0)
+            self.geometric = (dt / (1.0 + rho), log_q, rho > 1.0, p, self.m)
 
     def _build(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,
                                        self.n_star, self.horizon)
 
-    def cells_per_step(self, other):
-        """p = dtau/dt when this profile is geometric on ``other``'s noise
-        grid (aligned, and m steps fit in it), else 0."""
-        if (self.n_star != other.n_star
-                or not math.isclose(self.horizon, other.horizon)):
-            return 0
-        p = _cells_per_step(self.dtau, self.horizon / self.n_star)
-        return p if self.m * p <= self.n_star else 0
 
-    def log_abs_q(self):
-        """(rho, log|q|, q < 0) of the step factor q = (1 - rho)/(1 + rho).
-
-        1 - |q| = 2 min(rho, 1)/(1 + rho) has no cancellation; q = 0
-        (rho = 1) gives log|q| = -inf without a warning.
-        """
-        rho = 0.5 * self.dtau * self.mus
-        d = 2.0 * np.minimum(rho, 1.0) / (1.0 + rho)
-        log_q = np.log1p(-d, out=np.full(d.shape, -np.inf), where=d < 1.0)
-        return rho, log_q, rho > 1.0
-
-
-def _one_minus_power(log_abs, negative, m):
-    """1 - x^m without cancellation, for x = +-exp(log_abs), x < 0 where
-    ``negative``."""
-    flip = negative & (m % 2 == 1)
-    return np.where(flip, 1.0 + np.exp(m * log_abs), -np.expm1(m * log_abs))
+def _geometric_sum(log_abs, negative, n):
+    """G(x, n) = (1 - x^n)/(1 - x) for x = +-exp(log_abs), x < 0 where
+    ``negative``.  With e = expm1(m log|x|) in [-1, 0], 1 - x^m is -e or
+    2 + e, neither of which cancels."""
+    def one_minus_power(m):
+        e = np.expm1(m * log_abs)
+        return np.where(negative & (m % 2 == 1), 2.0 + e, -e)
+    return 1.0 if n == 1 else one_minus_power(n) / one_minus_power(1)
 
 
 def time_gram(a, b, rows=None):
     """Paired time Gram sum_n a[i, n] b[rows[i], n] of two profiles.
 
     ``rows`` picks the row of ``b`` paired with each row of ``a``; None
-    pairs the rows in order (same basis; equal row counts).  With
-    q = (1 - rho)/(1 + rho), rho = dtau mu / 2 and E = exp(-lam^2 dtau),
-    each sum is geometric when every CN step of ``b`` spans p whole noise
-    cells and the overlap time is t = m dtau:
+    pairs the rows in order (same basis; equal row counts).  Two
+    geometric profiles on one grid that end in the same cell, one block
+    length dividing the other, give with G(x, n) = (1 - x^n)/(1 - x)
 
-    * CN x CN:       p dt^2 (1 - (q_a q_b)^m) / (2 (rho_a + rho_b))
-    * overlap x CN:  dt (1 - E)/lam^2 (1 - (E q_b)^m) / (1 - E + rho_b (1 + E))
-    * overlap x overlap (same modes): ``noise.time_overlap_sq_sum``.
+        p_f amp_a amp_b G(x_f, r) G(x_c x_f^r, blocks_c),
 
-    Any other pair (non-aligned grids, different steps or times) takes
-    the dense product of the materialized arrays.
+    f the profile with the finer blocks, c the coarser, r = p_c/p_f.
+    Any other pair takes the dense product of the materialized arrays.
     """
     if rows is None:
-        if isinstance(a, PropagatorProfile) and isinstance(b, OverlapProfile):
-            return time_gram(b, a)
         if a.shape[0] != b.shape[0]:
             raise ValueError("time Gram in row order needs equal row counts")
         rows = slice(None)
-    p = b.cells_per_step(a) if isinstance(b, PropagatorProfile) else 0
-    if p:
-        dt = b.horizon / b.n_star
-        rho_b, lq_b, neg_b = (v[rows] for v in b.log_abs_q())
-        if isinstance(a, PropagatorProfile) and (a.m, a.dtau) == (b.m, b.dtau):
-            rho_a, lq_a, neg_a = a.log_abs_q()
-            return (p * dt * dt
-                    * _one_minus_power(lq_a + lq_b, neg_a ^ neg_b, b.m)
-                    / (2.0 * (rho_a + rho_b)))
-        if (isinstance(a, OverlapProfile)
-                and abs(a.t - b.m * b.dtau) <= 1e-12 * dt):
-            lam2 = (a.ks * math.pi) ** 2
-            x = lam2 * b.dtau
-            one_m_e = -np.expm1(-x)
-            return (dt * (one_m_e / lam2)
-                    * _one_minus_power(lq_b - x, neg_b, b.m)
-                    / (one_m_e + rho_b * (1.0 + np.exp(-x))))
-    if (isinstance(a, OverlapProfile) and isinstance(b, OverlapProfile)
-            and a.t == b.t and a.n_star == b.n_star
+    ga, gb = a.geometric, b.geometric
+    if (ga and gb and a.n_star == b.n_star
             and math.isclose(a.horizon, b.horizon)
-            and np.array_equal(a.ks, b.ks[rows])):
-        return noise.time_overlap_sq_sum(a.ks, a.t, a.n_star, a.horizon)
+            and ga[3] * ga[4] == gb[3] * gb[4]           # one end cell
+            and max(ga[3], gb[3]) % min(ga[3], gb[3]) == 0):  # nested
+        gb = tuple(v[rows] for v in gb[:3]) + gb[3:]
+        (amp_f, lx_f, neg_f, p_f, _), (amp_c, lx_c, neg_c, p_c, blocks_c) = (
+            (ga, gb) if ga[3] <= gb[3] else (gb, ga))
+        r = p_c // p_f
+        return (p_f * amp_f * amp_c * _geometric_sum(lx_f, neg_f, r)
+                * _geometric_sum(lx_c + r * lx_f,
+                                 neg_c ^ (neg_f & (r % 2 == 1)), blocks_c))
     return (a.dense() * b.dense()[rows]).sum(1)
 
 
@@ -381,8 +369,7 @@ def _moment(map_a, map_b, pairing):
         if _is_fem(map_a.basis):
             space = (map_a.space() ** 2).sum(1)
         else:
-            space = noise.mode_cell_sq_sums(np.arange(1, map_a.basis + 1),
-                                            map_a.j_star)
+            space = _sine_energies(map_a.basis, map_a.j_star)
         terms = time_gram(map_a.time, map_b.time) * space
     else:
         rows, g = pairing
@@ -393,6 +380,15 @@ def _moment(map_a, map_b, pairing):
             space[sl] = np.einsum("kj,kj->k", B[sl], beta[rows[sl]])
         terms = g * time_gram(map_a.time, map_b.time, rows) * space
     return map_a.cell_area * map_a.scale * map_b.scale * terms
+
+
+@functools.lru_cache(maxsize=1)
+def _sine_energies(K, j_star):
+    """``noise.mode_cell_sq_sums`` of modes 1..K.  The last result is kept
+    (read-only): every sine moment of a study shares one (K, j_star)."""
+    e = noise.mode_cell_sq_sums(np.arange(1, K + 1), j_star)
+    e.flags.writeable = False
+    return e
 
 
 def spectral_fem_gram(K, eigen):
@@ -417,6 +413,8 @@ def spectral_fem_gram(K, eigen):
 
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
+    if not (0.0 <= t <= horizon + 1e-12):
+        raise ValueError("time outside [0, T]")
     time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
     return GaussianCoefficientMap(time, K, j_star)
 

@@ -125,6 +125,25 @@ def test_tdr_needs_no_cell_integral_matrix(monkeypatch):
     assert errors.tdr_error_exact(4, 8, 64, 32, K=128) > 0.0
 
 
+def test_tdr_study_computes_sine_energies_once(monkeypatch):
+    # every sine moment on one (K, J*) shares one read-only energy array
+    calls = []
+    sq_sums = noise.mode_cell_sq_sums
+
+    def counted(ks, j_star):
+        calls.append(j_star)
+        return sq_sums(ks, j_star)
+    monkeypatch.setattr(noise, "mode_cell_sq_sums", counted)
+    solvers._sine_energies.cache_clear()
+    rep = cli.run_study({
+        "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
+        "n_star": "64", "j_star": "32", "K": "128", "dtau_levels": "2,3,4",
+        "window": "2"})
+    assert len(rep.rows) == 3
+    assert len(calls) == 1
+    assert not solvers._sine_energies(128, 32).flags.writeable
+
+
 def test_exact_functionals_match_dense_maps():
     n, j, K, M = 32, 16, 64, 8
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))

@@ -194,6 +194,14 @@ def test_map_rejects_foreign_grid():
         m.reconstruct(noise.sample(8, 8, 2.0, 0))
 
 
+@pytest.mark.parametrize("t", [-0.5, 1.5])
+def test_map_regularized_rejects_time_outside_horizon(t):
+    with pytest.raises(ValueError, match="time outside"):
+        solvers.map_regularized(8, 8, 1.0, 4, t)
+    with pytest.raises(ValueError, match="time outside"):
+        solvers.regularized_exact(small_grid(), 4, t)
+
+
 def test_cross_moment_rejects_horizon_mismatch():
     a = solvers.map_regularized(8, 8, 1.0, 4, 1.0)
     b = solvers.map_regularized(8, 8, 2.0, 4, 1.0)
@@ -230,28 +238,43 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
     m = data.draw(st.integers(1, M))
     mus_a = 2.0 * np.array(data.draw(_RHOS)) / dtau
     mus_b = 2.0 * np.array(data.draw(_RHOS)) / dtau
-    ks = data.draw(st.lists(st.integers(1, 256), min_size=mus_a.size,
-                            max_size=mus_a.size))
+    ks_a, ks_b = (data.draw(st.lists(st.integers(1, 256), min_size=n,
+                                     max_size=n))
+                  for n in (mus_a.size, mus_b.size))
     cn_a = solvers.PropagatorProfile(mus_a, m, dtau, M * p, horizon)
     cn_b = solvers.PropagatorProfile(mus_b, m, dtau, M * p, horizon)
-    over = solvers.OverlapProfile(ks, m * dtau, M * p, horizon)
-    for a, b in ((cn_a, cn_b), (cn_a, cn_a), (over, cn_b), (cn_b, over),
-                 (over, cn_a)):
+    over = solvers.OverlapProfile(ks_a, m * dtau, M * p, horizon)
+    over_b = solvers.OverlapProfile(ks_b, m * dtau, M * p, horizon)
+    pairs = [(cn_a, cn_b), (cn_a, cn_a), (over, cn_b), (cn_b, over),
+             (over, cn_a), (over, over), (over, over_b)]
+    if M >= 2:
+        # steps dtau and 2 dtau that end in the same noise cell
+        mc = data.draw(st.integers(1, M // 2))
+        fine = solvers.PropagatorProfile(mus_a, 2 * mc, dtau, M * p, horizon)
+        coarse = solvers.PropagatorProfile(mus_b, mc, 2.0 * dtau, M * p,
+                                           horizon)
+        pairs += [(fine, coarse), (coarse, fine)]
+    cases = []
+    for a, b in pairs:
         paired = np.array(data.draw(st.lists(
             st.integers(0, b.shape[0] - 1), min_size=a.shape[0],
             max_size=a.shape[0])))
-        for rows in (None, paired):
-            if rows is None and a.shape[0] != b.shape[0]:
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = solvers.time_gram(a, b, rows)
-            ref = _dense_gram(a, b, rows)
-            na = np.sqrt((a.dense() ** 2).sum(1))
-            nb = np.sqrt((b.dense() ** 2).sum(1))
-            scale = na * (nb if rows is None else nb[rows])
-            assert got.shape == ref.shape
-            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+        cases += [(a, b, rows) for rows in (None, paired)
+                  if rows is not None or a.shape[0] == b.shape[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [solvers.time_gram(a, b, rows) for a, b, rows in cases]
+    # every pair is aligned: the closed form builds no dense profile
+    assert all(x._array is None for pair in pairs for x in pair)
+    for (a, b, rows), g in zip(cases, got):
+        ref = _dense_gram(a, b, rows)
+        na = np.sqrt((a.dense() ** 2).sum(1))
+        nb = np.sqrt((b.dense() ** 2).sum(1))
+        scale = na * (nb if rows is None else nb[rows])
+        assert g.shape == ref.shape
+        assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+    sq = noise.time_overlap_sq_sum(ks_a, m * dtau, M * p, horizon)
+    assert np.all(np.abs(solvers.time_gram(over, over) - sq) <= 1e-14 * sq)
 
 
 @pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (1.0, 8, 16)])
