@@ -141,17 +141,16 @@ def _levels(cfg, key):
     return vals
 
 
-def _mc_rms(pairs, samples, seed):
+def _mc_rms(levels, samples, seed):
     """Monte Carlo RMS of X - Y and its standard error, one per level.
 
-    Each ``(map_a, map_b)`` of ``pairs`` is a level, whose squared
-    distance ``solvers.squared_distance`` pairs once.  All levels see the
-    same grids (read from the first map), so each sample draws its grid
-    once, projects it once per distinct space factor and reconstructs
-    each distinct map once.
+    Each ``(map_a, map_b, dist)`` of ``levels`` is a level, ``dist`` its
+    ``solvers.squared_distance``.  All levels see the same grids (read
+    from the first map), so each sample draws its grid once, projects it
+    once per distinct space factor and reconstructs each distinct map
+    once.
     """
-    maps = list({id(m): m for pair in pairs for m in pair}.values())
-    dists = [solvers.squared_distance(a, b) for a, b in pairs]
+    maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
 
     def one(s):
@@ -161,8 +160,7 @@ def _mc_rms(pairs, samples, seed):
             if id(m.space()) not in proj:
                 proj[id(m.space())] = m.project(g)
             coef[id(m)] = m.reconstruct(g, proj[id(m.space())])
-        return [dist(coef[id(a)], coef[id(b)])
-                for dist, (a, b) in zip(dists, pairs)]
+        return [dist(coef[id(a)], coef[id(b)]) for a, b, dist in levels]
     means, ses = errors.mc_error(one, samples, seed)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
@@ -217,7 +215,7 @@ def run_study(cfg):
         else:
             t = horizon if study == "tdr" else M * (horizon / M)
             map_a = solvers.map_regularized(n_star, j_star, horizon, K, t)
-        rows, pairs = [], []
+        rows, levels = [], []
         for lvl, e in enumerate(_levels(cfg, key + "_levels")):
             if study == "tdr":
                 M, h = 2 ** e, math.nan
@@ -231,12 +229,11 @@ def run_study(cfg):
                                            M, M)
             rows.append((lvl, horizon / n_star, 1.0 / j_star, horizon / M, h,
                          K, errors.pair_error(map_a, map_b)))
-            if samples:
-                pairs.append((map_a, map_b))
-        if samples:
-            mc = _mc_rms(pairs, samples, seed)
-        else:
-            mc = [(math.nan, math.nan)] * len(rows)
+            if samples:  # right after pair_error, which paired the maps
+                levels.append((map_a, map_b,
+                               solvers.squared_distance(map_a, map_b)))
+        mc = (_mc_rms(levels, samples, seed) if samples
+              else [(math.nan, math.nan)] * len(rows))
         for row, (err_mc, se) in zip(rows, mc):
             rep.add_row(*row, err_mc, se)
         rep.fit(key, window)
@@ -336,11 +333,11 @@ def _selftest_checks():
         over = solvers.OverlapProfile(ks, 1.0, n_star, 1.0)
         cn = solvers.PropagatorProfile(lam2, M, 1.0 / M, n_star, 1.0)
         cn2 = solvers.PropagatorProfile(lam2, M // 2, 2.0 / M, n_star, 1.0)
-        rev = np.arange(K)[::-1]
-        for a, b, r in ((over, over, None), (over, cn, None), (cn, cn, None),
+        rev, own = np.arange(K)[::-1], slice(None)
+        for a, b, r in ((over, over, own), (over, cn, own), (cn, cn, own),
                         (over, cn, rev), (cn, cn, rev), (cn, over, rev),
-                        (cn, cn2, None)):
-            ref = (a.dense() * b.dense()[ks - 1 if r is None else r]).sum(1)
+                        (cn, cn2, own)):
+            ref = (a.dense() * b.dense()[r]).sum(1)
             err = np.abs(solvers.time_gram(a, b, r) - ref).max()
             if not err <= 1e-12 * np.abs(ref).max():
                 return False
@@ -381,9 +378,10 @@ def _build_parser():
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--samples", type=int)
         p.add_argument("--set", action="append", dest="overrides",
                        metavar="KEY=VALUE")
+        if name == "study":
+            p.add_argument("--samples", type=int)
     sub.add_parser("selftest")
     return parser
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from . import noise, quadrature, solvers
+from . import quadrature, solvers
 
 __all__ = [
     "modeling_error_exact",
@@ -29,16 +29,17 @@ __all__ = [
 
 
 def _mode_tail(K, t):
-    """sum_{k > K} exp(-2 lam_k^2 t) / (2 lam_k^2), exact to roundoff.
+    """sum_{k > K} (1 - exp(-2 lam_k^2 t)) / (2 lam_k^2), exact to roundoff.
 
-    The t-independent part is a trigamma value; the correction decays
-    like exp(-2 pi^2 K^2 t) and is summed until it underflows.  A
-    result below 0 goes through ``_nonnegative`` against the trigamma term.
+    The t-independent part is a trigamma value; the correction, the sum
+    of exp(-2 lam_k^2 t)/(2 lam_k^2), decays like exp(-2 pi^2 K^2 t) and
+    is summed until it underflows.  A result below 0 goes through
+    ``_nonnegative`` against the trigamma term.
     """
+    if t <= 0.0:
+        return 0.0
     pis2 = math.pi ** 2
     tail = trigamma = special.polygamma(1, K + 1) / (2.0 * pis2)
-    if t <= 0.0:
-        return tail
     k = K + 1
     while True:
         ks = np.arange(k, k + 4096, dtype=float)
@@ -58,22 +59,21 @@ def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
 
     Mode by mode the cell-average projection is orthogonal in L2 of the
     strip, so the squared error is the semigroup variance minus the
-    energy captured by the cells; both have closed forms.  Modes above
-    K contribute through the analytic tail of the semigroup variance.
+    mode's ``row_moments`` of ``solvers.map_regularized``: closed form
+    when t ends a noise cell (t = T in every study), from the dense K x N
+    time profile for a t inside a cell, as for any non-aligned map.
+    Modes above K contribute through the analytic tail of the semigroup
+    variance.
     Each mode's gap goes through ``_nonnegative`` against its semigroup
     variance.
     """
     if t == 0.0:
         return 0.0
-    if not (0.0 < t <= horizon + 1e-12):
-        raise ValueError("time outside (0, T]")
-    dt = horizon / n_star
-    dx = 1.0 / j_star
-    ks = np.arange(1, K + 1)
-    lam2 = (math.pi * ks.astype(float)) ** 2
+    # map_regularized raises ValueError for t outside [0, T]
+    proj = solvers.map_regularized(n_star, j_star, horizon, K,
+                                   t).row_moments()
+    lam2 = (math.pi * np.arange(1, K + 1)) ** 2
     semi = -np.expm1(-2.0 * lam2 * t) / (2.0 * lam2)
-    proj = (noise.time_overlap_sq_sum(ks, t, n_star, horizon) / dt
-            * noise.mode_cell_sq_sums(ks, j_star) / dx)
     z2 = float(_nonnegative(semi - proj, semi, "modeling error term").sum())
     if include_tail:
         z2 += _mode_tail(K, t)
@@ -146,18 +146,6 @@ def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
     return pair_error(map_u, map_s)
 
 
-def _rms_gap(ea, cross, eb):
-    """sqrt(sum(ea - 2 cross + eb)), the RMS distance from second moments.
-
-    Array arguments are combined termwise before the sum.  A negative
-    sum within rounding (>= -1e-12 (ea + eb)) reads as 0; a larger one
-    means the moments are inconsistent and raises RuntimeError.
-    """
-    e2 = float(np.sum(ea - 2.0 * cross + eb))
-    return math.sqrt(_nonnegative(e2, float(np.sum(ea + eb)),
-                                  "squared error"))
-
-
 def _nonnegative(x, scale, what):
     """``x`` with values negative within rounding (>= -1e-12 ``scale``,
     termwise for arrays) read as 0; one below that raises RuntimeError,
@@ -169,9 +157,15 @@ def _nonnegative(x, scale, what):
 
 
 def pair_error(map_a, map_b):
-    """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables,
-    from ``solvers.distance_moments``; ``_rms_gap`` handles cancellation."""
-    return _rms_gap(*solvers.distance_moments(map_a, map_b))
+    """Exact RMS distance sqrt(E ||X - Y||^2) of two mapped observables:
+    sqrt(sum_k (x2 - 2 xy + gy2)_k + wy2) from the termwise moments of
+    ``solvers.distance_moments``.  A negative sum within rounding (>=
+    -1e-12 (E ||X||^2 + E ||Y||^2)) reads as 0; a larger one means the
+    moments are inconsistent and raises RuntimeError."""
+    x2, xy, gy2, wy2 = solvers.distance_moments(map_a, map_b)
+    e2 = float(np.sum(x2 - 2.0 * xy + gy2)) + wy2
+    return math.sqrt(_nonnegative(e2, float(np.sum(x2 + gy2)) + wy2,
+                                  "squared error"))
 
 
 def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
@@ -294,7 +288,3 @@ class ErrorReport:
             lines.append(",".join(fmt(r[c]) for c in self.COLUMNS))
         lines.append("slope," + fmt(self.slope))
         return "\n".join(lines) + "\n"
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())

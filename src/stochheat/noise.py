@@ -191,10 +191,10 @@ def time_overlaps(ks, t, n_star, horizon=1.0):
 
 
 def time_overlap_sq_sum(ks, t, n_star, horizon=1.0):
-    """sum_n I_{k,n}(t)^2 in closed form, vectorized over modes.
-
-    Full cells form a geometric sum; at most one trailing cell is
-    partial.  Uses expm1 to stay accurate for lam_k^2 dt << 1.
+    """sum_n I_{k,n}(t)^2 in closed form, vectorized over modes: a test
+    oracle for ``solvers.time_gram``.  Full cells form a geometric sum;
+    at most one trailing cell is partial.  Uses expm1 to stay accurate
+    for lam_k^2 dt << 1.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if t <= 0.0:

@@ -211,23 +211,19 @@ def _geometric_sum(log_abs, negative, n):
     return 1.0 if n == 1 else one_minus_power(n) / one_minus_power(1)
 
 
-def time_gram(a, b, rows=None):
+def time_gram(a, b, rows=slice(None)):
     """Paired time Gram sum_n a[i, n] b[rows[i], n] of two profiles.
 
-    ``rows`` picks the row of ``b`` paired with each row of ``a``; None
-    pairs the rows in order (same basis; equal row counts).  Two
-    geometric profiles on one grid that end in the same cell, one block
-    length dividing the other, give with G(x, n) = (1 - x^n)/(1 - x)
+    ``rows`` picks the row of ``b`` paired with each row of ``a``; the
+    default pairs every row with itself (one basis).  Two geometric
+    profiles on one grid that end in the same cell, one block length
+    dividing the other, give with G(x, n) = (1 - x^n)/(1 - x)
 
         p_f amp_a amp_b G(x_f, r) G(x_c x_f^r, blocks_c),
 
     f the profile with the finer blocks, c the coarser, r = p_c/p_f.
     Any other pair takes the dense product of the materialized arrays.
     """
-    if rows is None:
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("time Gram in row order needs equal row counts")
-        rows = slice(None)
     ga, gb = a.geometric, b.geometric
     if (ga and gb and a.n_star == b.n_star
             and math.isclose(a.horizon, b.horizon)
@@ -259,7 +255,7 @@ class GaussianCoefficientMap:
         self.time = time
         self.basis = basis
         self.j_star = int(j_star)
-        self._space = self._terms = None    # built on first use and kept
+        self._space = self._rows = None    # built on first use and kept
         rows = basis.values.size if _is_fem(basis) else basis
         if self.time.shape[0] != rows:
             raise ValueError("time profile rows differ from the basis size")
@@ -308,13 +304,17 @@ class GaussianCoefficientMap:
         return self.scale * np.einsum("kn,kn->k", self.time.dense(),
                                       projection)
 
+    def row_moments(self):
+        """E x_i^2 per basis row, exact (independent increments,
+        orthonormal basis); computed on the first call and kept, since a
+        study compares one map against many."""
+        if self._rows is None:
+            self._rows = _moment(self, self, _pairing(self, self))
+        return self._rows
+
     def second_moment(self):
-        """E ||X||^2, exact (independent increments, orthonormal basis):
-        the sum of per-row terms that are computed on the first call and
-        kept, since a study compares one map against many."""
-        if self._terms is None:
-            self._terms = _moment(self, self, None)
-        return float(np.sum(self._terms))
+        """E ||X||^2, the sum of ``row_moments``."""
+        return float(np.sum(self.row_moments()))
 
 
 def _is_fem(basis):
@@ -322,14 +322,27 @@ def _is_fem(basis):
 
 
 def _pairing(map_a, map_b):
-    """None for one basis (the same K or FEM eigenbasis object), the
-    ``spectral_fem_gram`` pairing for sine against FEM; else ValueError."""
+    """(rows, g, w): X - Y = sum_k (x_k - g_k y_{rows_k}) e_k + R with
+    E ||R||^2 = w . E y^2.  One basis (the same K or FEM eigenbasis
+    object) pairs all rows with g = 1, w = 0; sine against FEM takes
+    ``_alias_pairing``; any other pair raises ValueError."""
     a, b = map_a.basis, map_b.basis
     if a == b:
-        return None
+        return slice(None), 1.0, 0.0
     if not _is_fem(a) and _is_fem(b):
-        return spectral_fem_gram(a, b)
+        return _alias_pairing(a, b)
     raise ValueError("the bases of these maps do not pair")
+
+
+@functools.lru_cache(maxsize=1)
+def _alias_pairing(K, eigen):
+    """``spectral_fem_gram`` and w_p = 1 - sum_{rows_k = p} g_k^2 (phi_p above
+    mode K), kept read-only for a level's exact and Monte Carlo columns."""
+    rows, g = spectral_fem_gram(K, eigen)
+    w = 1.0 - np.bincount(rows, g * g, eigen.values.size)
+    for v in (rows, g, w):
+        v.flags.writeable = False
+    return rows, g, w
 
 
 def cross_moment(map_a, map_b):
@@ -339,46 +352,43 @@ def cross_moment(map_a, map_b):
 
 
 def distance_moments(map_a, map_b):
-    """(E ||X||^2, E <X, Y>, E ||Y||^2) of two maps on one noise grid:
-    per basis row for maps in one basis, so that the distance combines
-    row by row, and as sums for a sine map against a FEM map."""
-    pairing = _pairing(map_a, map_b)
-    cross = _moment(map_a, map_b, pairing)
-    ea, eb = map_a.second_moment(), map_b.second_moment()  # keeps _terms
-    if pairing is None:
-        return map_a._terms, cross, map_b._terms
-    return ea, float(np.sum(cross)), eb
+    """Termwise moments of E ||X - Y||^2 (``_pairing``): per row k of X,
+    E x_k^2, E x_k g_k y_{rows_k} and g_k^2 E y_{rows_k}^2; then the float
+    w . E y^2."""
+    rows, g, w = pairing = _pairing(map_a, map_b)
+    y2 = map_b.row_moments()
+    return (map_a.row_moments(), _moment(map_a, map_b, pairing),
+            g * g * y2[rows], float(np.sum(w * y2)))
 
 
 def squared_distance(map_a, map_b):
-    """``f(a, b) = ||X - Y||^2`` from the coefficients a and b that the two
-    maps ``reconstruct`` from one sample; the bases are paired once here."""
-    pairing = _pairing(map_a, map_b)
-    if pairing is None:
-        return lambda a, b: float((a - b) @ (a - b))
-    rows, g = pairing
-    return lambda a, b: float(a @ a - 2.0 * (a @ (g * b[rows])) + b @ b)
+    """``f(a, b) = ||X - Y||^2 = ||a - g b[rows]||^2 + w . (b b)`` from the
+    coefficients a and b that the maps ``reconstruct`` from one sample."""
+    rows, g, w = _pairing(map_a, map_b)
+
+    def f(a, b):
+        d = a - g * b[rows]
+        return float(d @ d + np.sum(w * b * b))
+    return f
 
 
 def _moment(map_a, map_b, pairing):
-    """Per-row terms of E <X, Y> (one per row of X) from the paired time
-    Grams and space factors; sine row k meets FEM row rows_k of beta."""
+    """Per-row terms E x_k g_k y_{rows_k} (one per row of X) from the
+    paired time Grams and space factors."""
     if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
-    if pairing is None:
-        if _is_fem(map_a.basis):
-            space = (map_a.space() ** 2).sum(1)
-        else:
-            space = _sine_energies(map_a.basis, map_a.j_star)
-        terms = time_gram(map_a.time, map_b.time) * space
-    else:
-        rows, g = pairing
+    rows, g, _ = pairing
+    if map_a.basis != map_b.basis:
         B, beta = map_a.space(), map_b.space()
-        space = np.empty(rows.size)
-        for lo in range(0, rows.size, _MODE_CHUNK):
+        space = np.empty(B.shape[0])
+        for lo in range(0, space.size, _MODE_CHUNK):
             sl = slice(lo, lo + _MODE_CHUNK)
             space[sl] = np.einsum("kj,kj->k", B[sl], beta[rows[sl]])
-        terms = g * time_gram(map_a.time, map_b.time, rows) * space
+    elif _is_fem(map_a.basis):
+        space = (map_a.space() ** 2).sum(1)
+    else:
+        space = _sine_energies(map_a.basis, map_a.j_star)
+    terms = g * time_gram(map_a.time, map_b.time, rows) * space
     return map_a.cell_area * map_a.scale * map_b.scale * terms
 
 

@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from stochheat import cli, errors, fem, noise, solvers
@@ -53,6 +54,9 @@ def test_empty_level_list_is_config_error():
     ["sample-path", "--set", "M=0"],
     ["study", "--set", "study=tdr", "--set", "horizon=inf"],
     ["sample-path", "--set", "horizon=inf"],
+    # --samples belongs to study; a sample path draws one grid
+    ["sample-path", "--samples", "5", "--set", "n_star=4", "--set",
+     "j_star=4", "--set", "M=2", "--set", "mesh=2"],
 ])
 def test_out_of_range_config_is_config_error(argv, capsys):
     assert run(argv) == 1
@@ -95,7 +99,8 @@ def _study_cfg(study, samples, horizon, n_star, j_star, K, M, levels):
 
 
 def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
-    """Each level's (map_a, map_b, pairing), built afresh per level."""
+    """Each level's (map_a, map_b, pairing), built afresh per level; the
+    sine/FEM pairing is (rows, g, w), w_p = 1 - sum_{rows_k = p} g_k^2."""
     pairs = []
     for e in levels:
         if study == "tdr":
@@ -110,9 +115,10 @@ def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
             a = solvers.map_regularized(n_star, j_star, horizon, K,
                                         M * (horizon / M))
         eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
+        rows, g = solvers.spectral_fem_gram(K, eigen)
+        w = 1.0 - np.bincount(rows, g * g, eigen.values.size)
         pairs.append((a, solvers.map_cn_fem(n_star, j_star, horizon, eigen,
-                                            M, M),
-                      solvers.spectral_fem_gram(K, eigen)))
+                                            M, M), (rows, g, w)))
     return pairs
 
 
@@ -134,8 +140,10 @@ def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M):
             if pairing is None:
                 d = a - b
                 return float(d @ d)
-            rows, gk = pairing
-            return float(a @ a - 2.0 * (a @ (gk * b[rows])) + b @ b)
+            # termwise: ||a - g b[rows]||^2 plus the FEM part above mode K
+            rows, gk, w = pairing
+            d = a - gk * b[rows]
+            return float(d @ d + w @ (b * b))
         mean, se = errors.mc_error(one, samples, 5)
         assert row["error_mc"] == math.sqrt(mean)
         assert row["stderr"] == se / (2.0 * math.sqrt(mean))
@@ -154,6 +162,22 @@ def test_study_draws_each_grid_once(study, monkeypatch):
     assert drawn == [errors.sample_seed(5, i) for i in range(7)]
 
 
+@pytest.mark.parametrize("study", ["sdr", "total"])
+def test_sampled_study_pairs_each_level_once(study, monkeypatch):
+    # the exact column and the Monte Carlo distance share one pairing
+    meshes = []
+    gram = solvers.spectral_fem_gram
+
+    def counted(K, eigen):
+        meshes.append(eigen.system.mesh.intervals)
+        return gram(K, eigen)
+    monkeypatch.setattr(solvers, "spectral_fem_gram", counted)
+    solvers._alias_pairing.cache_clear()
+    rep = cli.run_study(_study_cfg(study, 3, 1.0, 16, 8, 24, 8, (2, 3, 4)))
+    assert all(row["error_mc"] > 0.0 for row in rep.rows)
+    assert meshes == [4, 8, 16]
+
+
 def test_shared_projection_keeps_grid_check():
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
     # same space array (so the projection is shared), other horizon
@@ -164,7 +188,8 @@ def test_shared_projection_keeps_grid_check():
     with pytest.raises(ValueError, match="does not match"):
         foreign.reconstruct(g, ok.project(g))
     with pytest.raises(ValueError, match="does not match"):
-        cli._mc_rms([(ok, foreign)], 2, 0)
+        cli._mc_rms([(ok, foreign, solvers.squared_distance(ok, foreign))],
+                    2, 0)
 
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):

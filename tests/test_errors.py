@@ -39,6 +39,20 @@ def test_modeling_error_tail_tiny_for_large_K():
     assert abs(hi - ref) < 1e-6
 
 
+@pytest.mark.parametrize("K, t", [(40, 0.3), (8, 1e-3), (3, 0.01), (1, 1.0)])
+def test_mode_tail_matches_mpmath_series(K, t):
+    # sum_{k > K} (1 - exp(-2 lam_k^2 t)) / (2 lam_k^2); at (40, 0.3) the
+    # exponential part underflows and the tail is 1.25082e-3, not 0.
+    # (nsum extrapolates wrongly once t is below about 1e-4.)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.nsum(
+            lambda k: -mpmath.expm1(-2 * (k * mpmath.pi) ** 2 * t)
+            / (2 * (k * mpmath.pi) ** 2), [K + 1, mpmath.inf]))
+    assert abs(errors._mode_tail(K, t) - ref) <= 1e-13 * ref
+    assert errors._mode_tail(K, 0.0) == 0.0
+
+
 def test_modeling_error_monotone_under_refinement():
     base = errors.modeling_error_exact(1.0, 8, 8, 4000)
     finer_x = errors.modeling_error_exact(1.0, 8, 32, 4000)
@@ -125,6 +139,22 @@ def test_tdr_needs_no_cell_integral_matrix(monkeypatch):
     assert errors.tdr_error_exact(4, 8, 64, 32, K=128) > 0.0
 
 
+def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
+    # the projected energy is the regularized map's row_moments, from the
+    # closed-form time Gram; the separate sum of squared overlaps is unused
+    def oracle(*args):
+        raise AssertionError("time_overlap_sq_sum called")
+    monkeypatch.setattr(noise, "time_overlap_sq_sum", oracle)
+    assert errors.modeling_error_exact(1.0, 8, 8, 64) > 0.0
+    for study, key in (("model-space", "dx_levels"),
+                       ("model-time", "dt_levels")):
+        rep = cli.run_study({
+            "study": study, "horizon": "1.0", "seed": "0", "samples": "0",
+            "n_star": "64", "j_star": "32", "K": "128", key: "2,3,4",
+            "window": "2"})
+        assert len(rep.rows) == 3 and rep.rows[-1]["error_exact"] > 0.0
+
+
 def test_tdr_study_computes_sine_energies_once(monkeypatch):
     # every sine moment on one (K, J*) shares one read-only energy array
     calls = []
@@ -182,6 +212,7 @@ def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments(
         rows, g = pairing(K, eigen)
         return rows, 2.0 * g
     monkeypatch.setattr(solvers, "spectral_fem_gram", doubled)
+    solvers._alias_pairing.cache_clear()    # it holds the pairing of (K, eig)
     with pytest.raises(RuntimeError):
         errors.pair_error(s, h)
 

@@ -173,6 +173,61 @@ def test_pairing_matches_dense_gram(J, K):
     assert np.abs(paired - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def _sine_fem_maps(J, K, n=16, j=16, M=8):
+    """CN-spectral, regularized and CN-FEM maps on one aligned grid."""
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    return (solvers.map_cn_spectral(n, j, 1.0, K, M, M),
+            solvers.map_regularized(n, j, 1.0, K, 1.0),
+            solvers.map_cn_fem(n, j, 1.0, eig, M, M), eig)
+
+
+_SINE_FEM = [(J, K) for J in (4, 8) for K in (8, 24, 64)]  # K < nu too
+
+
+@pytest.mark.parametrize("J, K", _SINE_FEM)
+def test_pairing_weight_is_fem_energy_above_K(J, K):
+    # w_p = sum_{k > K} (e_k, phi_p)^2, against the dense Gram up to K'
+    s, _, h, eig = _sine_fem_maps(J, K)
+    _, _, w = solvers._pairing(s, h)
+    Kp = 2 ** 14
+    dense = fem.sine_hat_inner_matrix(Kp, eig.system.mesh) @ eig.vectors
+    gap = w - (dense[K:] ** 2).sum(0)
+    # |(e_k, phi_p)| <= 2 sqrt(2) J^2 c_p / (k pi)^2 with c_p^2 <= 6, so
+    # the modes above K' add at most 16 J^4 / (pi^4 K'^3)
+    assert np.all((-1e-14 <= gap) & (gap <= 16.0 * J**4 / (math.pi**4
+                                                          * Kp**3) + 1e-14))
+
+
+@pytest.mark.parametrize("J, K", _SINE_FEM)
+def test_termwise_distance_moments_match_moment_sums(J, K):
+    s, u, h, _ = _sine_fem_maps(J, K)
+    for a in (s, u):
+        x2, xy, gy2, wy2 = solvers.distance_moments(a, h)
+        assert x2.shape == xy.shape == gy2.shape == (K,)
+        ea, eb = a.second_moment(), h.second_moment()
+        direct = ea - 2.0 * solvers.cross_moment(a, h) + eb
+        termwise = float(np.sum(x2 - 2.0 * xy + gy2)) + wy2
+        assert abs(termwise - direct) <= 1e-12 * (ea + eb)
+        # the paired and the remainder parts of E ||Y||^2 add up to it
+        assert abs(float(gy2.sum()) + wy2 - eb) <= 1e-14 * eb
+    # one basis: every row with itself, no remainder
+    x2, xy, gy2, wy2 = solvers.distance_moments(s, u)
+    assert wy2 == 0.0 and np.array_equal(gy2, u.row_moments())
+    assert np.array_equal(x2, s.row_moments())
+
+
+@pytest.mark.parametrize("J, K", _SINE_FEM)
+def test_squared_distance_matches_expanded_form(J, K):
+    s, _, h, eig = _sine_fem_maps(J, K)
+    f = solvers.squared_distance(s, h)
+    rows, g = solvers.spectral_fem_gram(K, eig)
+    rng = np.random.default_rng(100 * J + K)
+    for _ in range(5):
+        a, b = rng.normal(size=K), rng.normal(size=J - 1)
+        ref = a @ a - 2.0 * (a @ (g * b[rows])) + b @ b
+        assert abs(f(a, b) - ref) <= 1e-12 * (a @ a + b @ b)
+
+
 def test_cross_moment_rejects_unpaired_bases():
     # FEM maps on different meshes share no basis and have no pairing;
     # a FEM map meets a sine map only as the second map
@@ -224,8 +279,7 @@ _RHOS = st.lists(st.one_of(st.floats(1e-6, 0.999), st.just(1.0),
 
 
 def _dense_gram(a, b, rows):
-    B = b.dense() if rows is None else b.dense()[rows]
-    return (a.dense() * B).sum(1)
+    return (a.dense() * b.dense()[rows]).sum(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,8 +313,9 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
         paired = np.array(data.draw(st.lists(
             st.integers(0, b.shape[0] - 1), min_size=a.shape[0],
             max_size=a.shape[0])))
-        cases += [(a, b, rows) for rows in (None, paired)
-                  if rows is not None or a.shape[0] == b.shape[0]]
+        # each row with itself (the default) needs equal row counts
+        own = [slice(None)] if a.shape[0] == b.shape[0] else []
+        cases += [(a, b, rows) for rows in own + [paired]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [solvers.time_gram(a, b, rows) for a, b, rows in cases]
@@ -270,7 +325,7 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
         ref = _dense_gram(a, b, rows)
         na = np.sqrt((a.dense() ** 2).sum(1))
         nb = np.sqrt((b.dense() ** 2).sum(1))
-        scale = na * (nb if rows is None else nb[rows])
+        scale = na * nb[rows]
         assert g.shape == ref.shape
         assert np.all(np.abs(g - ref) <= 1e-12 * scale)
     sq = noise.time_overlap_sq_sum(ks_a, m * dtau, M * p, horizon)
@@ -289,6 +344,6 @@ def test_time_gram_falls_back_to_dense(horizon, n_star, M):
     cn_h = solvers.PropagatorProfile(eig.values, M, dtau, n_star, horizon)
     over = solvers.OverlapProfile(ks, M * dtau, n_star, horizon)
     for a, b in ((cn, cn), (cn, cn_h), (over, cn), (over, cn_h)):
-        for rows in (None, np.arange(K)[::-1]):
+        for rows in (slice(None), np.arange(K)[::-1]):
             assert np.array_equal(solvers.time_gram(a, b, rows),
                                   _dense_gram(a, b, rows))
