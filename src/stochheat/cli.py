@@ -21,9 +21,6 @@ class ConfigError(Exception):
     pass
 
 
-STUDIES = ("model-space", "model-time", "tdr", "sdr", "total",
-           "deterministic-cn")
-
 _DEFAULTS = {
     "model-space": {
         "study": "model-space", "horizon": "1.0", "seed": "0",
@@ -170,7 +167,7 @@ def _mc_rms(levels, samples, seed):
 def run_study(cfg):
     """Run the configured convergence study; returns an ErrorReport."""
     study = cfg.get("study")
-    if study not in STUDIES:
+    if study not in _DEFAULTS:
         raise ConfigError("unknown study %r" % study)
     horizon = _horizon(cfg)
     samples = _get_int(cfg, "samples")
@@ -420,7 +417,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ which is also the Duhamel propagator of the stochastic schemes.
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
 from .spectral import SpectralField, eigenvalue_sqrt
 from . import fem
@@ -30,8 +29,8 @@ __all__ = [
 
 
 def amplification(mu, m, dtau):
-    """m-step amplification factor r_m(mu); mu >= 0, m >= 1."""
-    if m < 1:
+    """m-step amplification factor r_m(mu); mu >= 0, m >= 1, broadcast."""
+    if np.any(np.asarray(m) < 1):
         raise ValueError("step count must be >= 1")
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0.0):
@@ -44,11 +43,7 @@ def amplification(mu, m, dtau):
 
 def step_factors(mus, m, dtau):
     """Matrix r[i, l] = r_{l+1}(mus[i]) for l = 0..m-1 (Duhamel kernel)."""
-    mus = np.asarray(mus, dtype=float)
-    rho = 0.5 * dtau * mus
-    q = (1.0 - rho) / (1.0 + rho)
-    powers = np.power(q[:, None], np.arange(m)[None, :])
-    return powers / (1.0 + rho)[:, None]
+    return amplification(np.reshape(mus, (-1, 1)), np.arange(1, m + 1), dtau)
 
 
 class Trajectory:
@@ -116,18 +111,15 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
     """
     if M < 1:
         raise ValueError("need at least one step")
-    band = np.vstack([
-        np.concatenate([[0.0], system.mass_off + 0.5 * dtau * system.stiff_off]),
-        system.mass_diag + 0.5 * dtau * system.stiff_diag,
-    ])
-    chol = sla.cholesky_banded(band)
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
     states = np.empty((M + 1, system.mesh.nu))
     states[0] = v0
     rhs = system.mass_apply(v0)
     for m in range(1, M + 1):
         if loads is not None:
             rhs = rhs + loads[:, m - 1]
-        v = sla.cho_solve_banded((chol, False), rhs)
+        v = cho_solve_banded((chol, False), rhs)
         states[m] = v
         rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
     return Trajectory(dtau, states, "nodal", mesh=system.mesh)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import quadrature, solvers
 
@@ -38,8 +37,9 @@ def _mode_tail(K, t):
     """
     if t <= 0.0:
         return 0.0
+    from scipy.special import polygamma
     pis2 = math.pi ** 2
-    tail = trigamma = special.polygamma(1, K + 1) / (2.0 * pis2)
+    tail = trigamma = polygamma(1, K + 1) / (2.0 * pis2)
     k = K + 1
     while True:
         ks = np.arange(k, k + 4096, dtype=float)

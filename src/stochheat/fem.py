@@ -9,9 +9,8 @@ products between hat functions, sine modes and noise cells.
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
-from .spectral import SpectralField
+from .spectral import SpectralField, sin_pi_ratio
 from .quadrature import gauss_points
 
 __all__ = [
@@ -88,10 +87,12 @@ class FemSystem:
         return out
 
     def mass_solve(self, rhs):
-        return sla.solveh_banded(self._mass_band, rhs)
+        from scipy.linalg import solveh_banded
+        return solveh_banded(self._mass_band, rhs)
 
     def stiff_solve(self, rhs):
-        return sla.solveh_banded(self._stiff_band, rhs)
+        from scipy.linalg import solveh_banded
+        return solveh_banded(self._stiff_band, rhs)
 
 
 def assemble(mesh):
@@ -174,15 +175,14 @@ def generalized_eigen(system):
     """Eigenpairs of S phi = eps M phi on the uniform mesh, in closed form.
 
     With a = p pi h (Strang & Fix): eps_p = (6/h^2) 2 sin^2(a/2)/(2 + cos a)
-    and phi_p(x_i) = c_p sin(p pi x_i) (``_eigen_scale``), p = 1..nu.  The
-    sine arguments are reduced to [0, 2 pi) on the integers i p.
+    and phi_p(x_i) = c_p sin(p pi x_i) (``_eigen_scale``), p = 1..nu, each
+    sine taken by ``spectral.sin_pi_ratio`` on the integers p and i p.
     """
     J = system.mesh.intervals
     p = np.arange(1, J)
-    a = p * (math.pi / J)
-    values = 12.0 * J * J * np.sin(0.5 * a) ** 2 / (2.0 + np.cos(a))
-    vectors = _eigen_scale(p, J) * np.sin((math.pi / J)
-                                          * (np.outer(p, p) % (2 * J)))
+    values = (12.0 * J * J * sin_pi_ratio(p, 2 * J) ** 2
+              / (2.0 + np.cos(p * (math.pi / J))))
+    vectors = _eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
     return FemEigenBasis(system, values, vectors)
 
 

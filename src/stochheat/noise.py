@@ -14,6 +14,7 @@ import struct
 import numpy as np
 
 from .quadrature import gauss_points
+from .spectral import sin_pi_ratio
 
 __all__ = [
     "NoiseGrid",
@@ -140,16 +141,20 @@ def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
 def mode_cell_integrals(K, j_star):
     """Matrix b with b[k-1, j-1] = integral of e_k over space cell D_j.
 
-    Exact antiderivative: sqrt(2) (cos(lam_k x_{j-1}) - cos(lam_k x_j)) / lam_k.
-    The last result is kept (read-only), so every sine map on one
-    (K, j_star) shares one array and one projection per sample.
+    Product form b_{k,j} = a_k sin(k pi (2j - 1)/(2J)) with amplitude
+    a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), filled in blocks of rows.  The
+    last result is kept (read-only), so every sine map on one (K, j_star)
+    shares one array and one projection per sample.
     """
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
-    lam = np.arange(1, K + 1) * math.pi
-    x = np.arange(j_star + 1) / j_star
-    cosv = np.cos(np.outer(lam, x))
-    b = math.sqrt(2.0) * (cosv[:, :-1] - cosv[:, 1:]) / lam[:, None]
+    b = np.empty((K, j_star))
+    n = 2 * j_star
+    for lo in range(0, K, 512):
+        ks = np.arange(lo + 1, min(lo + 512, K) + 1)
+        amp = 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, n) / (ks * math.pi)
+        m = np.outer(ks, np.arange(1, n, 2))   # k (2j - 1)
+        np.multiply(amp[:, None], sin_pi_ratio(m, n), out=b[lo:lo + 512])
     b.flags.writeable = False
     return b
 
@@ -157,17 +162,17 @@ def mode_cell_integrals(K, j_star):
 def mode_cell_sq_sums(ks, j_star):
     """sum_j b_{k,j}^2 in closed form, vectorized over mode indices ``ks``.
 
-    Writing a = lam_k dx, each b_{k,j} = (2 sqrt2 / lam_k) sin(a/2)
-    sin(a (j - 1/2)); the sum of sin^2 over j telescopes to J/2, except
-    when k is an odd multiple of J where it is J.
+    The sum of sin^2(k pi (2j - 1)/(2J)) over j telescopes to J/2, so it
+    is a_k^2 J/2 (``mode_cell_integrals``), except when k is a multiple of
+    2J (every cell integral is 0) or an odd multiple of J (a_k^2 J).
     """
     ks = np.asarray(ks, dtype=np.int64)
-    lam = ks * math.pi
-    a = ks * math.pi / j_star
-    base = 8.0 * np.sin(0.5 * a) ** 2 / lam**2 * (0.5 * j_star)
     rem = ks % (2 * j_star)
-    base = np.where(rem == 0, 0.0, base)  # mode integrates to zero cellwise
-    return np.where(rem == j_star, 2.0 * base, base)
+    sq_sum = np.where(rem == j_star, j_star,
+                      np.where(rem == 0, 0.0, 0.5 * j_star))
+    # a_k^2 = 8 sin^2/lam^2 (8 is exact); sin^2 has period 2J: take it at rem
+    return (8.0 * sin_pi_ratio(rem, 2 * j_star) ** 2 / (ks * math.pi) ** 2
+            * sq_sum)
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fem, noise
 from .deterministic import cn_fem_steps, cn_spectral_steps, step_factors
-from .spectral import SpectralField
+from .spectral import SpectralField, sin_pi_ratio
 
 __all__ = [
     "interval_overlaps",
@@ -416,7 +416,7 @@ def spectral_fem_gram(K, eigen):
     live = (p > 0) & (p < J)
     # sin^2(k pi h/2) has period 2J in k: take it at r, a small argument
     g = (np.where(r < J, 0.5, -0.5) * J * J * fem._eigen_scale(p, J)
-         * math.sqrt(2.0) * 4.0 * np.sin(r * (0.5 * math.pi / J)) ** 2
+         * math.sqrt(2.0) * 4.0 * sin_pi_ratio(r, 2 * J) ** 2
          / (ks * math.pi) ** 2)
     return np.where(live, p - 1, 0), np.where(live, g, 0.0)
 

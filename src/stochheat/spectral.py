@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "SpectralField",
     "eigenvalue_sqrt",
+    "sin_pi_ratio",
     "eigenfunction_eval",
     "semigroup_apply",
     "green_kernel_eval",
@@ -25,6 +26,11 @@ __all__ = [
 def eigenvalue_sqrt(k):
     """lam_k = k*pi for mode index k >= 1 (accepts arrays)."""
     return np.asarray(k, dtype=float) * math.pi
+
+
+def sin_pi_ratio(m, n):
+    """sin(pi m / n) for integers m and n, with m reduced mod 2n first."""
+    return np.sin((math.pi / n) * (np.asarray(m) % (2 * n)))
 
 
 class SpectralField:

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,27 @@ def test_modeling_error_beyond_rounding_exits_2(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "beyond rounding" in out.err
+
+
+def test_allocation_failure_exits_2(capsys):
+    # dtau = 2^-50 asks for an 8 PiB step grid; numpy refuses it at once
+    assert run(["study", "--set", "study=tdr", "--set", "n_star=16",
+                "--set", "j_star=16", "--set", "K=32",
+                "--set", "dtau_levels=2,50"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numerical failure:")
+    assert out.err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported by the first banded solve or mode tail, not at start
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, stochheat.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_missing_subcommand():

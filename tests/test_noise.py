@@ -1,6 +1,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,41 @@ def test_mode_cell_integrals_match_quadrature():
                 lambda x: math.sqrt(2.0) * np.sin(k * math.pi * x),
                 j / J, (j + 1) / J, nsub=64)
             assert abs(B[k - 1, j] - val) < 1e-13
+
+
+def test_mode_cell_integrals_match_mpmath():
+    # 30-digit cosine differences at J* = 1024, rows past 4J* (the period
+    # of the product form in k) included: k = 5120 is an odd multiple of
+    # J*, k = 6144 a multiple of 2J* whose row is 0.  Every row is held to
+    # its envelope |b_kj| <= 2 sqrt2/lam_k; a float cosine difference
+    # loses digits as k grows (6.5e-13 of the envelope at k = 4095).
+    mpmath = pytest.importorskip("mpmath")
+    J = 1024
+    B = noise.mode_cell_integrals(6144, J)
+    for k in (1, 4095, 4097, 5120, 6144):
+        with mpmath.workdps(30):
+            lam = k * mpmath.pi
+            c = [mpmath.cos(lam * j / J) for j in range(J + 1)]
+            exact = np.array([float(mpmath.sqrt(2) * (c[j] - c[j + 1]) / lam)
+                              for j in range(J)])
+        err = np.abs(B[k - 1] - exact).max()
+        assert err <= 1e-14 * 2.0 * math.sqrt(2.0) / (k * math.pi), k
+        if k == 1:
+            # cos(pi/1024) - cos(0) cancels; the product form does not
+            assert abs(B[0, 0] - exact[0]) <= 1e-14 * abs(exact[0])
+
+
+def test_mode_cell_integrals_peak_memory():
+    # the product form is filled in row blocks: no K x (J* + 1) table
+    noise.mode_cell_integrals.cache_clear()
+    tracemalloc.start()
+    try:
+        B = noise.mode_cell_integrals(4096, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * B.nbytes
+    assert not B.flags.writeable
 
 
 def test_mode_cell_sq_sums_closed_form():

@@ -92,6 +92,16 @@ def test_truncation_rule_refuses_huge_counts():
         spectral.truncation_for_tolerance(1e-300)
 
 
+def test_sin_pi_ratio_reduces_the_integer():
+    n = 2048
+    m = np.arange(-3 * n, 3 * n)
+    base = spectral.sin_pi_ratio(m, n)
+    # whole periods 2n added to m change no bit
+    assert np.array_equal(spectral.sin_pi_ratio(m + 2 * n * 10**9, n), base)
+    assert np.abs(base - np.sin(math.pi * m / n)).max() < 1e-12
+    assert spectral.sin_pi_ratio(4 * n * 10**9 + 1, n) == math.sin(math.pi / n)
+
+
 def test_field_arithmetic():
     a = SpectralField(np.array([1.0, 2.0]))
     b = SpectralField(np.array([0.5, -1.0]))
