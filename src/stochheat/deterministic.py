@@ -41,9 +41,34 @@ def amplification(mu, m, dtau):
     return float(out) if out.ndim == 0 else out
 
 
+def _cn_factors(mus, dtau):
+    """(1/(1 + rho), log|q|, q < 0) per eigenvalue, rho = dtau mu/2 and
+    q = (1 - rho)/(1 + rho), so that r_m(mu) = q^(m-1)/(1 + rho).
+
+    1 - |q| = 2 min(rho, 1)/(1 + rho) has no cancellation; q = 0
+    (rho = 1) gives log|q| = -inf without a warning.
+    """
+    rho = 0.5 * dtau * np.asarray(mus, dtype=float)
+    d = 2.0 * np.minimum(rho, 1.0) / (1.0 + rho)
+    log_q = np.log1p(-d, out=np.full(d.shape, -np.inf), where=d < 1.0)
+    return 1.0 / (1.0 + rho), log_q, rho > 1.0
+
+
 def step_factors(mus, m, dtau):
-    """Matrix r[i, l] = r_{l+1}(mus[i]) for l = 0..m-1 (Duhamel kernel)."""
-    return amplification(np.reshape(mus, (-1, 1)), np.arange(1, m + 1), dtau)
+    """Matrix r[i, l] = r_{l+1}(mus[i]) for l = 0..m-1 (Duhamel kernel).
+
+    Column l is exp(l log|q|)/(1 + rho), negated for odd l where q < 0.
+    """
+    mus = np.reshape(np.asarray(mus, dtype=float), -1)
+    if np.any(mus < 0.0):
+        raise ValueError("eigenvalue must be nonnegative")
+    inv, log_q, neg = _cn_factors(mus, dtau)
+    out = np.empty((inv.size, m))
+    out[:, :1] = inv[:, None]
+    np.exp(np.multiply.outer(log_q, np.arange(1, m)), out=out[:, 1:])
+    out[:, 1:] *= inv[:, None]
+    out[neg, 1::2] *= -1.0
+    return out
 
 
 class Trajectory:
@@ -111,17 +136,27 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
     """
     if M < 1:
         raise ValueError("need at least one step")
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dpbtrs
     chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
     states = np.empty((M + 1, system.mesh.nu))
     states[0] = v0
-    rhs = system.mass_apply(v0)
-    for m in range(1, M + 1):
-        if loads is not None:
-            rhs = rhs + loads[:, m - 1]
-        v = cho_solve_banded((chol, False), rhs)
-        states[m] = v
-        rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+    # the LAPACK solve behind scipy's cho_solve_banded, without its
+    # per-call finiteness scans: a NaN or inf input spreads to the states
+    # (quietly), which are checked once at the end
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs = system.mass_apply(v0)
+        for m in range(1, M + 1):
+            if loads is not None:
+                rhs += loads[:, m - 1]
+            states[m], info = dpbtrs(chol, rhs)
+            if info:
+                raise ValueError("banded Cholesky solve failed (info %d)"
+                                 % info)
+            v = states[m]
+            rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+    if not np.isfinite(states).all():
+        raise ValueError("Crank-Nicolson states are not finite")
     return Trajectory(dtau, states, "nodal", mesh=system.mesh)
 
 
@@ -140,20 +175,19 @@ def exact_trajectory(v0, M, dtau):
     return Trajectory(dtau, states, "spectral")
 
 
-def _state_diff_norm_sq(a, traj_a, b, traj_b, system, C):
-    """Exact squared L2 distance between two states of possibly mixed kind."""
-    ka, kb = traj_a.kind, traj_b.kind
-    if ka == "spectral" and kb == "spectral":
-        return float(np.sum((a - b) ** 2))
-    if ka == "nodal" and kb == "nodal":
-        d = a - b
-        return float(d @ system.mass_apply(d))
-    if ka == "nodal":
-        a, b = b, a
-        traj_a, traj_b = traj_b, traj_a
-    # a spectral, b nodal: ||s||^2 - 2 (s, v) + v^T M v with exact Gram
-    return (float(np.sum(a**2)) - 2.0 * float(a @ (C @ b))
-            + float(b @ system.mass_apply(b)))
+_STEP_BLOCK = 512
+
+
+def _compared_states(traj, lo, hi, midpoint):
+    """States lo..hi-1 that the error compares: the endpoints V^m, or
+    for the midpoint variant V^1 and then V^(m-1/2)."""
+    S = traj.states
+    if not midpoint:
+        return S[lo:hi]
+    out = 0.5 * (S[lo:hi] + S[lo - 1:hi - 1])
+    if lo == 1:
+        out[0] = S[1]
+    return out
 
 
 def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
@@ -163,32 +197,38 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
     variant 'midpoint':  (dtau ||A^1 - B^1||^2
                           + dtau sum_{m=2}^M ||A^{m-1/2} - B^{m-1/2}||^2)^{1/2}
 
-    Spectral-vs-nodal comparisons use exact sine-hat inner products.
+    Spectral-vs-nodal comparisons use exact sine-hat inner products:
+    ||s||^2 - 2 (s, v) + v^T M v.  The states are formed in blocks of
+    steps; each step's squared distance is added to the sum in order.
     """
     if traj_a.steps != traj_b.steps or not math.isclose(traj_a.dtau, traj_b.dtau):
         raise ValueError("time grids do not match")
-    mixed = traj_a.kind != traj_b.kind
-    nodal = traj_a if traj_a.kind == "nodal" else traj_b
-    if (mixed or traj_a.kind == "nodal") and system is None:
-        raise ValueError("nodal comparison needs the FemSystem")
-    C = None
-    if mixed:
-        spectral = traj_a if traj_a.kind == "spectral" else traj_b
-        C = fem.sine_hat_inner_matrix(spectral.states.shape[1], nodal.mesh)
-    M = traj_a.steps
-    dtau = traj_a.dtau
-    total = 0.0
-    if variant == "endpoint":
-        for m in range(1, M + 1):
-            total += _state_diff_norm_sq(traj_a.states[m], traj_a,
-                                         traj_b.states[m], traj_b, system, C)
-    elif variant == "midpoint":
-        total += _state_diff_norm_sq(traj_a.states[1], traj_a,
-                                     traj_b.states[1], traj_b, system, C)
-        for m in range(2, M + 1):
-            am = 0.5 * (traj_a.states[m] + traj_a.states[m - 1])
-            bm = 0.5 * (traj_b.states[m] + traj_b.states[m - 1])
-            total += _state_diff_norm_sq(am, traj_a, bm, traj_b, system, C)
-    else:
+    if variant not in ("endpoint", "midpoint"):
         raise ValueError(f"unknown variant {variant!r}")
-    return math.sqrt(dtau * total)
+    if traj_a.kind == "nodal" and traj_b.kind == "spectral":
+        traj_a, traj_b = traj_b, traj_a
+    kinds = (traj_a.kind, traj_b.kind)
+    if "nodal" in kinds and system is None:
+        raise ValueError("nodal comparison needs the FemSystem")
+    if kinds == ("spectral", "nodal"):
+        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], traj_b.mesh)
+    M = traj_a.steps
+    midpoint = variant == "midpoint"
+    total = 0.0
+    for lo in range(1, M + 1, _STEP_BLOCK):
+        hi = min(lo + _STEP_BLOCK, M + 1)
+        a = _compared_states(traj_a, lo, hi, midpoint)
+        b = _compared_states(traj_b, lo, hi, midpoint)
+        if kinds == ("spectral", "spectral"):
+            for d2 in np.sum((a - b) ** 2, axis=1).tolist():
+                total += d2
+        elif kinds == ("nodal", "nodal"):
+            d = a - b
+            for di, mdi in zip(d, system.mass_apply(d)):
+                total += float(di @ mdi)
+        else:
+            s2 = np.sum(a**2, axis=1).tolist()
+            for ai, bi, mbi, s2i in zip(a, b, system.mass_apply(b), s2):
+                total += (s2i - 2.0 * float(ai @ (C @ bi))
+                          + float(bi @ mbi))
+    return math.sqrt(traj_a.dtau * total)

@@ -75,15 +75,17 @@ class FemSystem:
                 + np.diag(self.stiff_off, -1))
 
     def mass_apply(self, v):
+        """M v, for one nodal vector or a stack (..., nu) of them."""
         out = self.mass_diag * v
-        out[:-1] += self.mass_off * v[1:]
-        out[1:] += self.mass_off * v[:-1]
+        out[..., :-1] += self.mass_off * v[..., 1:]
+        out[..., 1:] += self.mass_off * v[..., :-1]
         return out
 
     def stiff_apply(self, v):
+        """S v, for one nodal vector or a stack (..., nu) of them."""
         out = self.stiff_diag * v
-        out[:-1] += self.stiff_off * v[1:]
-        out[1:] += self.stiff_off * v[:-1]
+        out[..., :-1] += self.stiff_off * v[..., 1:]
+        out[..., 1:] += self.stiff_off * v[..., :-1]
         return out
 
     def mass_solve(self, rhs):

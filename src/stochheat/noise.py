@@ -79,7 +79,8 @@ def sample(n_star, j_star, horizon=1.0, seed=0):
         raise ValueError("horizon must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
-    inc = sd * rng.standard_normal((n_star, j_star))
+    inc = rng.standard_normal((n_star, j_star))
+    inc *= sd
     return NoiseGrid(n_star, j_star, horizon, seed, inc)
 
 

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from . import fem, noise
-from .deterministic import cn_fem_steps, cn_spectral_steps, step_factors
+from .deterministic import (_cn_factors, cn_fem_steps, cn_spectral_steps,
+                            step_factors)
 from .spectral import SpectralField, sin_pi_ratio
 
 __all__ = [
@@ -92,9 +93,21 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
 
 
 def _cell_loads(space, grid, M):
-    """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``."""
-    V = interval_overlaps(M, grid.horizon / M, grid.n_star, grid.horizon)
-    return (space @ grid.increments.T) @ V.T / (grid.dt * grid.dx)
+    """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``.
+
+    When each step spans p whole noise cells, V^T sums blocks of p
+    columns, each weighted dt; anything else takes the dense product
+    with the interval overlaps.
+    """
+    dtau = grid.horizon / M
+    proj = space @ grid.increments.T
+    p = _cells_per_step(dtau, grid.dt)
+    if p:
+        steps = proj.reshape(-1, M, p).sum(axis=2) * grid.dt
+    else:
+        steps = proj @ interval_overlaps(M, dtau, grid.n_star,
+                                         grid.horizon).T
+    return steps / (grid.dt * grid.dx)
 
 
 def stochastic_loads_spectral(grid, K, M):
@@ -188,13 +201,8 @@ class PropagatorProfile(_Profile):
         dt = self.horizon / self.n_star
         p = _cells_per_step(self.dtau, dt)
         if p and 1 <= self.m <= self.n_star // p:
-            # 1 - |q| = 2 min(rho, 1)/(1 + rho) has no cancellation; q = 0
-            # (rho = 1) gives log|q| = -inf without a warning
-            rho = 0.5 * self.dtau * self.mus
-            d = 2.0 * np.minimum(rho, 1.0) / (1.0 + rho)
-            log_q = np.log1p(-d, out=np.full(d.shape, -np.inf),
-                             where=d < 1.0)
-            self.geometric = (dt / (1.0 + rho), log_q, rho > 1.0, p, self.m)
+            inv, log_q, neg = _cn_factors(self.mus, self.dtau)
+            self.geometric = (dt * inv, log_q, neg, p, self.m)
 
     def _build(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,

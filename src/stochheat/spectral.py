@@ -29,8 +29,27 @@ def eigenvalue_sqrt(k):
 
 
 def sin_pi_ratio(m, n):
-    """sin(pi m / n) for integers m and n, with m reduced mod 2n first."""
-    return np.sin((math.pi / n) * (np.asarray(m) % (2 * n)))
+    """sin(pi m / n) for integers m and n >= 1, accurate relative to its size.
+
+    In integers, m = k n + e with e in [-n/2, n/2), so that
+    sin(pi m/n) = (-1)^k sin(pi e/n) and the float argument is at most
+    pi/2 in size.  e is kept doubled, 2e = ((2m + n) mod 2n) - n, and
+    large index arrays are worked in place.
+    """
+    shape = np.shape(m)
+    two_e = np.multiply(m, 2, out=np.empty(shape, np.int64))
+    two_e += n
+    k = np.empty(shape, np.int64)
+    np.divmod(two_e, 2 * n, out=(k, two_e))
+    two_e -= n
+    k &= 1                       # (-1)^k = 1 - 2 (k mod 2)
+    k *= -2
+    k += 1
+    two_e *= k
+    del k
+    s = np.multiply(two_e, math.pi / (2 * n), out=np.empty(shape))
+    del two_e
+    return np.sin(s, out=s)[()]
 
 
 class SpectralField:

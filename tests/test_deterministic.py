@@ -114,3 +114,124 @@ def test_mixed_norm_consistent_with_interpolation():
                        - fem.evaluate_nodal(b.states[m], system.mesh, x)) ** 2)
     direct = math.sqrt(dtau * sum(diff_sq(m) for m in range(1, M + 1)))
     assert abs(err - direct) < 1e-10
+
+
+def _cho_solve_banded_steps(v0, system, M, dtau, loads=None):
+    """Oracle: the stepping loop written with scipy's cho_solve_banded."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
+    states = np.empty((M + 1, system.mesh.nu))
+    states[0] = v0
+    rhs = system.mass_apply(v0)
+    for m in range(1, M + 1):
+        if loads is not None:
+            rhs = rhs + loads[:, m - 1]
+        v = cho_solve_banded((chol, False), rhs)
+        states[m] = v
+        rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+    return states
+
+
+@pytest.mark.parametrize("with_loads", [False, True])
+def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads):
+    rng = np.random.default_rng(7)
+    system = fem.assemble(fem.Mesh(32))
+    M, dtau = 60, 1.0 / 60
+    v0 = rng.standard_normal(system.mesh.nu)
+    loads = rng.standard_normal((system.mesh.nu, M)) if with_loads else None
+    traj = deterministic.cn_fem_steps(v0, system, M, dtau, loads)
+    assert np.array_equal(traj.states,
+                          _cho_solve_banded_steps(v0, system, M, dtau, loads))
+
+
+@pytest.mark.parametrize("bad", ["nan load", "inf load", "nan start"])
+def test_cn_fem_steps_reject_non_finite_input(bad):
+    system = fem.assemble(fem.Mesh(8))
+    v0, loads = np.ones(system.mesh.nu), np.zeros((system.mesh.nu, 5))
+    if bad == "nan load":
+        loads[3, 2] = np.nan
+    elif bad == "inf load":
+        loads[0, 4] = np.inf
+    else:
+        v0[1] = np.nan
+    with pytest.raises(ValueError):
+        deterministic.cn_fem_steps(v0, system, 5, 0.2, loads)
+
+
+def _per_step_l2t(traj_a, traj_b, variant, system):
+    """Oracle: the squared distance of each step, formed one step at a
+    time and added to the sum in order."""
+    if traj_a.kind == "nodal" and traj_b.kind == "spectral":
+        traj_a, traj_b = traj_b, traj_a
+    kinds = (traj_a.kind, traj_b.kind)
+    if kinds == ("spectral", "nodal"):
+        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], traj_b.mesh)
+
+    def dist(a, b):
+        if kinds == ("spectral", "spectral"):
+            return float(np.sum((a - b) ** 2))
+        if kinds == ("nodal", "nodal"):
+            d = a - b
+            return float(d @ system.mass_apply(d))
+        return (float(np.sum(a**2)) - 2.0 * float(a @ (C @ b))
+                + float(b @ system.mass_apply(b)))
+
+    A, B = traj_a.states, traj_b.states
+    total = dist(A[1], B[1])
+    for m in range(2, A.shape[0]):
+        if variant == "endpoint":
+            total += dist(A[m], B[m])
+        else:
+            total += dist(0.5 * (A[m] + A[m - 1]), 0.5 * (B[m] + B[m - 1]))
+    return math.sqrt(traj_a.dtau * total)
+
+
+@pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
+@pytest.mark.parametrize("pair", ["spectral", "nodal", "mixed", "reversed"])
+def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
+    # M = 1100 steps cross two blocks of 512; K = 200 modes make the row
+    # sums pairwise
+    rng = np.random.default_rng(3)
+    M, dtau = 1100, 1.0 / 1100
+    system = fem.assemble(fem.Mesh(16))
+    K = 200 if pair == "spectral" else 3
+    v0 = SpectralField(rng.standard_normal(K) / np.arange(1, K + 1))
+    spec = deterministic.modified_cn_spectral(v0, M, dtau)
+    nodal = deterministic.modified_cn_fem(v0, system, M, dtau)
+    a, b = {
+        "spectral": (spec, deterministic.exact_trajectory(v0, M, dtau)),
+        "nodal": (nodal, deterministic.cn_fem_steps(
+            nodal.states[0], system, M, dtau,
+            rng.standard_normal((system.mesh.nu, M)) * 1e-3)),
+        "mixed": (spec, nodal),
+        "reversed": (nodal, spec),
+    }[pair]
+    err = deterministic.l2t_error(a, b, variant, system)
+    assert err == _per_step_l2t(a, b, variant, system)
+    assert err > 0.0
+
+
+def test_step_factors_match_mpmath():
+    # rho = dtau mu/2 below 1, at 1 (q = 0) and above 1 (q < 0), m = 4096:
+    # each row within 1e-13 of its largest entry, 1/(1 + rho)
+    mpmath = pytest.importorskip("mpmath")
+    dtau, m = 1.0 / 256, 4096
+    mus = np.array([1e-3, 9.87, 200.0, 512.0, 700.0, 3e5])
+    F = deterministic.step_factors(mus, m, dtau)
+    assert F.shape == (mus.size, m)
+    assert np.all(F[3, 1:] == 0.0)
+    with mpmath.workdps(30):
+        for i, mu in enumerate(mus):
+            rho = mpmath.mpf(dtau) * mpmath.mpf(mu) / 2
+            q = (1 - rho) / (1 + rho)
+            r = 1 / (1 + rho)
+            exact = np.empty(m)
+            for l in range(m):
+                exact[l] = float(r)
+                r *= q
+            assert np.abs(F[i] - exact).max() <= 1e-13 * abs(exact[0]), mu
+
+
+def test_step_factors_reject_negative_eigenvalues():
+    with pytest.raises(ValueError):
+        deterministic.step_factors(np.array([1.0, -2.0]), 4, 0.1)

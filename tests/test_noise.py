@@ -18,6 +18,16 @@ def test_sample_shape_and_determinism():
     assert not np.array_equal(g.increments, other.increments)
 
 
+def test_sample_scales_the_philox_draw():
+    # the draw is scaled in place: sd * standard_normal bit for bit
+    n_star, j_star, horizon, seed = 48, 20, 0.7, 123
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
+    expect = sd * rng.standard_normal((n_star, j_star))
+    got = noise.sample(n_star, j_star, horizon, seed).increments
+    assert np.array_equal(got, expect)
+
+
 def test_increment_variance():
     # each cell increment is N(0, dt*dx); check the pooled variance
     g = noise.sample(400, 250, 1.0, seed=1)
@@ -81,6 +91,25 @@ def test_mode_cell_integrals_match_mpmath():
         if k == 1:
             # cos(pi/1024) - cos(0) cancels; the product form does not
             assert abs(B[0, 0] - exact[0]) <= 1e-14 * abs(exact[0])
+
+
+def test_mode_cell_integrals_rows_near_multiples_of_pi_match_mpmath():
+    # a_k = (2 sqrt2/lam_k) sin(k pi/(2J*)) is small for k near a multiple
+    # of 2J*; the integer-folded sine keeps such rows accurate relative to
+    # a_k, not only to the envelope 2 sqrt2/lam_k.  k = 6144 (3 half
+    # periods) is 0 on every cell
+    mpmath = pytest.importorskip("mpmath")
+    J = 1024
+    B = noise.mode_cell_integrals(6144, J)
+    assert not B[6143].any()
+    for k in (2047, 4095, 4097, 5120):
+        with mpmath.workdps(30):
+            amp = (2 * mpmath.sqrt(2) / (k * mpmath.pi)
+                   * mpmath.sin(k * mpmath.pi / (2 * J)))
+            exact = np.array([float(amp * mpmath.sin(k * mpmath.pi
+                                                     * (2 * j - 1) / (2 * J)))
+                              for j in range(1, J + 1)])
+        assert np.abs(B[k - 1] - exact).max() <= 1e-15 * abs(float(amp)), k
 
 
 def test_mode_cell_integrals_peak_memory():

@@ -347,3 +347,42 @@ def test_time_gram_falls_back_to_dense(horizon, n_star, M):
         for rows in (slice(None), np.arange(K)[::-1]):
             assert np.array_equal(solvers.time_gram(a, b, rows),
                                   _dense_gram(a, b, rows))
+
+
+def _dense_cell_loads(space, grid, M):
+    V = solvers.interval_overlaps(M, grid.horizon / M, grid.n_star,
+                                  grid.horizon)
+    return (space @ grid.increments.T) @ V.T / (grid.dt * grid.dx)
+
+
+@pytest.mark.parametrize("n_star, M", [(64, 64), (1024, 1024), (64, 16),
+                                       (1024, 256)])
+def test_cell_loads_sum_whole_cells(n_star, M):
+    # p = n_star/M cells per step.  p = 1 is the dense overlap product bit
+    # for bit; p = 4 sums each step's cells in order, which is the dense
+    # product up to the order of BLAS's sum
+    grid = noise.sample(n_star, 64, 1.0, 9)
+    space = fem.hat_cell_overlap_matrix(fem.Mesh(32), 64)
+    loads = solvers._cell_loads(space, grid, M)
+    dense = _dense_cell_loads(space, grid, M)
+    p = n_star // M
+    if p == 1:
+        assert np.array_equal(loads, dense)
+    proj = space @ grid.increments.T
+    in_order = proj[:, 0::p] * grid.dt
+    for c in range(1, p):
+        in_order = in_order + proj[:, c::p] * grid.dt
+    assert np.array_equal(loads, in_order / (grid.dt * grid.dx))
+    assert np.abs(loads - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_cell_loads_non_aligned_take_the_overlaps():
+    grid = noise.sample(24, 16, 0.3, 4)
+    space = noise.mode_cell_integrals(20, 16)
+    loads = solvers._cell_loads(space, grid, 16)
+    # each step load is the noise integrated over the step: the loads of
+    # steps add up to the loads of the whole horizon
+    whole = space @ grid.increments.sum(axis=0) / grid.dx
+    assert np.allclose(loads.sum(axis=1), whole, rtol=1e-12, atol=1e-12)
+    assert np.allclose(loads, _dense_cell_loads(space, grid, 16),
+                       rtol=1e-13, atol=1e-13)

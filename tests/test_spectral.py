@@ -102,6 +102,22 @@ def test_sin_pi_ratio_reduces_the_integer():
     assert spectral.sin_pi_ratio(4 * n * 10**9 + 1, n) == math.sin(math.pi / n)
 
 
+def test_sin_pi_ratio_is_relatively_accurate_near_multiples_of_pi():
+    # folded into [0, n/2] in integers, the float argument never sits
+    # near pi or 2 pi, where sin would lose its relative accuracy
+    mpmath = pytest.importorskip("mpmath")
+    for n in (7, 2048):
+        m = np.array([1, n - 1, n + 1, 2 * n - 1, 3 * n + 1, n // 2,
+                      n // 2 + 1, 3 * n - 2, -1, -(n + 1)])
+        got = spectral.sin_pi_ratio(m, n)
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.sin(mpmath.pi * int(k) / n))
+                              for k in m])
+        assert np.all(np.abs(got - exact) <= 2.5e-16 * np.abs(exact)), n
+    assert spectral.sin_pi_ratio(np.array([0, 2048, 4096]), 2048).tolist() \
+        == [0.0, 0.0, 0.0]
+
+
 def test_field_arithmetic():
     a = SpectralField(np.array([1.0, 2.0]))
     b = SpectralField(np.array([0.5, -1.0]))
