@@ -144,8 +144,9 @@ def _mc_rms(levels, samples, seed):
     Each ``(map_a, map_b, dist)`` of ``levels`` is a level, ``dist`` its
     ``solvers.squared_distance``.  All levels see the same grids (read
     from the first map), so each sample draws its grid once, projects it
-    once per distinct space factor and reconstructs each distinct map
-    once.
+    once per distinct space fold (``GaussianCoefficientMap.fold``; every
+    sine map on one (K, J*) shares one) and reconstructs each distinct
+    map once.
     """
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
@@ -153,10 +154,10 @@ def _mc_rms(levels, samples, seed):
     def one(s):
         g = noise.sample(first.n_star, first.j_star, first.horizon, s)
         proj, coef = {}, {}
-        for m in maps:
-            if id(m.space()) not in proj:
-                proj[id(m.space())] = m.project(g)
-            coef[id(m)] = m.reconstruct(g, proj[id(m.space())])
+        for m in maps:   # each map keeps its fold, so the ids stay live
+            if id(m.fold()) not in proj:
+                proj[id(m.fold())] = m.project(g)
+            coef[id(m)] = m.reconstruct(g, proj[id(m.fold())])
         return [dist(coef[id(a)], coef[id(b)]) for a, b, dist in levels]
     means, ses = errors.mc_error(one, samples, seed)
     return [(math.sqrt(mean),
@@ -289,6 +290,16 @@ def _selftest_checks():
         blocks = g.increments.reshape(8, 4, 8, 2).sum(axis=(1, 3))
         return np.allclose(c.increments, blocks, rtol=0, atol=0)
     yield "noise coarsening", coarsen_ok
+
+    def fold_ok():
+        # the cell integrals of e_k from the antiderivative of sqrt2 sin
+        K, j_star = 3 * 8 + 5, 8
+        k = np.arange(1, K + 1)[:, None] * math.pi
+        x = np.arange(j_star + 1) / j_star
+        dense = math.sqrt(2.0) * -np.diff(np.cos(k * x), axis=1) / k
+        alias, c, S = noise.sine_cell_fold(K, j_star)
+        return np.allclose(c[:, None] * S[alias], dense, rtol=0, atol=1e-14)
+    yield "folded sine cell factor matches dense cell integrals", fold_ok
 
     def duhamel_ok():
         g = noise.sample(16, 8, 1.0, 11)

@@ -208,6 +208,10 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
     if traj_a.kind == "nodal" and traj_b.kind == "spectral":
         traj_a, traj_b = traj_b, traj_a
     kinds = (traj_a.kind, traj_b.kind)
+    if kinds == ("spectral", "spectral") \
+            and traj_a.states.shape[1] != traj_b.states.shape[1]:
+        raise ValueError("truncation levels differ: K = %d and K = %d"
+                         % (traj_a.states.shape[1], traj_b.states.shape[1]))
     if "nodal" in kinds and system is None:
         raise ValueError("nodal comparison needs the FemSystem")
     if kinds == ("spectral", "nodal"):

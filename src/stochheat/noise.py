@@ -23,6 +23,7 @@ __all__ = [
     "w_eval",
     "project_pi",
     "mode_cell_integrals",
+    "sine_cell_fold",
     "mode_cell_sq_sums",
     "time_overlaps",
     "time_overlap_sq_sum",
@@ -37,11 +38,16 @@ class NoiseGrid:
     __slots__ = ("n_star", "j_star", "horizon", "seed", "increments")
 
     def __init__(self, n_star, j_star, horizon, seed, increments):
+        self._own(n_star, j_star, horizon, seed,
+                  np.array(increments, dtype=float))
+
+    def _own(self, n_star, j_star, horizon, seed, inc):
+        """Set the fields, taking ``inc`` (a float array no one else
+        holds) as the increments without a copy."""
         if n_star < 1 or j_star < 1:
             raise ValueError("cell counts must be >= 1")
         if horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        inc = np.array(increments, dtype=float)
         if inc.shape != (n_star, j_star):
             raise ValueError("increment matrix shape mismatch")
         inc.flags.writeable = False
@@ -67,6 +73,13 @@ class NoiseGrid:
                 f"horizon={self.horizon}, seed={self.seed})")
 
 
+def _grid(n_star, j_star, horizon, seed, inc):
+    """A NoiseGrid on the fresh array ``inc``, which it keeps uncopied."""
+    grid = object.__new__(NoiseGrid)
+    grid._own(n_star, j_star, horizon, seed, inc)
+    return grid
+
+
 def sample(n_star, j_star, horizon=1.0, seed=0):
     """Draw an N x J matrix of independent N(0, dt*dx) increments.
 
@@ -81,7 +94,7 @@ def sample(n_star, j_star, horizon=1.0, seed=0):
     sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
     inc = rng.standard_normal((n_star, j_star))
     inc *= sd
-    return NoiseGrid(n_star, j_star, horizon, seed, inc)
+    return _grid(n_star, j_star, horizon, seed, inc)
 
 
 def coarsen(grid, time_factor=1, space_factor=1):
@@ -97,7 +110,7 @@ def coarsen(grid, time_factor=1, space_factor=1):
         raise ValueError("factors must divide the cell counts exactly")
     nc, jc = grid.n_star // ft, grid.j_star // fs
     inc = grid.increments.reshape(nc, ft, jc, fs).sum(axis=(1, 3))
-    return NoiseGrid(nc, jc, grid.horizon, grid.seed, inc)
+    return _grid(nc, jc, grid.horizon, grid.seed, inc)
 
 
 def w_eval(grid, t, x):
@@ -138,33 +151,74 @@ def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
     return out / (dt * dx)
 
 
+def _cell_amplitudes(ks, j_star):
+    """a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), the amplitude of the cell
+    integrals of mode k."""
+    return 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
+
+
+def _cell_sines(rows, j_star):
+    """sin(r pi (2j - 1)/(2J)) for the mode indices ``rows`` (a range or
+    array, one matrix row each) and cells j = 1..J."""
+    return sin_pi_ratio(np.outer(rows, np.arange(1, 2 * j_star, 2)),
+                        2 * j_star)
+
+
 @functools.lru_cache(maxsize=1)
 def mode_cell_integrals(K, j_star):
     """Matrix b with b[k-1, j-1] = integral of e_k over space cell D_j.
 
     Product form b_{k,j} = a_k sin(k pi (2j - 1)/(2J)) with amplitude
-    a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), filled in blocks of rows.  The
-    last result is kept (read-only), so every sine map on one (K, j_star)
-    shares one array and one projection per sample.
+    a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), filled in blocks of rows.  A
+    dense oracle for ``sine_cell_fold``, which needs only min(K, J) rows;
+    the last result is kept (read-only).
     """
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
     b = np.empty((K, j_star))
-    n = 2 * j_star
     for lo in range(0, K, 512):
         ks = np.arange(lo + 1, min(lo + 512, K) + 1)
-        amp = 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, n) / (ks * math.pi)
-        m = np.outer(ks, np.arange(1, n, 2))   # k (2j - 1)
-        np.multiply(amp[:, None], sin_pi_ratio(m, n), out=b[lo:lo + 512])
+        np.multiply(_cell_amplitudes(ks, j_star)[:, None],
+                    _cell_sines(ks, j_star), out=b[lo:lo + 512])
     b.flags.writeable = False
     return b
+
+
+@functools.lru_cache(maxsize=1)
+def sine_cell_fold(K, j_star):
+    """The cell integrals of modes 1..K folded onto at most J distinct
+    rows: ``(alias, c, S)`` with ``mode_cell_integrals(K, J)[k - 1] ==
+    c[k - 1] * S[alias[k - 1]]``.
+
+    S[r - 1, j - 1] = sin(r pi (2j - 1)/(2J)) for r = 1..min(K, J).  In k
+    the sine has period 4J, flips sign every 2J and is unchanged under
+    k -> 2J - k, so mode k with s = k mod 2J reads row min(s, 2J - s)
+    with sign (-1)^(k div 2J), and c_k = +-a_k.  Where s = 0, a_k = 0.
+    The last result is kept (read-only): every sine map on one (K, J)
+    shares one fold, and so one projection per sample.
+    """
+    if K < 1 or j_star < 1:
+        raise ValueError("K and j_star must be >= 1")
+    ks = np.arange(1, K + 1)
+    quot, s = np.divmod(ks, 2 * j_star)
+    alias = np.maximum(np.minimum(s, 2 * j_star - s) - 1, 0)
+    c = _cell_amplitudes(ks, j_star)
+    c[quot % 2 == 1] *= -1.0
+    rows = min(K, j_star)
+    S = np.empty((rows, j_star))
+    for lo in range(0, rows, 256):   # blocks bound the integer temporaries
+        S[lo:lo + 256] = _cell_sines(range(lo + 1, min(lo + 256, rows) + 1),
+                                     j_star)
+    for v in (alias, c, S):
+        v.flags.writeable = False
+    return alias, c, S
 
 
 def mode_cell_sq_sums(ks, j_star):
     """sum_j b_{k,j}^2 in closed form, vectorized over mode indices ``ks``.
 
     The sum of sin^2(k pi (2j - 1)/(2J)) over j telescopes to J/2, so it
-    is a_k^2 J/2 (``mode_cell_integrals``), except when k is a multiple of
+    is a_k^2 J/2 (``sine_cell_fold``), except when k is a multiple of
     2J (every cell integral is 0) or an odd multiple of J (a_k^2 J).
     """
     ks = np.asarray(ks, dtype=np.int64)

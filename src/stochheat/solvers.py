@@ -111,8 +111,10 @@ def _cell_loads(space, grid, M):
 
 
 def stochastic_loads_spectral(grid, K, M):
-    """W[k-1, l-1] = integral over Delta_l of (noise, e_k)."""
-    return _cell_loads(noise.mode_cell_integrals(K, grid.j_star), grid, M)
+    """W[k-1, l-1] = integral over Delta_l of (noise, e_k), from the
+    loads of the folded rows (``noise.sine_cell_fold``)."""
+    alias, c, S = noise.sine_cell_fold(K, grid.j_star)
+    return c[:, None] * _cell_loads(S, grid, M)[alias]
 
 
 def stochastic_loads_fem(grid, system, M):
@@ -164,6 +166,11 @@ class _Profile:
             self._array = self._build()
         return self._array
 
+    def steps(self):
+        """``(W, p)``: column l of W weighs noise cells l p .. l p + p - 1
+        of every row, and cells past p * W.shape[1] weigh 0."""
+        return self.dense(), 1
+
 
 class OverlapProfile(_Profile):
     """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t;
@@ -203,6 +210,18 @@ class PropagatorProfile(_Profile):
         if p and 1 <= self.m <= self.n_star // p:
             inv, log_q, neg = _cn_factors(self.mus, self.dtau)
             self.geometric = (dt * inv, log_q, neg, p, self.m)
+        self._steps = None
+
+    def steps(self):
+        """One column per step, dt r_{m-l+1}, when the profile is
+        geometric; the dense array otherwise."""
+        if self.geometric is None:
+            return super().steps()
+        if self._steps is None:
+            dt = self.horizon / self.n_star
+            self._steps = dt * step_factors(self.mus, self.m,
+                                            self.dtau)[:, ::-1]
+        return self._steps, self.geometric[3]
 
     def _build(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,
@@ -263,7 +282,7 @@ class GaussianCoefficientMap:
         self.time = time
         self.basis = basis
         self.j_star = int(j_star)
-        self._space = self._rows = None    # built on first use and kept
+        self._fold = self._rows = None    # built on first use and kept
         rows = basis.values.size if _is_fem(basis) else basis
         if self.time.shape[0] != rows:
             raise ValueError("time profile rows differ from the basis size")
@@ -279,38 +298,52 @@ class GaussianCoefficientMap:
     def scale(self):
         return 1.0 / self.cell_area
 
-    def space(self):
-        """Space factor: basis function i integrated over space cell j."""
-        if self._space is None:
+    def fold(self):
+        """Space factor as ``(rows, c, S)``: row i of ``space()`` is
+        c_i S[rows_i].  Sine maps take ``noise.sine_cell_fold`` (at most
+        J* rows of S, shared by every sine map on one (K, J*)); a FEM map
+        keeps (every row, 1, V^T O) with O the hat-cell overlaps."""
+        if self._fold is None:
             if _is_fem(self.basis):
                 O = fem.hat_cell_overlap_matrix(self.basis.system.mesh,
                                                 self.j_star)
-                self._space = self.basis.vectors.T @ O
+                self._fold = (slice(None), 1.0, self.basis.vectors.T @ O)
             else:
-                self._space = noise.mode_cell_integrals(self.basis,
-                                                        self.j_star)
-        return self._space
+                self._fold = noise.sine_cell_fold(self.basis, self.j_star)
+        return self._fold
+
+    def space(self):
+        """Dense space factor, basis function i integrated over space
+        cell j: the oracle form of ``fold``, built on each call."""
+        rows, c, S = self.fold()
+        return np.reshape(c, (-1, 1)) * S[rows]
 
     def project(self, grid):
-        """The grid factor ``space() @ R^T`` of ``reconstruct`` (rows are
-        basis functions, columns time cells).  Maps with the same space
-        array, such as every sine map on one (K, J*), share it."""
+        """The grid factor ``S @ R^T`` of ``reconstruct`` (rows are the
+        rows of the ``fold``, columns time cells).  Maps with the same
+        fold, such as every sine map on one (K, J*), share it."""
         if not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
-        return self.space() @ grid.increments.T
+        return self.fold()[2] @ grid.increments.T
 
     def reconstruct(self, grid, projection=None):
         """Basis coefficients of the observable on a sampled grid.
 
         ``projection`` passes in ``project(grid)`` when a map with the
-        same space array has already formed it for this grid.
+        same fold has already formed it for this grid.  A time profile
+        of p cells per step (``steps``) meets the projection summed over
+        blocks of p cells.
         """
         if projection is None:
             projection = self.project(grid)
         elif not _same_grid(self, grid):
             raise ValueError("noise grid does not match the map's grid")
-        return self.scale * np.einsum("kn,kn->k", self.time.dense(),
-                                      projection)
+        rows, c, _ = self.fold()
+        W, p = self.time.steps()
+        cells = projection[:, : W.shape[1] * p]
+        if p > 1:   # a matrix-vector product sums short rows fastest
+            cells = (cells.reshape(-1, p) @ np.ones(p)).reshape(len(cells), -1)
+        return self.scale * c * np.einsum("kn,kn->k", W, cells[rows])
 
     def row_moments(self):
         """E x_i^2 per basis row, exact (independent increments,
@@ -386,14 +419,11 @@ def _moment(map_a, map_b, pairing):
     if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
     rows, g, _ = pairing
-    if map_a.basis != map_b.basis:
-        B, beta = map_a.space(), map_b.space()
-        space = np.empty(B.shape[0])
-        for lo in range(0, space.size, _MODE_CHUNK):
-            sl = slice(lo, lo + _MODE_CHUNK)
-            space[sl] = np.einsum("kj,kj->k", B[sl], beta[rows[sl]])
-    elif _is_fem(map_a.basis):
-        space = (map_a.space() ** 2).sum(1)
+    if map_a.basis != map_b.basis:     # sine rows of X, FEM rows of Y
+        alias, c, S = map_a.fold()
+        space = c * (S @ map_b.fold()[2].T)[alias, rows]
+    elif _is_fem(map_a.basis):         # the fold of a FEM map is V^T O
+        space = (map_a.fold()[2] ** 2).sum(1)
     else:
         space = _sine_energies(map_a.basis, map_a.j_star)
     terms = g * time_gram(map_a.time, map_b.time, rows) * space

@@ -182,9 +182,9 @@ def test_sampled_study_pairs_each_level_once(study, monkeypatch):
 
 def test_shared_projection_keeps_grid_check():
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
-    # same space array (so the projection is shared), other horizon
+    # same space fold (so the projection is shared), other horizon
     foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
-    assert foreign.space() is ok.space()
+    assert foreign.fold() is ok.fold()
     g = noise.sample(16, 8, 1.0, 0)
     assert (ok.reconstruct(g, ok.project(g)) == ok.reconstruct(g)).all()
     with pytest.raises(ValueError, match="does not match"):

@@ -90,6 +90,16 @@ def test_l2t_error_rejects_mismatched_grids():
         deterministic.l2t_error(a, b)
 
 
+def test_l2t_error_rejects_mismatched_truncations():
+    # zero padding would broadcast a K = 1 trajectory against K = 3
+    a = deterministic.modified_cn_spectral(SpectralField([1.0]), 8, 0.125)
+    b = deterministic.modified_cn_spectral(SpectralField([1.0, 0.0, 0.0]),
+                                           8, 0.125)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="levels differ: K = [13] and"):
+            deterministic.l2t_error(x, y)
+
+
 def test_l2t_error_zero_on_identical():
     v0 = SpectralField(np.array([1.0, 2.0]))
     a = deterministic.modified_cn_spectral(v0, 6, 0.1)

@@ -139,6 +139,27 @@ def test_tdr_needs_no_cell_integral_matrix(monkeypatch):
     assert errors.tdr_error_exact(4, 8, 64, 32, K=128) > 0.0
 
 
+def test_no_route_needs_the_cell_integral_matrix(monkeypatch, capsys):
+    # every sine space factor goes through noise.sine_cell_fold
+    def dense(K, j_star):
+        raise AssertionError("dense cell integrals built")
+    monkeypatch.setattr(noise, "mode_cell_integrals", dense)
+    grids = {"horizon": "1.0", "seed": "0", "n_star": "16", "j_star": "24",
+             "K": "100", "M": "16", "window": "2"}
+    for study, samples in (("sdr", "0"), ("total", "0"), ("sdr", "3"),
+                           ("total", "3")):
+        rep = cli.run_study(dict(grids, study=study, samples=samples,
+                                 h_levels="2,3,4"))
+        assert all(row["error_exact"] > 0.0 for row in rep.rows)
+    rep = cli.run_study(dict(grids, study="tdr", samples="3",
+                             dtau_levels="2,3,4"))
+    assert all(row["error_mc"] > 0.0 for row in rep.rows)
+    traj = solvers.cn_time_discrete(noise.sample(16, 24, 1.0, 0), 100, 8)
+    assert np.isfinite(traj.states).all()
+    assert cli.run_selftest() == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
     # the projected energy is the regularized map's row_moments, from the
     # closed-form time Gram; the separate sum of squared overlaps is unused

@@ -125,6 +125,42 @@ def test_mode_cell_integrals_peak_memory():
     assert not B.flags.writeable
 
 
+@pytest.mark.parametrize("J", [1, 3, 8, 1024])
+@pytest.mark.parametrize("modes", [
+    lambda J: 1, lambda J: max(J - 1, 1), lambda J: J, lambda J: 2 * J,
+    lambda J: 4 * J + 3, lambda J: 6144],
+    ids=["1", "J-1", "J", "2J", "4J+3", "6144"])
+def test_sine_cell_fold_rebuilds_cell_integrals(J, modes):
+    K = modes(J)
+    alias, c, S = noise.sine_cell_fold(K, J)
+    assert S.shape == (min(K, J), J)
+    assert not any(v.flags.writeable for v in (alias, c, S))
+    assert np.array_equal(c[:, None] * S[alias],
+                          noise.mode_cell_integrals(K, J))
+
+
+def test_sample_holds_one_grid():
+    # sample hands its fresh array to the grid: no second copy
+    tracemalloc.start()
+    try:
+        g = noise.sample(1024, 1024, 1.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * g.increments.nbytes
+    assert not g.increments.flags.writeable
+    assert not noise.coarsen(g, 2, 4).increments.flags.writeable
+
+
+def test_grid_copies_the_callers_array():
+    inc = np.arange(6.0).reshape(2, 3)
+    g = noise.NoiseGrid(2, 3, 1.0, 0, inc)
+    assert inc.flags.writeable and not g.increments.flags.writeable
+    assert not np.shares_memory(inc, g.increments)
+    inc[0, 0] = 7.0
+    assert g.increments[0, 0] == 0.0
+
+
 def test_mode_cell_sq_sums_closed_form():
     J = 8
     B = noise.mode_cell_integrals(3 * J, J)

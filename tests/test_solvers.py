@@ -141,6 +141,47 @@ def test_cross_moment_same_basis_is_symmetric_and_cauchy_schwarz():
     assert ab**2 <= a.second_moment() * b.second_moment() * (1.0 + 1e-14)
 
 
+@pytest.mark.parametrize("j_star, J, K", [(24, 16, 7), (24, 16, 83),
+                                          (32, 16, 100), (16, 8, 16)])
+def test_folded_cross_term_matches_dense_cell_integrals(j_star, J, K):
+    # c (S beta^T)[alias, rows] against the K x J* cell integral rows of
+    # each sine mode dotted with its FEM partner's row, where J divides
+    # J* and where it does not
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    a = solvers.map_regularized(16, j_star, 1.0, K, 1.0)
+    b = solvers.map_cn_fem(16, j_star, 1.0, eig, 8, 8)
+    rows, g, w = pairing = solvers._pairing(a, b)
+    beta = b.space()
+    space = np.einsum("kj,kj->k", noise.mode_cell_integrals(K, j_star),
+                      beta[rows])
+    dense = (a.cell_area * a.scale * b.scale * g
+             * solvers.time_gram(a.time, b.time, rows) * space)
+    folded = solvers._moment(a, b, pairing)
+    assert np.abs(folded - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("horizon, n_star, M", [(1.0, 16, 16), (1.0, 64, 16),
+                                                (0.3, 24, 16)])
+def test_folded_reconstruct_matches_dense_maps(horizon, n_star, M):
+    # p = 1 and p = 4 noise cells per step, and a non-aligned grid; K
+    # wraps the period 4 J* of the cell integrals
+    j_star, K = 8, 37
+    grid = noise.sample(n_star, j_star, horizon, 3)
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
+    B = noise.mode_cell_integrals(K, j_star)
+    for m, space in (
+            (solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M), B),
+            (solvers.map_cn_spectral(n_star, j_star, horizon, K, M, 5), B),
+            (solvers.map_regularized(n_star, j_star, horizon, K, horizon), B),
+            (solvers.map_cn_fem(n_star, j_star, horizon, eig, M, M), None)):
+        if space is None:
+            space = m.space()
+        ref = m.scale * np.einsum("kn,kn->k", m.time.dense(),
+                                  space @ grid.increments.T)
+        got = m.reconstruct(grid)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_cross_moment_cross_basis_matches_monte_carlo():
     n, j, K, M = 8, 8, 16, 8
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
@@ -265,11 +306,11 @@ def test_cross_moment_rejects_horizon_mismatch():
 
 
 def test_sine_maps_share_one_space_factor():
-    # the cell integrals depend only on (K, J*): one array per pair
+    # the cell integrals depend only on (K, J*): one fold per pair
     u = solvers.map_regularized(8, 8, 1.0, 6, 1.0)
     a = solvers.map_cn_spectral(8, 8, 1.0, 6, 4, 4)
-    assert u.space() is a.space()
-    assert not u.space().flags.writeable
+    assert u.fold() is a.fold()
+    assert not any(v.flags.writeable for v in u.fold())
 
 
 # rho = dtau mu / 2 below 1, exactly 1 (q = 0), above 1, and stiff
