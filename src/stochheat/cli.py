@@ -135,7 +135,13 @@ def _levels(cfg, key):
     if len(vals) < 2 or any(v < 1 for v in vals):
         raise ConfigError("level list %r must hold at least two positive "
                           "exponents" % key)
+    if len(set(vals)) < len(vals):
+        raise ConfigError("level list %r repeats an exponent" % key)
     return vals
+
+
+# increments drawn per Monte Carlo block: 2^19 doubles (4 MiB)
+_MC_BLOCK = 2 ** 19
 
 
 def _mc_rms(levels, samples, seed):
@@ -143,23 +149,26 @@ def _mc_rms(levels, samples, seed):
 
     Each ``(map_a, map_b, dist)`` of ``levels`` is a level, ``dist`` its
     ``solvers.squared_distance``.  All levels see the same grids (read
-    from the first map), so each sample draws its grid once, projects it
-    once per distinct space fold (``GaussianCoefficientMap.fold``; every
-    sine map on one (K, J*) shares one) and reconstructs each distinct
-    map once.
+    from the first map).  The grids are drawn in seed order, in blocks of
+    at most ``_MC_BLOCK`` increments; each block is projected once per
+    distinct space fold (``GaussianCoefficientMap.fold``; every sine map
+    on one (K, J*) shares one) and reconstructed once per distinct map.
     """
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
 
-    def one(s):
-        g = noise.sample(first.n_star, first.j_star, first.horizon, s)
+    def block(seeds):
+        grids = [noise.sample(first.n_star, first.j_star, first.horizon, s)
+                 for s in seeds]
         proj, coef = {}, {}
         for m in maps:   # each map keeps its fold, so the ids stay live
             if id(m.fold()) not in proj:
-                proj[id(m.fold())] = m.project(g)
-            coef[id(m)] = m.reconstruct(g, proj[id(m.fold())])
-        return [dist(coef[id(a)], coef[id(b)]) for a, b, dist in levels]
-    means, ses = errors.mc_error(one, samples, seed)
+                proj[id(m.fold())] = m.project(grids)
+            coef[id(m)] = m.reconstruct(grids, proj[id(m.fold())])
+        return [[dist(coef[id(a)][i], coef[id(b)][i])
+                 for a, b, dist in levels] for i in range(len(grids))]
+    size = max(1, _MC_BLOCK // (first.n_star * first.j_star))
+    means, ses = errors.mc_error(block, samples, seed, block=size)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
             for mean, se in zip(means, ses)]
@@ -252,9 +261,18 @@ def run_study(cfg):
             M = _at_least(cfg, "M", 1)
             dtau = horizon / M
             ref = deterministic.modified_cn_spectral(v0, M, dtau)
-            for lvl, e in enumerate(_levels(cfg, "h_levels")):
-                system = fem.assemble(fem.Mesh(2 ** e))
-                num = deterministic.modified_cn_fem(v0, system, M, dtau)
+            systems = [fem.assemble(fem.Mesh(2 ** e))
+                       for e in _levels(cfg, "h_levels")]
+            # the levels share M and dtau: one block-diagonal system steps
+            # them all, each level with the bits of its own system
+            states = deterministic.modified_cn_fem(
+                np.concatenate([fem.l2_project(v0, s) for s in systems]),
+                fem.FemSystem.stack(systems), M, dtau).states
+            ends = np.cumsum([s.mesh.nu for s in systems])
+            for lvl, (system, hi) in enumerate(zip(systems, ends)):
+                num = deterministic.Trajectory(
+                    dtau, states[:, hi - system.mesh.nu:hi], "nodal",
+                    mesh=system.mesh)
                 err = deterministic.l2t_error(num, ref, "midpoint", system)
                 rep.add_row(lvl, math.nan, math.nan, dtau, system.mesh.h,
                             1, err)

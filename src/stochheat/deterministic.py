@@ -133,13 +133,15 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
     (M + dtau/2 S) Vm = (M - dtau/2 S) V(m-1) + Lm, where column m-1 of
     ``loads`` holds Lm (omit it for the homogeneous scheme).  From zero
     initial data the damped first step equals the trapezoidal one.
+    A stacked system (``fem.FemSystem.stack``) steps its blocks at once;
+    its trajectory's ``mesh`` is the tuple of their meshes.
     """
     if M < 1:
         raise ValueError("need at least one step")
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
     chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
-    states = np.empty((M + 1, system.mesh.nu))
+    states = np.empty((M + 1, system.mass_diag.size))
     states[0] = v0
     # the LAPACK solve behind scipy's cho_solve_banded, without its
     # per-call finiteness scans: a NaN or inf input spreads to the states
@@ -162,7 +164,8 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
 
 def modified_cn_fem(v0, system, M, dtau):
     """Fully discrete scheme (``cn_fem_steps``); starts from the L2
-    projection of v0 unless v0 is already a nodal vector."""
+    projection of v0 unless v0 is already a nodal vector, which a
+    stacked system needs."""
     v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
     return cn_fem_steps(v, system, M, dtau)
 

@@ -199,18 +199,25 @@ def sample_seed(base_seed, i):
     return base_seed ^ (0x9E3779B97F4A7C15 * (i + 1) & 0xFFFFFFFFFFFFFFFF)
 
 
-def mc_error(pair_fn, samples, base_seed=0):
+def mc_error(pair_fn, samples, base_seed=0, block=None):
     """Monte Carlo mean and standard error of a squared-error functional.
 
     ``pair_fn(seed)`` returns one squared-error sample, or a sequence of
     samples (one per level, all from the one grid of that seed); seeds
-    come from ``sample_seed``, so runs are reproducible.  A scalar
-    ``pair_fn`` gives floats (mean, stderr), a sequence one list of each.
+    come from ``sample_seed``, so runs are reproducible.  With ``block``
+    b, ``pair_fn`` takes a list of at most b consecutive seeds and returns
+    one such result per seed.  A scalar result gives floats (mean,
+    stderr), a sequence one list of each.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    vals = np.array([pair_fn(sample_seed(base_seed, i))
-                     for i in range(samples)])
+    seeds = [sample_seed(base_seed, i) for i in range(samples)]
+    if block is None:
+        vals = [pair_fn(s) for s in seeds]
+    else:
+        vals = [v for lo in range(0, samples, block)
+                for v in pair_fn(seeds[lo:lo + block])]
+    vals = np.array(vals)
     if vals.ndim == 1:
         return _mean_se(vals)
     # a contiguous copy per level sums exactly as a scalar run would
@@ -227,7 +234,8 @@ def fit_rate(steps, errors, window=None):
     """Least-squares slope of log(error) against log(step).
 
     Fits the ``window`` finest levels (all, if omitted) and reports the
-    largest absolute log-misfit alongside slope and intercept.
+    largest absolute log-misfit alongside slope and intercept; a step
+    that the window holds twice raises ValueError.
     """
     steps = np.asarray(steps, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -241,6 +249,8 @@ def fit_rate(steps, errors, window=None):
         if window < 2:
             raise ValueError("window too small")
         steps, errors = steps[:window], errors[:window]
+    if np.any(steps[1:] == steps[:-1]):
+        raise ValueError("the fitted window repeats a step")
     slope, intercept = np.polyfit(np.log(steps), np.log(errors), 1)
     resid = np.log(errors) - (slope * np.log(steps) + intercept)
     return float(slope), float(intercept), float(np.abs(resid).max())

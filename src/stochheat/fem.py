@@ -50,21 +50,44 @@ class Mesh:
 
 
 class FemSystem:
-    """Mesh plus assembled tridiagonal mass and stiffness matrices."""
+    """Mesh plus assembled tridiagonal mass and stiffness matrices.
+
+    ``stack`` joins independent systems into one block-diagonal system.
+    """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         h = mesh.h
         nu = mesh.nu
-        self.mass_diag = np.full(nu, 2.0 * h / 3.0)
-        self.mass_off = np.full(nu - 1, h / 6.0)
-        self.stiff_diag = np.full(nu, 2.0 / h)
-        self.stiff_off = np.full(nu - 1, -1.0 / h)
+        self._set(mesh, np.full(nu, 2.0 * h / 3.0), np.full(nu - 1, h / 6.0),
+                  np.full(nu, 2.0 / h), np.full(nu - 1, -1.0 / h))
+
+    def _set(self, mesh, mass_diag, mass_off, stiff_diag, stiff_off):
+        self.mesh = mesh
+        self.mass_diag, self.mass_off = mass_diag, mass_off
+        self.stiff_diag, self.stiff_off = stiff_diag, stiff_off
         # banded storage (upper form) for scipy's Cholesky solvers
         self._mass_band = np.vstack([np.concatenate([[0.0], self.mass_off]),
                                      self.mass_diag])
         self._stiff_band = np.vstack([np.concatenate([[0.0], self.stiff_off]),
                                       self.stiff_diag])
+
+    @classmethod
+    def stack(cls, systems):
+        """Independent systems as one block-diagonal system, ``mesh`` the
+        tuple of their meshes: the diagonals end to end and the
+        off-diagonals joined by exact zeros, so the banded Cholesky solve,
+        ``mass_apply`` and ``stiff_apply`` give each block the bits of its
+        own system."""
+        def join(name):
+            if name.endswith("off"):   # a 0 couples each block to the next
+                return np.concatenate([np.append(getattr(s, name), 0.0)
+                                       for s in systems])[:-1]
+            return np.concatenate([getattr(s, name) for s in systems])
+        out = cls.__new__(cls)
+        out._set(tuple(s.mesh for s in systems),
+                 *map(join, ("mass_diag", "mass_off", "stiff_diag",
+                             "stiff_off")))
+        return out
 
     def mass_dense(self):
         return (np.diag(self.mass_diag) + np.diag(self.mass_off, 1)

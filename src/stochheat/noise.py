@@ -193,7 +193,9 @@ def sine_cell_fold(K, j_star):
     S[r - 1, j - 1] = sin(r pi (2j - 1)/(2J)) for r = 1..min(K, J).  In k
     the sine has period 4J, flips sign every 2J and is unchanged under
     k -> 2J - k, so mode k with s = k mod 2J reads row min(s, 2J - s)
-    with sign (-1)^(k div 2J), and c_k = +-a_k.  Where s = 0, a_k = 0.
+    with sign (-1)^(k div 2J), and c_k = +-a_k.  Where s = 0, a_k = 0 and
+    the mode reads row J, which alone holds half as many modes (s = J),
+    so every row of S serves as many modes as its neighbours.
     The last result is kept (read-only): every sine map on one (K, J)
     shares one fold, and so one projection per sample.
     """
@@ -201,7 +203,7 @@ def sine_cell_fold(K, j_star):
         raise ValueError("K and j_star must be >= 1")
     ks = np.arange(1, K + 1)
     quot, s = np.divmod(ks, 2 * j_star)
-    alias = np.maximum(np.minimum(s, 2 * j_star - s) - 1, 0)
+    alias = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1
     c = _cell_amplitudes(ks, j_star)
     c[quot % 2 == 1] *= -1.0
     rows = min(K, j_star)

@@ -210,18 +210,15 @@ class PropagatorProfile(_Profile):
         if p and 1 <= self.m <= self.n_star // p:
             inv, log_q, neg = _cn_factors(self.mus, self.dtau)
             self.geometric = (dt * inv, log_q, neg, p, self.m)
-        self._steps = None
 
     def steps(self):
         """One column per step, dt r_{m-l+1}, when the profile is
         geometric; the dense array otherwise."""
         if self.geometric is None:
             return super().steps()
-        if self._steps is None:
-            dt = self.horizon / self.n_star
-            self._steps = dt * step_factors(self.mus, self.m,
-                                            self.dtau)[:, ::-1]
-        return self._steps, self.geometric[3]
+        dt = self.horizon / self.n_star
+        return (dt * step_factors(self.mus, self.m, self.dtau)[:, ::-1],
+                self.geometric[3])
 
     def _build(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,
@@ -282,7 +279,8 @@ class GaussianCoefficientMap:
         self.time = time
         self.basis = basis
         self.j_star = int(j_star)
-        self._fold = self._rows = None    # built on first use and kept
+        # the fold, row moments and grouped steps: built on first use, kept
+        self._fold = self._rows = self._grouped = None
         rows = basis.values.size if _is_fem(basis) else basis
         if self.time.shape[0] != rows:
             raise ValueError("time profile rows differ from the basis size")
@@ -318,32 +316,72 @@ class GaussianCoefficientMap:
         rows, c, S = self.fold()
         return np.reshape(c, (-1, 1)) * S[rows]
 
-    def project(self, grid):
+    def project(self, grids):
         """The grid factor ``S @ R^T`` of ``reconstruct`` (rows are the
-        rows of the ``fold``, columns time cells).  Maps with the same
-        fold, such as every sine map on one (K, J*), share it."""
-        if not _same_grid(self, grid):
-            raise ValueError("noise grid does not match the map's grid")
-        return self.fold()[2] @ grid.increments.T
+        rows of the ``fold``, columns time cells): (rows, N) for one
+        grid, (B, rows, N) for a sequence of B grids.  Each grid takes its
+        own product, so a grid in a block gets the bits it gets alone.
+        Maps with the same fold, such as every sine map on one (K, J*),
+        share it."""
+        grids, one = self._grid_list(grids)
+        S = self.fold()[2]
+        out = np.empty((len(grids), len(S), self.n_star))
+        for g, o in zip(grids, out):
+            np.matmul(S, g.increments.T, out=o)
+        return out[0] if one else out
 
-    def reconstruct(self, grid, projection=None):
-        """Basis coefficients of the observable on a sampled grid.
+    def reconstruct(self, grids, projection=None):
+        """Basis coefficients of the observable on sampled grids: (K,)
+        for one grid, (B, K) for a sequence of B grids.
 
-        ``projection`` passes in ``project(grid)`` when a map with the
-        same fold has already formed it for this grid.  A time profile
+        ``projection`` passes in ``project(grids)`` when a map with the
+        same fold has already formed it for these grids.  A time profile
         of p cells per step (``steps``) meets the projection summed over
-        blocks of p cells.
+        blocks of p cells; each fold row meets the time rows grouped on
+        it (``_grouped_steps``), so no projection row is copied per mode.
         """
+        grids, one = self._grid_list(grids)
         if projection is None:
-            projection = self.project(grid)
-        elif not _same_grid(self, grid):
-            raise ValueError("noise grid does not match the map's grid")
-        rows, c, _ = self.fold()
-        W, p = self.time.steps()
-        cells = projection[:, : W.shape[1] * p]
-        if p > 1:   # a matrix-vector product sums short rows fastest
-            cells = (cells.reshape(-1, p) @ np.ones(p)).reshape(len(cells), -1)
-        return self.scale * c * np.einsum("kn,kn->k", W, cells[rows])
+            projection = self.project(grids)   # a list: (B, rows, N)
+        elif one:
+            projection = projection[None]
+        (rows, slot), Wg, p = self._grouped_steps()
+        cells = projection[:, :, : Wg.shape[2] * p]
+        if p > 1:   # a matrix-vector product sums short rows fastest; one
+            # per grid, since BLAS splits a longer one among its threads
+            cells = np.stack([(c.reshape(-1, p) @ np.ones(p)).reshape(
+                len(c), -1) for c in cells])
+        dots = np.einsum("rgn,brn->rgb", Wg, cells)[rows, slot].T
+        coef = self.scale * self.fold()[1] * dots
+        return coef[0] if one else coef
+
+    def _grid_list(self, grids):
+        """``(list of grids, whether one grid was given)``, each grid
+        checked to be the map's noise grid."""
+        one = isinstance(grids, noise.NoiseGrid)
+        grids = [grids] if one else list(grids)
+        for g in grids:
+            if not _same_grid(self, g):
+                raise ValueError("noise grid does not match the map's grid")
+        return grids, one
+
+    def _grouped_steps(self):
+        """``((rows, slot), Wg, p)``: the rows of ``time.steps()`` grouped
+        by fold row, row i at Wg[rows_i, slot_i] with slot_i the number of
+        earlier rows on the same fold row (a stable argsort), the rest 0.
+        Built on first use and kept."""
+        if self._grouped is None:
+            W, p = self.time.steps()
+            rows, _, S = self.fold()
+            rows = np.arange(len(S))[rows]
+            order = np.argsort(rows, kind="stable")
+            first = np.searchsorted(rows[order], rows[order])  # of its run
+            slot = np.empty_like(rows)
+            slot[order] = np.arange(rows.size) - first
+            Wg = np.zeros((len(S), slot.max() + 1, W.shape[1]))
+            Wg[rows, slot] = W
+            self._grouped = (rows, slot), Wg, p
+        return self._grouped
 
     def row_moments(self):
         """E x_i^2 per basis row, exact (independent increments,

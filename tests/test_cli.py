@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from stochheat import cli, errors, fem, noise, solvers
+from stochheat import cli, deterministic, errors, fem, noise, solvers
+from stochheat.spectral import SpectralField
 
 
 def run(argv):
@@ -124,13 +125,24 @@ def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
     return pairs
 
 
-@pytest.mark.parametrize("study,horizon,n_star,M", [
-    ("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
-    ("total", 0.3, 24, 16), ("tdr", 0.3, 24, 16)])
-def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M):
+_ONE_BLOCK = [("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
+              ("total", 0.3, 24, 16), ("tdr", 0.3, 24, 16)]
+
+
+@pytest.mark.parametrize("study,horizon,n_star,M,j_star,samples", [
+    pytest.param(*case, 8, 6, id="-".join(map(str, case)))
+    for case in _ONE_BLOCK] + [
+    # 2^19 increments per block: blocks of 8 and 2 grids at 256 x 256,
+    # one grid per block at 1024 x 1024
+    pytest.param("tdr", 1.0, 256, 8, 256, 10, id="tdr-blocks-8-2"),
+    pytest.param("sdr", 1.0, 256, 8, 256, 10, id="sdr-blocks-8-2"),
+    pytest.param("tdr", 1.0, 1024, 8, 1024, 2, id="tdr-blocks-1-1"),
+    pytest.param("sdr", 1.0, 1024, 16, 1024, 2, id="sdr-blocks-1-1")])
+def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M,
+                                               j_star, samples):
     # one shared pass over the samples must give, bit for bit, what one
     # mc_error run per level with plain reconstruct calls gives
-    j_star, K, samples = 8, 24, 6
+    K = 24
     levels = (1, 2, 3) if study == "tdr" else (2, 3, 4)
     rep = cli.run_study(_study_cfg(study, samples, horizon, n_star, j_star,
                                    K, M, levels))
@@ -192,6 +204,56 @@ def test_shared_projection_keeps_grid_check():
     with pytest.raises(ValueError, match="does not match"):
         cli._mc_rms([(ok, foreign, solvers.squared_distance(ok, foreign))],
                     2, 0)
+
+
+@pytest.mark.parametrize("levels", [(3, 4, 5, 6, 7), (5, 3, 4)])
+def test_deterministic_space_study_matches_per_level_steps(levels):
+    # the levels share one stacked banded solve; the CSV must be, byte for
+    # byte, what one modified_cn_fem and l2t_error per level gives
+    M, window = 256, 3
+    cfg = {"study": "deterministic-cn", "axis": "space", "horizon": "1.0",
+           "seed": "0", "samples": "0", "M": str(M),
+           "h_levels": ",".join(map(str, levels)), "window": str(window)}
+    v0, dtau = SpectralField(np.array([1.0])), 1.0 / M
+    ref = deterministic.modified_cn_spectral(v0, M, dtau)
+    rep = errors.ErrorReport("deterministic-cn")
+    for lvl, e in enumerate(levels):
+        system = fem.assemble(fem.Mesh(2 ** e))
+        num = deterministic.modified_cn_fem(v0, system, M, dtau)
+        rep.add_row(lvl, math.nan, math.nan, dtau, system.mesh.h, 1,
+                    deterministic.l2t_error(num, ref, "midpoint", system))
+    rep.fit("h", window)
+    assert cli.run_study(cfg).to_csv() == rep.to_csv()
+
+
+def test_non_finite_fem_start_exits_2(monkeypatch, capsys):
+    project = fem.l2_project
+
+    def spoiled(f, system):
+        v = project(f, system)
+        if system.mesh.intervals == 8:
+            v[2] = np.nan
+        return v
+    monkeypatch.setattr(fem, "l2_project", spoiled)
+    assert run(["study", "--set", "study=deterministic-cn", "--set",
+                "axis=space", "--set", "M=16", "--set", "h_levels=2,3,4",
+                "--set", "window=3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "not finite" in out.err
+
+
+@pytest.mark.parametrize("study,key", [("tdr", "dtau_levels"),
+                                       ("sdr", "h_levels"),
+                                       ("deterministic-cn", "h_levels")])
+def test_repeated_level_exponent_is_config_error(study, key, capsys):
+    # a repeated level would fit a slope through a duplicated point
+    assert run(["study", "--set", "study=" + study, "--set", "n_star=16",
+                "--set", "j_star=16", "--set", "K=32", "--set", "M=16",
+                "--set", "axis=space", "--set", key + "=2,3,2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "repeats an exponent" in out.err
 
 
 def test_inconsistent_moments_exit_2(monkeypatch, capsys):

@@ -168,6 +168,36 @@ def test_cn_fem_steps_reject_non_finite_input(bad):
         deterministic.cn_fem_steps(v0, system, 5, 0.2, loads)
 
 
+@pytest.mark.parametrize("with_loads", [False, True])
+def test_stacked_systems_step_each_block_bit_for_bit(with_loads):
+    # the joint off-diagonals are exactly 0: every block keeps its bits
+    rng = np.random.default_rng(5)
+    systems = [fem.assemble(fem.Mesh(J)) for J in (16, 4, 8, 2)]
+    M, dtau = 40, 1.0 / 40
+    v0 = [rng.standard_normal(s.mesh.nu) for s in systems]
+    loads = [rng.standard_normal((s.mesh.nu, M)) if with_loads else None
+             for s in systems]
+    stacked = fem.FemSystem.stack(systems)
+    assert stacked.mesh == tuple(s.mesh for s in systems)
+    traj = deterministic.cn_fem_steps(
+        np.concatenate(v0), stacked, M, dtau,
+        np.concatenate(loads) if with_loads else None)
+    lo = 0
+    for s, v, L in zip(systems, v0, loads):
+        own = deterministic.cn_fem_steps(v, s, M, dtau, L).states
+        assert traj.states[:, lo:lo + s.mesh.nu].tobytes() == own.tobytes()
+        lo += s.mesh.nu
+    assert lo == traj.states.shape[1]
+
+
+def test_stacked_systems_reject_a_non_finite_block():
+    systems = [fem.assemble(fem.Mesh(J)) for J in (4, 8)]
+    v0 = np.ones(3 + 7)
+    v0[5] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        deterministic.modified_cn_fem(v0, fem.FemSystem.stack(systems), 5, 0.2)
+
+
 def _per_step_l2t(traj_a, traj_b, variant, system):
     """Oracle: the squared distance of each step, formed one step at a
     time and added to the sum in order."""

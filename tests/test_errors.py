@@ -284,6 +284,17 @@ def test_fit_rate_rejects_bad_input():
         errors.fit_rate([0.1], [1.0])
 
 
+def test_fit_rate_rejects_a_repeated_step_in_its_window():
+    with pytest.raises(ValueError, match="repeats a step"):
+        errors.fit_rate([0.25, 0.25], [0.5, 0.59])
+    with pytest.raises(ValueError, match="repeats a step"):
+        errors.fit_rate([0.4, 0.1, 0.2, 0.1], [1.0, 0.5, 0.7, 0.5], window=3)
+    # a repeat among the coarse levels outside the window is not fitted
+    slope, _, _ = errors.fit_rate([0.4, 0.4, 0.2, 0.1], [4.0, 4.0, 0.2, 0.1],
+                                  window=2)
+    assert abs(slope - 1.0) < 1e-12
+
+
 def test_report_csv_layout():
     rep = errors.ErrorReport("tdr")
     rep.add_row(0, 0.5, 0.25, 0.125, math.nan, 16, 0.125)

@@ -182,6 +182,51 @@ def test_folded_reconstruct_matches_dense_maps(horizon, n_star, M):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _block_maps(kind, horizon, n_star, M):
+    """A sine map with K < J*, with K = 4J* + 3 and on J* = 24 (each as
+    CN at step M, CN at step 5 and regularized), or the FEM maps."""
+    if kind == "fem":
+        eigens = [fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+                  for J in (4, 8)]
+        return 8, [solvers.map_cn_fem(n_star, 8, horizon, eig, M, m)
+                   for eig in eigens for m in (M, 5)]
+    j_star, K = {"K<J*": (16, 5), "4J*+3": (8, 35), "J*=24": (24, 50)}[kind]
+    return j_star, [
+        solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M),
+        solvers.map_cn_spectral(n_star, j_star, horizon, K, M, 5),
+        solvers.map_regularized(n_star, j_star, horizon, K, horizon)]
+
+
+@pytest.mark.parametrize("kind", ["K<J*", "4J*+3", "J*=24", "fem"])
+@pytest.mark.parametrize("horizon, n_star, M", [(1.0, 64, 16), (0.3, 24, 16)],
+                         ids=["aligned-p4", "dense"])
+def test_block_reconstruct_matches_per_grid_bit_for_bit(kind, horizon,
+                                                        n_star, M):
+    # p = 4 noise cells per step, and the dense profile of a non-aligned
+    # grid; a block of grids gives each grid the bits it gets alone
+    j_star, maps = _block_maps(kind, horizon, n_star, M)
+    grids = [noise.sample(n_star, j_star, horizon, s) for s in range(5)]
+    for m in maps:
+        ref = np.array([m.reconstruct(g) for g in grids])
+        assert m.reconstruct(grids).tobytes() == ref.tobytes()
+        assert (m.reconstruct(grids, m.project(grids)).tobytes()
+                == ref.tobytes())
+        assert m.reconstruct(grids[2:3]).tobytes() == ref[2:3].tobytes()
+        assert m.project(grids)[3].tobytes() == m.project(grids[3]).tobytes()
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_block_reconstruct_rejects_a_foreign_grid_anywhere(at):
+    m = solvers.map_cn_spectral(16, 8, 1.0, 12, 8, 8)
+    grids = [noise.sample(16, 8, 1.0, s) for s in range(3)]
+    grids[at] = noise.sample(16, 8, 2.0, at)
+    proj = m.project([noise.sample(16, 8, 1.0, s) for s in range(3)])
+    for call in (lambda: m.project(grids), lambda: m.reconstruct(grids),
+                 lambda: m.reconstruct(grids, proj)):
+        with pytest.raises(ValueError, match="does not match"):
+            call()
+
+
 def test_cross_moment_cross_basis_matches_monte_carlo():
     n, j, K, M = 8, 8, 16, 8
     eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
