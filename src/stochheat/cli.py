@@ -181,8 +181,10 @@ def run_study(cfg):
         raise ConfigError("unknown study %r" % study)
     horizon = _horizon(cfg)
     samples = _get_int(cfg, "samples")
-    if samples < 0 or samples == 1:
-        raise ConfigError("samples must be 0 or >= 2, got %d" % samples)
+    mc = study in ("tdr", "sdr", "total")   # studies with MC columns
+    if samples < 0 or samples == 1 or samples and not mc:
+        raise ConfigError("samples must be 0, or >= 2 in a study with Monte "
+                          "Carlo columns; %s got %d" % (study, samples))
     seed = _get_int(cfg, "seed")
     window = _at_least(cfg, "window", 2)
     rep = errors.ErrorReport(study)
@@ -420,15 +422,18 @@ def main(argv=None):
             raise ConfigError("missing subcommand")
         if args.command == "selftest":
             return run_selftest()
+        given = _merged({}, args.config, args.overrides)
         if args.command == "sample-path":
-            cfg = _merged(_SAMPLE_PATH_DEFAULTS, args.config, args.overrides)
+            cfg, known = dict(_SAMPLE_PATH_DEFAULTS), [_SAMPLE_PATH_DEFAULTS]
         else:
-            given = _merged({}, args.config, args.overrides)
             study = given.get("study", "model-space")
             if study not in _DEFAULTS:
                 raise ConfigError("unknown study %r" % study)
-            cfg = dict(_DEFAULTS[study])
-            cfg.update(given)
+            cfg, known = dict(_DEFAULTS[study]), _DEFAULTS.values()
+        unknown = ", ".join(sorted(set(given).difference(*known)))
+        if unknown:   # a key no default holds, likely a misspelling
+            raise ConfigError("unknown config key(s) %s" % unknown)
+        cfg.update(given)
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
         if getattr(args, "samples", None) is not None:

@@ -59,13 +59,11 @@ def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
 
     Mode by mode the cell-average projection is orthogonal in L2 of the
     strip, so the squared error is the semigroup variance minus the
-    mode's ``row_moments`` of ``solvers.map_regularized``: closed form
-    when t ends a noise cell (t = T in every study), from the dense K x N
-    time profile for a t inside a cell, as for any non-aligned map.
-    Modes above K contribute through the analytic tail of the semigroup
-    variance.
-    Each mode's gap goes through ``_nonnegative`` against its semigroup
-    variance.
+    mode's ``row_moments`` of ``solvers.map_regularized``, in closed form
+    at every t (a geometric profile, with a partial last cell when t lies
+    inside one).  Modes above K contribute through the analytic tail of
+    the semigroup variance.  Each mode's gap goes through
+    ``_nonnegative`` against its semigroup variance.
     """
     if t == 0.0:
         return 0.0

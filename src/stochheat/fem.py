@@ -112,12 +112,18 @@ class FemSystem:
         return out
 
     def mass_solve(self, rhs):
-        from scipy.linalg import solveh_banded
-        return solveh_banded(self._mass_band, rhs)
+        return _solveh(self._mass_band, rhs)
 
     def stiff_solve(self, rhs):
-        from scipy.linalg import solveh_banded
-        return solveh_banded(self._stiff_band, rhs)
+        return _solveh(self._stiff_band, rhs)
+
+
+def _solveh(band, rhs):
+    """``solveh_banded``; one node (nu = 1, which it rejects) divides."""
+    if band.shape[1] == 1:
+        return rhs / band[1, 0]
+    from scipy.linalg import solveh_banded
+    return solveh_banded(band, rhs)
 
 
 def assemble(mesh):

@@ -26,7 +26,6 @@ __all__ = [
     "sine_cell_fold",
     "mode_cell_sq_sums",
     "time_overlaps",
-    "time_overlap_sq_sum",
     "save_grid",
     "load_grid",
 ]
@@ -233,7 +232,7 @@ def mode_cell_sq_sums(ks, j_star):
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):
-    """Matrix I[k, n] of exponential time overlaps, vectorized.
+    """Time overlaps I[k, n], the dense form of ``solvers.OverlapProfile``.
 
     I[k, n] = integral over T_n intersect (0, t) of exp(-lam_k^2 (t - s)) ds.
     The offsets t - t_n are taken in whole cells (t/dt snapped to an
@@ -250,29 +249,6 @@ def time_overlaps(ks, t, n_star, horizon=1.0):
     expo_hi = np.exp(-np.outer(lam2, np.maximum(s - n - 1, 0.0) * dt))
     expo_lo = np.exp(-np.outer(lam2, np.maximum(s - n, 0.0) * dt))
     return (expo_hi - expo_lo) / lam2[:, None]
-
-
-def time_overlap_sq_sum(ks, t, n_star, horizon=1.0):
-    """sum_n I_{k,n}(t)^2 in closed form, vectorized over modes: a test
-    oracle for ``solvers.time_gram``.  Full cells form a geometric sum;
-    at most one trailing cell is partial.  Uses expm1 to stay accurate
-    for lam_k^2 dt << 1.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    if t <= 0.0:
-        return np.zeros(ks.shape)
-    dt = horizon / n_star
-    lam2 = (ks * math.pi) ** 2
-    n_full = int(math.floor(t / dt + 1e-12))
-    n_full = min(n_full, n_star)
-    t_full = n_full * dt
-    c = -np.expm1(-lam2 * dt) / lam2          # full-cell overlap magnitude
-    geom = np.expm1(-2.0 * lam2 * t_full) / np.expm1(-2.0 * lam2 * dt)
-    total = c**2 * np.exp(-2.0 * lam2 * (t - t_full)) * geom
-    if t - t_full > 1e-12 * dt and n_full < n_star:
-        part = -np.expm1(-lam2 * (t - t_full)) / lam2
-        total = total + part**2
-    return total
 
 
 _HEADER = struct.Struct("<QQdQ")

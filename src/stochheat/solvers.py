@@ -9,9 +9,9 @@ Three routes to the same noise realization:
 All three are linear in the Gaussian cell increments, so every solver
 also exposes a factorized coefficient map against the increments; the
 map yields exact second moments without sampling.  A map's time factor
-is a profile object, geometric on aligned grids, and the time Gram of
-two geometric profiles is one closed form (``time_gram``).  The dense
-K x N array is built only for sampling and non-aligned grids.
+is a profile object, geometric at every t (regularized) or on aligned
+grids (CN); ``time_gram`` and sampling both read the geometric tuple, and
+the dense K x N array is built only for a non-aligned CN profile.
 """
 
 import functools
@@ -155,8 +155,9 @@ def _same_grid(a, b):
 class _Profile:
     """Time factor of a map: rows are basis functions, columns noise
     cells; ``dense()`` builds the array once and keeps it.  ``geometric``
-    is (amp, log|x|, x < 0, p, blocks) when row i is amp_i x_i^l on the p
-    cells of block l, counted back from end cell p * blocks, 0 after."""
+    is (amp, log|x|, x < 0, p, blocks, tail) when row i is amp_i x_i^l on
+    the p cells of block l, counted back from end cell p * blocks, then
+    tail_i on that cell (or 0 after it, if ``tail`` is None)."""
 
     _array = None
     geometric = None
@@ -168,13 +169,27 @@ class _Profile:
 
     def steps(self):
         """``(W, p)``: column l of W weighs noise cells l p .. l p + p - 1
-        of every row, and cells past p * W.shape[1] weigh 0."""
-        return self.dense(), 1
+        of every row, cells past p * W.shape[1] weigh 0; built anew from a
+        geometric tuple, else the dense array with p = 1."""
+        if self.geometric is None:
+            return self.dense(), 1
+        amp, log_x, neg, p, blocks, tail = self.geometric
+        # column blocks - 1 - l is amp x^l (x^0 = 1 also at log|x| = -inf)
+        W = np.ones((amp.size, blocks + (tail is not None)))
+        np.exp(np.multiply.outer(log_x, np.arange(blocks - 1, 0, -1)),
+               out=W[:, :blocks - 1])
+        W[:, :blocks] *= amp[:, None]
+        W[:, :blocks - 1][:, ::-2][neg] *= -1.0   # odd powers of x < 0
+        if tail is not None:
+            W[:, blocks] = tail
+        return W, p
 
 
 class OverlapProfile(_Profile):
-    """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t;
-    geometric (p = 1, x = exp(-lam^2 dt)) when t ends a noise cell."""
+    """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t, a
+    geometric profile (p = 1, x = exp(-lam^2 dt)) at every t: with t d into
+    cell w (t/dt snapped as there, else floored; w <= N), amp carries
+    exp(-lam^2 d) and cell w the tail (1 - exp(-lam^2 d))/lam^2."""
 
     def __init__(self, ks, t, n_star, horizon):
         self.ks = np.asarray(ks, dtype=np.int64)
@@ -182,20 +197,28 @@ class OverlapProfile(_Profile):
         self.n_star = int(n_star)
         self.horizon = float(horizon)
         self.shape = (self.ks.size, self.n_star)
+        if not 0.0 <= self.t <= self.horizon + 1e-12:
+            raise ValueError("time outside [0, T]")
         dt = self.horizon / self.n_star
-        s = self.t / dt          # snapped as in noise.time_overlaps
-        if 0 <= round(s) <= self.n_star and abs(s - round(s)) <= 1e-12 * s:
-            lam2 = (self.ks * math.pi) ** 2
-            self.geometric = (-np.expm1(-lam2 * dt) / lam2, -lam2 * dt,
-                              np.zeros(self.ks.size, bool), 1, round(s))
+        lam2 = (self.ks * math.pi) ** 2
+        s = self.t / dt
+        s = round(s) if abs(s - round(s)) <= 1e-12 * s else s
+        w = min(math.floor(s), self.n_star)
+        d = (s - w) * dt
+        amp, tail = -np.expm1(-lam2 * dt) / lam2, None
+        if d:   # t lies d into cell w, or (w = N) rounds just past T
+            amp *= np.exp(-lam2 * d)
+            tail = -np.expm1(-lam2 * d) / lam2 if w < self.n_star else None
+        self.geometric = (amp, -lam2 * dt, np.zeros(self.ks.size, bool), 1,
+                          w, tail)
 
     def _build(self):
         return noise.time_overlaps(self.ks, self.t, self.n_star, self.horizon)
 
 
 class PropagatorProfile(_Profile):
-    """CN Duhamel profile (``propagator_time_profile``) at step m;
-    geometric (p = dtau/dt, x = q = (1 - rho)/(1 + rho), rho = dtau mu/2)
+    """CN Duhamel profile (``propagator_time_profile``) at step m; geometric
+    (p = dtau/dt, x = q = (1 - rho)/(1 + rho), rho = dtau mu/2, no tail)
     when each step spans whole noise cells and m steps fit in the grid."""
 
     def __init__(self, mus, m, dtau, n_star, horizon):
@@ -209,16 +232,7 @@ class PropagatorProfile(_Profile):
         p = _cells_per_step(self.dtau, dt)
         if p and 1 <= self.m <= self.n_star // p:
             inv, log_q, neg = _cn_factors(self.mus, self.dtau)
-            self.geometric = (dt * inv, log_q, neg, p, self.m)
-
-    def steps(self):
-        """One column per step, dt r_{m-l+1}, when the profile is
-        geometric; the dense array otherwise."""
-        if self.geometric is None:
-            return super().steps()
-        dt = self.horizon / self.n_star
-        return (dt * step_factors(self.mus, self.m, self.dtau)[:, ::-1],
-                self.geometric[3])
+            self.geometric = (dt * inv, log_q, neg, p, self.m, None)
 
     def _build(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,
@@ -243,9 +257,10 @@ def time_gram(a, b, rows=slice(None)):
     profiles on one grid that end in the same cell, one block length
     dividing the other, give with G(x, n) = (1 - x^n)/(1 - x)
 
-        p_f amp_a amp_b G(x_f, r) G(x_c x_f^r, blocks_c),
+        p_f amp_a amp_b G(x_f, r) G(x_c x_f^r, n_c) + tail_a tail_b,
 
-    f the profile with the finer blocks, c the coarser, r = p_c/p_f.
+    f the profile with the finer blocks, c the coarser (n_c blocks),
+    r = p_c/p_f, and the tails 0 unless both profiles carry one.
     Any other pair takes the dense product of the materialized arrays.
     """
     ga, gb = a.geometric, b.geometric
@@ -253,13 +268,14 @@ def time_gram(a, b, rows=slice(None)):
             and math.isclose(a.horizon, b.horizon)
             and ga[3] * ga[4] == gb[3] * gb[4]           # one end cell
             and max(ga[3], gb[3]) % min(ga[3], gb[3]) == 0):  # nested
-        gb = tuple(v[rows] for v in gb[:3]) + gb[3:]
-        (amp_f, lx_f, neg_f, p_f, _), (amp_c, lx_c, neg_c, p_c, blocks_c) = (
+        gb = tuple(v[rows] if isinstance(v, np.ndarray) else v for v in gb)
+        (amp_f, lx_f, neg_f, p_f, *_), (amp_c, lx_c, neg_c, p_c, n_c, _) = (
             (ga, gb) if ga[3] <= gb[3] else (gb, ga))
         r = p_c // p_f
+        tails = 0.0 if ga[5] is None or gb[5] is None else ga[5] * gb[5]
         return (p_f * amp_f * amp_c * _geometric_sum(lx_f, neg_f, r)
                 * _geometric_sum(lx_c + r * lx_f,
-                                 neg_c ^ (neg_f & (r % 2 == 1)), blocks_c))
+                                 neg_c ^ (neg_f & (r % 2 == 1)), n_c) + tails)
     return (a.dense() * b.dense()[rows]).sum(1)
 
 
@@ -499,8 +515,6 @@ def spectral_fem_gram(K, eigen):
 
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
-    if not (0.0 <= t <= horizon + 1e-12):
-        raise ValueError("time outside [0, T]")
     time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
     return GaussianCoefficientMap(time, K, j_star)
 

@@ -60,6 +60,14 @@ def test_empty_level_list_is_config_error():
     # --samples belongs to study; a sample path draws one grid
     ["sample-path", "--samples", "5", "--set", "n_star=4", "--set",
      "j_star=4", "--set", "M=2", "--set", "mesh=2"],
+    # a misspelled key would leave its default in force
+    ["study", "--set", "study=tdr", "--set", "dtau_level=1,2"],
+    ["sample-path", "--set", "meshes=4"],
+    ["sample-path", "--set", "study=tdr"],
+    # studies without Monte Carlo columns would print nan ones
+    ["study", "--set", "study=model-space", "--samples", "50"],
+    ["study", "--set", "study=model-time", "--samples", "2"],
+    ["study", "--set", "study=deterministic-cn", "--samples", "4"],
 ])
 def test_out_of_range_config_is_config_error(argv, capsys):
     assert run(argv) == 1
@@ -206,7 +214,7 @@ def test_shared_projection_keeps_grid_check():
                     2, 0)
 
 
-@pytest.mark.parametrize("levels", [(3, 4, 5, 6, 7), (5, 3, 4)])
+@pytest.mark.parametrize("levels", [(3, 4, 5, 6, 7), (5, 3, 4), (1, 2, 3)])
 def test_deterministic_space_study_matches_per_level_steps(levels):
     # the levels share one stacked banded solve; the CSV must be, byte for
     # byte, what one modified_cn_fem and l2t_error per level gives

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochheat import cli, errors, fem, noise, solvers
+from stochheat import cli, deterministic, errors, fem, noise, solvers
 
 
 def test_modeling_error_zero_at_start():
@@ -11,9 +11,10 @@ def test_modeling_error_zero_at_start():
 
 
 def test_modeling_error_against_quadrature_oracle():
-    a = errors.modeling_error_exact(1.0, 2, 2, 60, include_tail=False)
-    b = errors.modeling_error_quadrature(1.0, 2, 2, 60)
-    assert abs(a - b) <= 1e-8 * b
+    for t in (1.0, 0.75):   # 0.75: inside a noise cell
+        a = errors.modeling_error_exact(t, 2, 2, 60, include_tail=False)
+        b = errors.modeling_error_quadrature(t, 2, 2, 60)
+        assert abs(a - b) <= 1e-8 * b
 
 
 def test_modeling_error_quadrature_raises_on_negative_sum(monkeypatch):
@@ -161,12 +162,17 @@ def test_no_route_needs_the_cell_integral_matrix(monkeypatch, capsys):
 
 
 def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
-    # the projected energy is the regularized map's row_moments, from the
-    # closed-form time Gram; the separate sum of squared overlaps is unused
-    def oracle(*args):
-        raise AssertionError("time_overlap_sq_sum called")
-    monkeypatch.setattr(noise, "time_overlap_sq_sum", oracle)
-    assert errors.modeling_error_exact(1.0, 8, 8, 64) > 0.0
+    # every regularized and aligned CN profile is geometric: the time Gram
+    # and the sampled per-step weights come from its tuple, so neither the
+    # dense overlaps nor the CN step table is built, at any t
+    def dense(*args):
+        raise AssertionError("dense time profile built")
+    monkeypatch.setattr(noise, "time_overlaps", dense)
+    for mod in (deterministic, solvers):   # solvers imports it by name
+        monkeypatch.setattr(mod, "step_factors", dense)
+    # half a cell past t = 0.5; the dense profile gives 0.07348605175821463
+    got = errors.modeling_error_exact(0.5 + 0.5 / 1024, 1024, 1024, 8192)
+    assert abs(got - 0.07348605175821463) <= 1e-13 * got
     for study, key in (("model-space", "dx_levels"),
                        ("model-time", "dt_levels")):
         rep = cli.run_study({
@@ -174,6 +180,11 @@ def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
             "n_star": "64", "j_star": "32", "K": "128", key: "2,3,4",
             "window": "2"})
         assert len(rep.rows) == 3 and rep.rows[-1]["error_exact"] > 0.0
+    grids = {"horizon": "1.0", "seed": "0", "samples": "3", "n_star": "16",
+             "j_star": "16", "K": "64", "M": "16", "window": "2"}
+    for study, key in (("tdr", "dtau_levels"), ("total", "h_levels")):
+        rep = cli.run_study(dict(grids, study=study, **{key: "2,3,4"}))
+        assert all(row["error_mc"] > 0.0 for row in rep.rows)
 
 
 def test_tdr_study_computes_sine_energies_once(monkeypatch):

@@ -32,6 +32,20 @@ def test_mass_solve_round_trip():
     assert np.allclose(system.stiff_solve(system.stiff_apply(v)), v)
 
 
+def test_one_node_mesh_solves_by_division():
+    # Mesh(2) has one interior node, so each banded system is 1 x 1
+    system = fem.assemble(fem.Mesh(2))
+    rhs = np.array([0.3])
+    assert system.mass_solve(rhs)[0] == 0.3 / system.mass_diag[0]
+    assert system.stiff_solve(rhs)[0] == 0.3 / system.stiff_diag[0]
+    v = fem.l2_project(SpectralField(np.array([1.0])), system)
+    C = fem.sine_hat_inner_matrix(1, system.mesh)
+    assert v.shape == (1,) and v[0] == C[0, 0] / system.mass_diag[0]
+    # -Lap_h v = 1 is nodally exact in 1D: v(1/2) = (x^2 - x)/2 = -1/8
+    v = fem.elliptic_solve_discrete(lambda x: np.ones_like(x), system)
+    assert np.allclose(v, [-0.125], rtol=1e-14, atol=0)
+
+
 def test_sine_hat_inner_matches_quadrature():
     mesh = fem.Mesh(6)
     C = fem.sine_hat_inner_matrix(9, mesh)

@@ -2,11 +2,12 @@
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stochheat import noise, quadrature
+from stochheat import noise, quadrature, solvers
 
 
 def test_sample_shape_and_determinism():
@@ -181,23 +182,33 @@ def test_time_overlap_telescopes():
     assert abs(vals.sum() - (1.0 - math.exp(-lam2 * t)) / lam2) < 1e-18
 
 
-def test_time_overlap_sq_sum_matches_direct():
+def test_time_overlap_sq_sum_matches_direct(overlap_sq_sum_mp):
+    # the closed-form time Gram of a profile at a t inside a cell against
+    # the dense overlaps and a 30-digit sum
     ks = np.array([1, 5, 40])
     t, N = 0.61, 32
+    closed = solvers.time_gram(*[solvers.OverlapProfile(ks, t, N, 1.0)] * 2)
     direct = (noise.time_overlaps(ks, t, N) ** 2).sum(axis=1)
-    closed = noise.time_overlap_sq_sum(ks, t, N)
     assert np.allclose(direct, closed, rtol=1e-12, atol=1e-30)
+    ref = np.array([overlap_sq_sum_mp(k, t, N, 1.0) for k in ks])
+    assert np.all(np.abs(closed - ref) <= 1e-14 * ref)
 
 
-def test_time_overlaps_keep_high_modes_on_non_dyadic_grids():
+def test_time_overlaps_keep_high_modes_on_non_dyadic_grids(
+        overlap_sq_sum_mp):
     # dt = 1/3 and 2/5 are not floats: offsets from float cell ends
     # n dt + dt miss t by an ulp, and t = 3 (2/5) gives t/dt = 3 + 4e-16;
     # either costs mode k a relative error of about lam^2 t eps
     ks = np.array([194, 1000])
-    for t, N, horizon in ((2.0, 6, 2.0), (3 * (2.0 / 5), 5, 2.0)):
+    for t, exact, N, horizon in ((2.0, 2, 6, 2.0),
+                                 (3 * (2.0 / 5), Fraction(6, 5), 5, 2.0)):
+        ref = np.array([overlap_sq_sum_mp(k, exact, N, horizon)
+                        for k in ks])
         direct = (noise.time_overlaps(ks, t, N, horizon) ** 2).sum(axis=1)
-        closed = noise.time_overlap_sq_sum(ks, t, N, horizon)
-        assert np.all(np.abs(direct - closed) <= 1e-14 * closed)
+        closed = solvers.time_gram(
+            *[solvers.OverlapProfile(ks, t, N, horizon)] * 2)
+        for got in (direct, closed):
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
 def test_project_pi_reproduces_cell_averages():

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,11 +85,13 @@ def test_cn_stepper_superposes_initial_data_and_loads(schemes):
 def test_regularized_matches_map():
     g = small_grid(seed=5)
     K = 12
-    u = solvers.regularized_exact(g, K, 1.0)
-    I = noise.time_overlaps(np.arange(1, K + 1), 1.0, g.n_star)
     P = noise.mode_cell_integrals(K, g.j_star) @ g.increments.T
-    ref = np.einsum("kn,kn->k", I, P) / (g.dt * g.dx)
-    assert np.allclose(u.coeffs, ref, rtol=1e-13)
+    # t = T, a cell end, inside a cell (the tail column), in the first cell
+    for t in (1.0, 0.5, 0.61, 0.01):
+        u = solvers.regularized_exact(g, K, t)
+        I = noise.time_overlaps(np.arange(1, K + 1), t, g.n_star)
+        ref = np.einsum("kn,kn->k", I, P) / (g.dt * g.dx)
+        assert np.allclose(u.coeffs, ref, rtol=1e-13, atol=0)
 
 
 def test_solvers_linear_in_noise():
@@ -371,7 +375,8 @@ def _dense_gram(a, b, rows):
 @settings(max_examples=60, deadline=None)
 @given(M=st.integers(1, 32), p=st.integers(1, 6), e=st.integers(4, 6),
        data=st.data())
-def test_time_gram_closed_forms_match_dense(M, p, e, data):
+def test_time_gram_closed_forms_match_dense(M, p, e, data,
+                                            overlap_sq_sum_mp):
     # dtau = 2^-e keeps rho = dtau mu / 2 exact, so rho = 1 is hit exactly
     dtau = 2.0 ** -e
     horizon = M * dtau
@@ -385,8 +390,12 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
     cn_b = solvers.PropagatorProfile(mus_b, m, dtau, M * p, horizon)
     over = solvers.OverlapProfile(ks_a, m * dtau, M * p, horizon)
     over_b = solvers.OverlapProfile(ks_b, m * dtau, M * p, horizon)
+    # half a noise cell before the step end: a partial last cell
+    t_in = m * dtau - 0.5 * (dtau / p)
+    inner = solvers.OverlapProfile(ks_a, t_in, M * p, horizon)
+    inner_b = solvers.OverlapProfile(ks_b, t_in, M * p, horizon)
     pairs = [(cn_a, cn_b), (cn_a, cn_a), (over, cn_b), (cn_b, over),
-             (over, cn_a), (over, over), (over, over_b)]
+             (over, cn_a), (over, over), (over, over_b), (inner, inner_b)]
     if M >= 2:
         # steps dtau and 2 dtau that end in the same noise cell
         mc = data.draw(st.integers(1, M // 2))
@@ -414,8 +423,48 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data):
         scale = na * nb[rows]
         assert g.shape == ref.shape
         assert np.all(np.abs(g - ref) <= 1e-12 * scale)
-    sq = noise.time_overlap_sq_sum(ks_a, m * dtau, M * p, horizon)
-    assert np.all(np.abs(solvers.time_gram(over, over) - sq) <= 1e-14 * sq)
+    for o, t in ((over, m * dtau), (inner, t_in)):
+        sq = np.array([overlap_sq_sum_mp(k, t, M * p, horizon)
+                       for k in ks_a])
+        assert np.all(np.abs(solvers.time_gram(o, o) - sq) <= 1e-14 * sq)
+
+
+@pytest.mark.parametrize("horizon, n_star, t, exact", [
+    (1.0, 8, 1.0, None),                 # t = T
+    (1.0, 32, 0.5, None),                # a cell end inside the grid
+    (1.0, 32, 0.61, None),               # inside a cell
+    (1.0, 8, 0.01, None),                # inside the first cell
+    (2.0, 6, 2.0, None),                 # dt = 1/3 is no float
+    (2.0, 5, 3 * (2.0 / 5), Fraction(6, 5)),   # t/dt = 3 + 4e-16, snapped
+    (2.0, 5, 1.0, None),                 # 2.5 cells of 2/5
+    (2.0, 6, 1.5, None),                 # 4.5 cells of 1/3
+])
+def test_time_gram_of_overlaps_matches_mpmath(horizon, n_star, t, exact,
+                                              overlap_sq_sum_mp):
+    # sum_n I_{k,n}(t)^2 from the geometric profile, at every t
+    ks = np.array([1, 5, 40, 194, 1000])
+    o = solvers.OverlapProfile(ks, t, n_star, horizon)
+    got = solvers.time_gram(o, o)
+    assert o._array is None
+    ref = np.array([overlap_sq_sum_mp(k, t if exact is None else exact,
+                                      n_star, horizon) for k in ks])
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+def test_regularized_map_holds_one_grouped_profile():
+    # reconstruct keeps only the grouped per-step weights; the profile
+    # builds them from its geometric tuple and keeps no dense array
+    g = noise.sample(1024, 1024, 1.0, 3)
+    noise.sine_cell_fold(4096, 1024)     # kept by its cache, not the map
+    tracemalloc.start()
+    try:
+        m = solvers.map_regularized(1024, 1024, 1.0, 4096, 1.0)
+        m.reconstruct(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 33 * 2 ** 20
+    assert m.time._array is None
 
 
 @pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (1.0, 8, 16)])
