@@ -293,8 +293,9 @@ def run_sample_path(cfg):
     seed = _get_int(cfg, "seed")
     horizon = _horizon(cfg)
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
-    grid = noise.sample(n_star, j_star, horizon, seed)
-    traj = solvers.cn_fem_spde(grid, fem.assemble(mesh), M)
+    # no local keeps the noise grid alive while the CSV is formatted
+    traj = solvers.cn_fem_spde(noise.sample(n_star, j_star, horizon, seed),
+                               fem.assemble(mesh), M)
     row = ",".join(["%.17g"] * traj.states.shape[1]) + "\n"
     return "".join([row % tuple(v.tolist()) for v in traj.states])
 

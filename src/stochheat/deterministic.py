@@ -193,6 +193,12 @@ def _compared_states(traj, lo, hi, midpoint):
     return out
 
 
+def _row_dots(x, y):
+    """x[i] @ y[i] for every row i: stacked matmul makes the same BLAS
+    dot per row as the 1-D product, so each value has its bits."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
     """Discrete-in-time L2(L2) distance between two trajectories.
 
@@ -201,8 +207,8 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
                           + dtau sum_{m=2}^M ||A^{m-1/2} - B^{m-1/2}||^2)^{1/2}
 
     Spectral-vs-nodal comparisons use exact sine-hat inner products:
-    ||s||^2 - 2 (s, v) + v^T M v.  The states are formed in blocks of
-    steps; each step's squared distance is added to the sum in order.
+    ||s||^2 - 2 (s, v) + v^T M v.  The squared distances are formed in
+    blocks of steps and added to the sum one step at a time, in order.
     """
     if traj_a.steps != traj_b.steps or not math.isclose(traj_a.dtau, traj_b.dtau):
         raise ValueError("time grids do not match")
@@ -227,15 +233,14 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
         a = _compared_states(traj_a, lo, hi, midpoint)
         b = _compared_states(traj_b, lo, hi, midpoint)
         if kinds == ("spectral", "spectral"):
-            for d2 in np.sum((a - b) ** 2, axis=1).tolist():
-                total += d2
+            d2 = np.sum((a - b) ** 2, axis=1)
         elif kinds == ("nodal", "nodal"):
             d = a - b
-            for di, mdi in zip(d, system.mass_apply(d)):
-                total += float(di @ mdi)
+            d2 = _row_dots(d, system.mass_apply(d))
         else:
-            s2 = np.sum(a**2, axis=1).tolist()
-            for ai, bi, mbi, s2i in zip(a, b, system.mass_apply(b), s2):
-                total += (s2i - 2.0 * float(ai @ (C @ bi))
-                          + float(bi @ mbi))
+            cb = np.matmul(C, b[:, :, None])[:, :, 0]
+            d2 = (np.sum(a**2, axis=1) - 2.0 * _row_dots(a, cb)
+                  + _row_dots(b, system.mass_apply(b)))
+        for x in d2.tolist():
+            total += x
     return math.sqrt(traj_a.dtau * total)

@@ -27,6 +27,21 @@ __all__ = [
 ]
 
 
+def _trigamma(x):
+    """psi'(x) for x >= 1: raised to x >= 16 by psi'(x) = psi'(x + 1) +
+    1/x^2, then the asymptotic series 1/x + 1/(2x^2) + sum_j B_2j/x^(2j+1)
+    (DLMF 5.15.8) through B_14, whose next term is below 1e-18 relative."""
+    shift = max(0, math.ceil(16.0 - x))
+    y = 1.0 / (x + shift)
+    w = y * y
+    b = 1/6 + w * (-1/30 + w * (1/42 + w * (-1/30 + w * (
+        5/66 + w * (-691/2730 + w * 7/6)))))
+    s = y * (1.0 + y * (0.5 + y * b))
+    for i in range(shift - 1, -1, -1):  # the smallest terms first
+        s += 1.0 / (x + i) ** 2
+    return s
+
+
 def _mode_tail(K, t):
     """sum_{k > K} (1 - exp(-2 lam_k^2 t)) / (2 lam_k^2), exact to roundoff.
 
@@ -37,9 +52,8 @@ def _mode_tail(K, t):
     """
     if t <= 0.0:
         return 0.0
-    from scipy.special import polygamma
     pis2 = math.pi ** 2
-    tail = trigamma = polygamma(1, K + 1) / (2.0 * pis2)
+    tail = trigamma = _trigamma(K + 1) / (2.0 * pis2)
     k = K + 1
     while True:
         ks = np.arange(k, k + 4096, dtype=float)

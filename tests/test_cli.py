@@ -303,13 +303,34 @@ def test_allocation_failure_exits_2(capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported by the first banded solve or mode tail, not at start
+    # scipy is imported by the first banded solve only: neither start-up
+    # nor an exact study (the mode tail's trigamma is computed in-package)
+    # loads it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, stochheat.cli; print('scipy' in sys.modules)"
+    studies = [
+        ["study=model-space", "n_star=64", "K=64", "dx_levels=3,4,5",
+         "window=3"],
+        ["study=model-time", "j_star=64", "K=64", "dt_levels=3,4,5",
+         "window=3"],
+        ["study=tdr", "n_star=16", "j_star=16", "K=32",
+         "dtau_levels=2,3,4"],
+        ["study=sdr", "n_star=64", "j_star=16", "K=32", "M=64",
+         "h_levels=2,3,4"],
+        ["study=total", "n_star=64", "j_star=16", "K=32", "M=64",
+         "h_levels=2,3,4"],
+    ]
+    code = ("import sys, stochheat.cli as cli\n"
+            "print('scipy' in sys.modules)\n"
+            "for s in %r:\n"
+            "    argv = ['study', '--samples', '0', '--out', %r]\n"
+            "    for kv in s:\n"
+            "        argv += ['--set', kv]\n"
+            "    assert cli.main(argv) == 0, s\n"
+            "print('scipy' in sys.modules)\n" % (studies, os.devnull))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
 
 
 def test_missing_subcommand():

@@ -251,6 +251,35 @@ def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
     assert err > 0.0
 
 
+@pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
+@pytest.mark.parametrize("intervals", [2, 8, 128])
+def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals):
+    # nu = 1, 7, 127 interior nodes; M = 1000 ends on a partial block of
+    # 512 steps.  Levels stepped as one stacked system, as the
+    # deterministic-cn space study does: nodal/nodal on the stacked
+    # system, spectral/nodal on a level sliced from it.
+    rng = np.random.default_rng(intervals)
+    M, dtau = 1000, 1.0 / 1000
+    systems = [fem.assemble(fem.Mesh(n)) for n in (intervals, 4)]
+    stacked = fem.FemSystem.stack(systems)
+    nu = systems[0].mesh.nu
+    v0 = SpectralField(np.array([1.0, -0.3, 0.2]))
+    x0 = np.concatenate([fem.l2_project(v0, s) for s in systems])
+    num = deterministic.modified_cn_fem(x0, stacked, M, dtau)
+    other = deterministic.cn_fem_steps(
+        x0, stacked, M, dtau, rng.standard_normal((x0.size, M)) * 1e-3)
+    level = deterministic.Trajectory(dtau, num.states[:, :nu], "nodal",
+                                     mesh=systems[0].mesh)
+    for a, b, system in [
+            (num, other, stacked),
+            (deterministic.modified_cn_spectral(v0, M, dtau), level,
+             systems[0]),
+            (level, deterministic.exact_trajectory(v0, M, dtau),
+             systems[0])]:
+        assert (deterministic.l2t_error(a, b, variant, system)
+                == _per_step_l2t(a, b, variant, system))
+
+
 def test_step_factors_match_mpmath():
     # rho = dtau mu/2 below 1, at 1 (q = 0) and above 1 (q < 0), m = 4096:
     # each row within 1e-13 of its largest entry, 1/(1 + rho)

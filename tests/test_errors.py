@@ -54,6 +54,16 @@ def test_mode_tail_matches_mpmath_series(K, t):
     assert errors._mode_tail(K, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "K", list(range(65)) + [2 ** k for k in range(7, 21)] + [10 ** 7])
+def test_trigamma_matches_mpmath(K):
+    # x = K + 1 below 16 takes the recurrence, above it the series alone
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.psi(1, K + 1)
+        assert abs(errors._trigamma(K + 1) - ref) <= 1e-15 * ref
+
+
 def test_modeling_error_monotone_under_refinement():
     base = errors.modeling_error_exact(1.0, 8, 8, 4000)
     finer_x = errors.modeling_error_exact(1.0, 8, 32, 4000)
