@@ -7,10 +7,8 @@ discretized noise grids, linear finite elements, Crank-Nicolson
 stepping, stochastic solvers, and exact error functionals.
 """
 
-from .spectral import (SpectralField, eigenvalue_sqrt, semigroup_apply,
-                       green_kernel_eval, hdot_norm, elliptic_inverse,
-                       truncation_for_tolerance)
-from .noise import NoiseGrid, sample, coarsen, save_grid, load_grid
+from .spectral import SpectralField, eigenvalue_sqrt, semigroup_apply
+from .noise import NoiseGrid, sample, coarsen
 from .fem import Mesh, FemSystem, assemble, generalized_eigen
 from .deterministic import (Trajectory, amplification, modified_cn_spectral,
                             modified_cn_fem, exact_trajectory, l2t_error)

@@ -114,17 +114,13 @@ def _at_least(cfg, key, lo):
 
 
 def _horizon(cfg):
-    horizon = _get_float(cfg, "horizon")
+    try:
+        horizon = float(cfg["horizon"])
+    except (KeyError, ValueError):
+        raise ConfigError("bad or missing float key 'horizon'")
     if not 0.0 < horizon < math.inf:
         raise ConfigError("horizon must be positive and finite")
     return horizon
-
-
-def _get_float(cfg, key):
-    try:
-        return float(cfg[key])
-    except (KeyError, ValueError):
-        raise ConfigError("bad or missing float key %r" % key)
 
 
 def _levels(cfg, key):
@@ -189,27 +185,19 @@ def run_study(cfg):
     window = _at_least(cfg, "window", 2)
     rep = errors.ErrorReport(study)
 
-    if study == "model-space":
-        n_star = _at_least(cfg, "n_star", 1)
+    if study in ("model-space", "model-time"):
+        # refine J* at a fixed n* (model-space) or n* at a fixed J*
+        space = study == "model-space"
+        fixed = _at_least(cfg, "n_star" if space else "j_star", 1)
         K = _at_least(cfg, "K", 1)
-        for lvl, e in enumerate(_levels(cfg, "dx_levels")):
-            j_star = 2 ** e
+        key = "dx" if space else "dt"
+        for lvl, e in enumerate(_levels(cfg, key + "_levels")):
+            n_star, j_star = (fixed, 2 ** e) if space else (2 ** e, fixed)
             err = errors.modeling_error_exact(horizon, n_star, j_star, K,
                                               horizon)
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, math.nan,
                         math.nan, K, err)
-        rep.fit("dx", window)
-
-    elif study == "model-time":
-        j_star = _at_least(cfg, "j_star", 1)
-        K = _at_least(cfg, "K", 1)
-        for lvl, e in enumerate(_levels(cfg, "dt_levels")):
-            n_star = 2 ** e
-            err = errors.modeling_error_exact(horizon, n_star, j_star, K,
-                                              horizon)
-            rep.add_row(lvl, horizon / n_star, 1.0 / j_star, math.nan,
-                        math.nan, K, err)
-        rep.fit("dt", window)
+        rep.fit(key, window)
 
     elif study in ("tdr", "sdr", "total"):
         n_star = _at_least(cfg, "n_star", 1)
@@ -444,8 +432,11 @@ def main(argv=None):
         else:
             text = run_study(cfg).to_csv()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(str(exc))
         else:
             sys.stdout.write(text)
         return 0

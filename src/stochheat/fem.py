@@ -24,7 +24,6 @@ __all__ = [
     "generalized_eigen",
     "sine_hat_inner_matrix",
     "hat_cell_overlap_matrix",
-    "nodal_l2_norm",
     "h1_seminorm",
     "evaluate_nodal",
 ]
@@ -215,11 +214,6 @@ def generalized_eigen(system):
               / (2.0 + np.cos(p * (math.pi / J))))
     vectors = _eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
     return FemEigenBasis(system, values, vectors)
-
-
-def nodal_l2_norm(v, system):
-    """L2 norm of the piecewise-linear function with nodal values v."""
-    return math.sqrt(float(v @ system.mass_apply(v)))
 
 
 def h1_seminorm(v, system):

@@ -9,7 +9,6 @@ that make all downstream second-moment computations exact.
 
 import functools
 import math
-import struct
 
 import numpy as np
 
@@ -20,14 +19,11 @@ __all__ = [
     "NoiseGrid",
     "sample",
     "coarsen",
-    "w_eval",
     "project_pi",
     "mode_cell_integrals",
     "sine_cell_fold",
     "mode_cell_sq_sums",
     "time_overlaps",
-    "save_grid",
-    "load_grid",
 ]
 
 
@@ -110,24 +106,6 @@ def coarsen(grid, time_factor=1, space_factor=1):
     nc, jc = grid.n_star // ft, grid.j_star // fs
     inc = grid.increments.reshape(nc, ft, jc, fs).sum(axis=(1, 3))
     return _grid(nc, jc, grid.horizon, grid.seed, inc)
-
-
-def w_eval(grid, t, x):
-    """Evaluate the piecewise-constant noise at (t, x).
-
-    Cells are half open, (t_{n-1}, t_n] x (x_{j-1}, x_j]; the value on
-    cell (n, j) is R[n, j] / (dt*dx).
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(t <= 0.0) or np.any(t > grid.horizon) \
-            or np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("point outside (0, T] x (0, 1)")
-    n = np.clip(np.ceil(t / grid.dt - 1e-12).astype(int) - 1,
-                0, grid.n_star - 1)
-    j = np.clip(np.ceil(x / grid.dx - 1e-12).astype(int) - 1,
-                0, grid.j_star - 1)
-    return grid.increments[n, j] / (grid.dt * grid.dx)
 
 
 def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
@@ -249,25 +227,3 @@ def time_overlaps(ks, t, n_star, horizon=1.0):
     expo_hi = np.exp(-np.outer(lam2, np.maximum(s - n - 1, 0.0) * dt))
     expo_lo = np.exp(-np.outer(lam2, np.maximum(s - n, 0.0) * dt))
     return (expo_hi - expo_lo) / lam2[:, None]
-
-
-_HEADER = struct.Struct("<QQdQ")
-
-
-def save_grid(grid, path):
-    """Binary dump: little-endian header (n_star, j_star, horizon, seed)
-    as 64-bit values, then row-major float64 increments."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.n_star, grid.j_star, grid.horizon,
-                              grid.seed & (2**64 - 1)))
-        fh.write(grid.increments.astype("<f8").tobytes())
-
-
-def load_grid(path):
-    with open(path, "rb") as fh:
-        n_star, j_star, horizon, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n_star * j_star:
-        raise ValueError("truncated noise grid file")
-    return NoiseGrid(n_star, j_star, horizon, seed,
-                     data.reshape(n_star, j_star))

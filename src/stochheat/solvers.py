@@ -73,22 +73,17 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     """A[i, n] = sum_l r_{m-l+1}(mus[i]) |Delta_l intersect T_n|.
 
     This is the exact time profile of the Duhamel sum of a stepped
-    solution against the noise cells.  When each step spans whole noise
-    cells the profile is the step factors repeated per cell; anything
-    else takes the dense product with the interval overlaps.
+    solution against the noise cells, the dense product of the step
+    factors with the interval overlaps on every grid; where
+    ``PropagatorProfile`` is geometric it is the oracle of ``steps()``.
     """
     mus = np.asarray(mus, dtype=float)
-    dt = horizon / n_star
-    out = np.zeros((mus.size, n_star))
-    p = _cells_per_step(dtau, dt)
-    V = None if p else interval_overlaps(m, dtau, n_star, horizon)
+    V = interval_overlaps(m, dtau, n_star, horizon)
+    out = np.empty((mus.size, n_star))
     for lo in range(0, mus.size, _MODE_CHUNK):
         sl = slice(lo, min(lo + _MODE_CHUNK, mus.size))
-        rfac = step_factors(mus[sl], m, dtau)[:, ::-1]  # col l-1 -> r_{m-l+1}
-        if p:
-            out[sl, : m * p] = dt * np.repeat(rfac, p, axis=1)
-        else:
-            out[sl] = rfac @ V
+        # column l-1 of the reversed factors is r_{m-l+1}
+        out[sl] = step_factors(mus[sl], m, dtau)[:, ::-1] @ V
     return out
 
 

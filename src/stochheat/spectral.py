@@ -2,8 +2,8 @@
 
 The orthonormal eigenfunctions are e_k(z) = sqrt(2) sin(k pi z) with
 eigenvalue square roots lam_k = k pi.  Every field here is a finite
-sine series, so semigroup, Sobolev norms and the elliptic inverse are
-diagonal operations on the coefficient vector.
+sine series, so the heat semigroup is a diagonal operation on the
+coefficient vector.
 """
 
 import math
@@ -14,12 +14,7 @@ __all__ = [
     "SpectralField",
     "eigenvalue_sqrt",
     "sin_pi_ratio",
-    "eigenfunction_eval",
     "semigroup_apply",
-    "green_kernel_eval",
-    "hdot_norm",
-    "elliptic_inverse",
-    "truncation_for_tolerance",
 ]
 
 
@@ -90,21 +85,6 @@ class SpectralField:
         vals = math.sqrt(2.0) * np.sin(np.multiply.outer(x, lam))
         return vals @ self.coeffs
 
-    def __add__(self, other):
-        if self.K != other.K:
-            raise ValueError("truncation levels differ")
-        return SpectralField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if self.K != other.K:
-            raise ValueError("truncation levels differ")
-        return SpectralField(self.coeffs - other.coeffs)
-
-    def __mul__(self, a):
-        return SpectralField(self.coeffs * float(a))
-
-    __rmul__ = __mul__
-
     @staticmethod
     def basis(k, K=None):
         """The field e_k, truncated at K (defaults to k)."""
@@ -117,67 +97,9 @@ class SpectralField:
         return f"SpectralField(K={self.K})"
 
 
-def eigenfunction_eval(k, x):
-    """e_k(x) = sqrt(2) sin(k pi x) for x in [0, 1]."""
-    if k < 1:
-        raise ValueError("mode index must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("evaluation point outside [0, 1]")
-    out = math.sqrt(2.0) * np.sin(k * math.pi * x)
-    return float(out) if out.ndim == 0 else out
-
-
 def semigroup_apply(t, f):
     """Heat semigroup: mode k is damped by exp(-lam_k^2 t)."""
     if t < 0.0:
         raise ValueError("negative time")
     lam2 = eigenvalue_sqrt(f.modes) ** 2
     return SpectralField(np.exp(-lam2 * t) * f.coeffs)
-
-
-def green_kernel_eval(t, x, y, K):
-    """Partial sum of the heat kernel, sum_{k<=K} e^{-lam_k^2 t} e_k(x) e_k(y)."""
-    if t <= 0.0:
-        raise ValueError("kernel series requires t > 0")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    k = np.arange(1, K + 1)
-    lam = eigenvalue_sqrt(k)
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(y, dtype=float))
-    decay = np.exp(-lam**2 * t)
-    terms = 2.0 * np.sin(np.multiply.outer(lam, xb)) \
-        * np.sin(np.multiply.outer(lam, yb)) * decay.reshape(
-            (K,) + (1,) * xb.ndim)
-    out = terms.sum(axis=0)
-    return float(out) if out.ndim == 0 else out
-
-
-def hdot_norm(f, s):
-    """Spectral Sobolev norm (sum_k lam_k^{2s} c_k^2)^{1/2}; s may be negative."""
-    lam = eigenvalue_sqrt(f.modes)
-    return float(math.sqrt(np.sum(lam ** (2.0 * s) * f.coeffs**2)))
-
-
-def elliptic_inverse(f):
-    """Solve v'' = f with Dirichlet conditions: mode k maps to -c_k/lam_k^2."""
-    lam2 = eigenvalue_sqrt(f.modes) ** 2
-    return SpectralField(-f.coeffs / lam2)
-
-
-def truncation_for_tolerance(tol, p=2.0, cap=10**8):
-    """Smallest K whose analytic tail bound sum_{k>K} lam_k^{-p} <= tol.
-
-    The bound is the integral comparison K^{1-p} / (pi^p (p-1)); for
-    p = 2 it reads 1/(pi^2 K).  Raises if K would exceed ``cap``.
-    """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if p <= 1.0:
-        raise ValueError("decay exponent must exceed 1")
-    K = math.ceil((1.0 / (tol * math.pi**p * (p - 1.0))) ** (1.0 / (p - 1.0)))
-    K = max(K, 1)
-    if K > cap:
-        raise ValueError(f"required truncation K={K} exceeds hard cap {cap}")
-    return K

@@ -68,6 +68,10 @@ def test_empty_level_list_is_config_error():
     ["study", "--set", "study=model-space", "--samples", "50"],
     ["study", "--set", "study=model-time", "--samples", "2"],
     ["study", "--set", "study=deterministic-cn", "--samples", "4"],
+    # an --out path that cannot be opened for writing
+    ["study", "--set", "study=model-space", "--set", "n_star=4", "--set",
+     "K=8", "--set", "dx_levels=2,3", "--set", "window=2",
+     "--out", os.path.join(os.devnull, "x.csv")],
 ])
 def test_out_of_range_config_is_config_error(argv, capsys):
     assert run(argv) == 1

@@ -1,6 +1,5 @@
 
 import math
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -49,16 +48,6 @@ def test_coarsen_rejects_nondivisible():
     g = noise.sample(8, 8, 1.0, seed=5)
     with pytest.raises(ValueError):
         noise.coarsen(g, time_factor=3)
-
-
-def test_w_eval_piecewise_constant():
-    g = noise.sample(4, 4, 1.0, seed=9)
-    t = np.array([0.1, 0.1])
-    x = np.array([0.3, 0.26])
-    vals = noise.w_eval(g, t, x)
-    assert vals[0] == vals[1]  # same cell
-    expect = g.increments[0, 1] / (g.dt * g.dx)
-    assert vals[0] == expect
 
 
 def test_mode_cell_integrals_match_quadrature():
@@ -242,30 +231,6 @@ def test_itq_isometry_monte_carlo():
         total += (g.increments**2).sum() / (g.dt * g.dx)
     mean = total / n
     assert abs(mean - 64.0) < 3.0 * 64.0 * math.sqrt(2.0 / 64.0 / n)
-
-
-def test_save_load_round_trip(tmp_path):
-    g = noise.sample(8, 4, 0.5, seed=77)
-    path = os.path.join(tmp_path, "grid.bin")
-    noise.save_grid(g, path)
-    back = noise.load_grid(path)
-    assert (back.n_star, back.j_star) == (8, 4)
-    assert back.horizon == 0.5
-    assert back.seed == 77
-    assert np.array_equal(back.increments, g.increments)
-
-
-def test_header_layout(tmp_path):
-    import struct
-    g = noise.sample(2, 3, 0.5, seed=9)
-    path = os.path.join(tmp_path, "g.bin")
-    noise.save_grid(g, path)
-    raw = open(path, "rb").read()
-    assert len(raw) == 32 + 6 * 8
-    n, j, horizon, seed = struct.unpack("<QQdQ", raw[:32])
-    assert (n, j, horizon, seed) == (2, 3, 0.5, 9)
-    body = np.frombuffer(raw[32:], dtype="<f8").reshape(2, 3)
-    assert np.array_equal(body, g.increments)
 
 
 def test_grid_immutable():

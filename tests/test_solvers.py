@@ -22,15 +22,26 @@ def test_interval_overlaps_partition_both_ways():
 
 
 def test_time_profile_paths_agree():
-    # aligned fast paths must equal the dense fallback
-    mus = np.array([1.0, 30.0, 900.0])
-    for M, n_star in ((8, 32), (32, 8), (12, 16)):
-        dtau = 1.0 / M
-        fast = solvers.propagator_time_profile(mus, M, dtau, n_star)
-        from stochheat.deterministic import step_factors
-        dense = step_factors(mus, M, dtau)[:, ::-1] @ \
-            solvers.interval_overlaps(M, dtau, n_star)
-        assert np.allclose(fast, dense, rtol=1e-13, atol=1e-16)
+    # an aligned CN profile's per-step weights, each repeated over its p
+    # cells (cells past the last step weigh 0), against the dense oracle
+    def spread(profile):
+        W, p = profile.steps()
+        out = np.zeros(profile.shape)
+        out[:, : W.shape[1] * p] = np.repeat(W, p, axis=1)
+        return out
+
+    mus = np.array([1.0, 30.0, 900.0, 1e5])
+    for M, m, n_star in ((8, 8, 32), (8, 3, 32), (4, 4, 4), (16, 5, 64)):
+        A = solvers.PropagatorProfile(mus, m, 1.0 / M, n_star, 1.0)
+        assert A.geometric is not None
+        assert np.array_equal(spread(A), A.dense())   # dyadic: same bits
+    # dt = 0.3/24 is no float: the two kernels round apart in the last bit
+    lam2 = (np.arange(1, 1025) * math.pi) ** 2
+    A = solvers.PropagatorProfile(lam2, 8, 0.3 / 8, 24, 0.3)
+    assert A.geometric is not None
+    dense = A.dense()
+    scale = np.abs(dense).max(axis=1, keepdims=True)
+    assert np.all(np.abs(spread(A) - dense) <= 1e-13 * scale)
 
 
 def test_spectral_solver_matches_duhamel_map():
