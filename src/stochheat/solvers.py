@@ -16,6 +16,7 @@ the dense K x N array is built only for a non-aligned CN profile.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -199,7 +200,10 @@ class OverlapProfile(_Profile):
         s = self.t / dt
         s = round(s) if abs(s - round(s)) <= 1e-12 * s else s
         w = min(math.floor(s), self.n_star)
-        d = (s - w) * dt
+        # d = t - w dt in exact arithmetic: (s - w) dt loses the digits of
+        # s below its ulp, an error lam^2 d amplifies past 1e-14
+        d = 0.0 if s == w else float(Fraction(self.t) - Fraction(
+            self.horizon) * w / self.n_star)
         amp, tail = -np.expm1(-lam2 * dt) / lam2, None
         if d:   # t lies d into cell w, or (w = N) rounds just past T
             amp *= np.exp(-lam2 * d)
