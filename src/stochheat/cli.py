@@ -350,10 +350,11 @@ def _selftest_checks():
         over = solvers.OverlapProfile(ks, 1.0, n_star, 1.0)
         cn = solvers.PropagatorProfile(lam2, M, 1.0 / M, n_star, 1.0)
         cn2 = solvers.PropagatorProfile(lam2, M // 2, 2.0 / M, n_star, 1.0)
+        cn3 = solvers.PropagatorProfile(lam2, 16, 0.3 / 16, 24, 0.3)  # 3/2
         rev, own = np.arange(K)[::-1], slice(None)
         for a, b, r in ((over, over, own), (over, cn, own), (cn, cn, own),
                         (over, cn, rev), (cn, cn, rev), (cn, over, rev),
-                        (cn, cn2, own)):
+                        (cn, cn2, own), (cn3, cn3, rev)):
             ref = (a.dense() * b.dense()[r]).sum(1)
             err = np.abs(solvers.time_gram(a, b, r) - ref).max()
             if not err <= 1e-12 * np.abs(ref).max():
@@ -427,6 +428,11 @@ def main(argv=None):
             cfg["seed"] = str(args.seed)
         if getattr(args, "samples", None) is not None:
             cfg["samples"] = str(args.samples)
+        if args.out:   # fail before the run; "a" leaves a file's text as is
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise ConfigError(str(exc))
         if args.command == "sample-path":
             text = run_sample_path(cfg)
         else:

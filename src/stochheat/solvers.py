@@ -9,9 +9,9 @@ Three routes to the same noise realization:
 All three are linear in the Gaussian cell increments, so every solver
 also exposes a factorized coefficient map against the increments; the
 map yields exact second moments without sampling.  A map's time factor
-is a profile object, geometric at every t (regularized) or on aligned
-grids (CN); ``time_gram`` and sampling both read the geometric tuple, and
-the dense K x N array is built only for a non-aligned CN profile.
+is a profile object, block-geometric on every grid: one period of the
+profile and its ratio to the period before.  ``time_gram`` and sampling
+both read that tuple; the dense K x N arrays (``dense()``) are oracles.
 """
 
 import functools
@@ -63,11 +63,16 @@ def interval_overlaps(m, dtau, n_star, horizon=1.0):
     return np.maximum(hi - lo, 0.0)
 
 
-def _cells_per_step(dtau, dt):
-    """Noise cells of width dt spanned by one step dtau, or 0 if not whole."""
+def _period(dtau, dt):
+    """``(a, b)``: a cells of width dt span b steps dtau; a/b is the first
+    continued-fraction convergent within 1e-12 (relative) of dtau/dt."""
     ratio = dtau / dt
-    p = round(ratio)
-    return p if p >= 1 and abs(ratio - p) < 1e-12 else 0
+    x, (h0, h1), (k0, k1) = Fraction(ratio), (1, math.floor(ratio)), (0, 1)
+    while abs(ratio - h1 / k1) > 1e-12 * ratio:
+        x = 1 / (x - math.floor(x))
+        c = math.floor(x)
+        h0, h1, k0, k1 = h1, c * h1 + h0, k1, c * k1 + k0
+    return h1, k1
 
 
 def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
@@ -75,8 +80,8 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
 
     This is the exact time profile of the Duhamel sum of a stepped
     solution against the noise cells, the dense product of the step
-    factors with the interval overlaps on every grid; where
-    ``PropagatorProfile`` is geometric it is the oracle of ``steps()``.
+    factors with the interval overlaps: ``PropagatorProfile.dense()``,
+    and on at most two periods the pattern of a non-aligned profile.
     """
     mus = np.asarray(mus, dtype=float)
     V = interval_overlaps(m, dtau, n_star, horizon)
@@ -91,18 +96,18 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
 def _cell_loads(space, grid, M):
     """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``.
 
-    When each step spans p whole noise cells, V^T sums blocks of p
-    columns, each weighted dt; anything else takes the dense product
-    with the interval overlaps.
+    When each step spans a whole noise cells, V^T sums blocks of a
+    columns, each weighted dt; otherwise a cells span b steps and V^T is
+    one period's a x b overlaps, applied to each period of a cells.
     """
     dtau = grid.horizon / M
     proj = space @ grid.increments.T
-    p = _cells_per_step(dtau, grid.dt)
-    if p:
-        steps = proj.reshape(-1, M, p).sum(axis=2) * grid.dt
+    a, b = _period(dtau, grid.dt)
+    if b == 1:
+        steps = proj.reshape(-1, M, a).sum(axis=2) * grid.dt
     else:
-        steps = proj @ interval_overlaps(M, dtau, grid.n_star,
-                                         grid.horizon).T
+        V = interval_overlaps(b, dtau, a, a * grid.dt)
+        steps = (proj.reshape(len(proj), -1, a) @ V.T).reshape(len(proj), M)
     return steps / (grid.dt * grid.dx)
 
 
@@ -150,42 +155,36 @@ def _same_grid(a, b):
 
 class _Profile:
     """Time factor of a map: rows are basis functions, columns noise
-    cells; ``dense()`` builds the array once and keeps it.  ``geometric``
-    is (amp, log|x|, x < 0, p, blocks, tail) when row i is amp_i x_i^l on
-    the p cells of block l, counted back from end cell p * blocks, then
-    tail_i on that cell (or 0 after it, if ``tail`` is None)."""
+    cells, ``dense()`` the oracle array.  ``geometric`` is (amp, log|x|,
+    x < 0, p, end, tail): back from cell ``end``, runs of p cells take the
+    u columns of amp (rows x u) in turn, last column last, each period of
+    u runs x times the next; ``tail`` (or None) sits on cell ``end``."""
 
-    _array = None
-    geometric = None
-
-    def dense(self):
-        if self._array is None:
-            self._array = self._build()
-        return self._array
+    def columns(self, lo, hi):
+        """Weights of runs lo .. hi - 1, run j on cells j p .. j p + p - 1."""
+        amp, log_x, neg, p, end, _ = self.geometric
+        u = amp.shape[1]
+        back = end // p - 1 - np.arange(lo, hi)   # runs after run j
+        k = back // u                             # run j carries x^k
+        W = amp.take(u - 1 - back % u, axis=1)
+        live = np.count_nonzero(k)   # x^0 = 1 also at log|x| = -inf
+        W[:, :live] *= np.exp(np.multiply.outer(log_x, k[:live]))
+        W[np.ix_(neg, k % 2 == 1)] *= -1.0   # odd powers of x < 0
+        return W
 
     def steps(self):
         """``(W, p)``: column l of W weighs noise cells l p .. l p + p - 1
-        of every row, cells past p * W.shape[1] weigh 0; built anew from a
-        geometric tuple, else the dense array with p = 1."""
-        if self.geometric is None:
-            return self.dense(), 1
-        amp, log_x, neg, p, blocks, tail = self.geometric
-        # column blocks - 1 - l is amp x^l (x^0 = 1 also at log|x| = -inf)
-        W = np.ones((amp.size, blocks + (tail is not None)))
-        np.exp(np.multiply.outer(log_x, np.arange(blocks - 1, 0, -1)),
-               out=W[:, :blocks - 1])
-        W[:, :blocks] *= amp[:, None]
-        W[:, :blocks - 1][:, ::-2][neg] *= -1.0   # odd powers of x < 0
-        if tail is not None:
-            W[:, blocks] = tail
-        return W, p
+        of every row, cells past p * W.shape[1] weigh 0."""
+        _, _, _, p, end, tail = self.geometric
+        W = self.columns(0, end // p)
+        return (W if tail is None else np.column_stack([W, tail])), p
 
 
 class OverlapProfile(_Profile):
     """Regularized overlaps I[k, n] (``noise.time_overlaps``) at time t, a
-    geometric profile (p = 1, x = exp(-lam^2 dt)) at every t: with t d into
-    cell w (t/dt snapped as there, else floored; w <= N), amp carries
-    exp(-lam^2 d) and cell w the tail (1 - exp(-lam^2 d))/lam^2."""
+    geometric profile (p = u = 1, x = exp(-lam^2 dt)) at every t: with t d
+    into cell w (t/dt snapped as there, else floored; w <= N), amp
+    carries exp(-lam^2 d) and cell w the tail (1 - exp(-lam^2 d))/lam^2."""
 
     def __init__(self, ks, t, n_star, horizon):
         self.ks = np.asarray(ks, dtype=np.int64)
@@ -208,17 +207,20 @@ class OverlapProfile(_Profile):
         if d:   # t lies d into cell w, or (w = N) rounds just past T
             amp *= np.exp(-lam2 * d)
             tail = -np.expm1(-lam2 * d) / lam2 if w < self.n_star else None
-        self.geometric = (amp, -lam2 * dt, np.zeros(self.ks.size, bool), 1,
-                          w, tail)
+        self.geometric = (amp[:, None], -lam2 * dt,
+                          np.zeros(self.ks.size, bool), 1, w, tail)
 
-    def _build(self):
+    def dense(self):
         return noise.time_overlaps(self.ks, self.t, self.n_star, self.horizon)
 
 
 class PropagatorProfile(_Profile):
-    """CN Duhamel profile (``propagator_time_profile``) at step m; geometric
-    (p = dtau/dt, x = q = (1 - rho)/(1 + rho), rho = dtau mu/2, no tail)
-    when each step spans whole noise cells and m steps fit in the grid."""
+    """CN Duhamel profile (``propagator_time_profile``) at step m, rho =
+    dtau mu/2, q = (1 - rho)/(1 + rho).  With a cells per b steps, a cell
+    that ends by t = m dtau is q^b times the cell a cells on.  b = 1: p =
+    a, amp dt/(1 + rho), x = q.  Else p = 1, x = q^b, and u = a cells from
+    ``propagator_time_profile`` on at most two periods, or for a = 1 (r =
+    m mod b) amp dtau q^r G(q, b)/(1 + rho), tail dtau G(q, r)/(1 + rho)."""
 
     def __init__(self, mus, m, dtau, n_star, horizon):
         self.mus = np.asarray(mus, dtype=float)
@@ -228,54 +230,86 @@ class PropagatorProfile(_Profile):
         self.horizon = float(horizon)
         self.shape = (self.mus.size, self.n_star)
         dt = self.horizon / self.n_star
-        p = _cells_per_step(self.dtau, dt)
-        if p and 1 <= self.m <= self.n_star // p:
-            inv, log_q, neg = _cn_factors(self.mus, self.dtau)
-            self.geometric = (dt * inv, log_q, neg, p, self.m, None)
+        a, b = _period(self.dtau, dt)
+        end, r = divmod(self.m * a, b)   # whole cells by t; r > 0: a tail
+        inv, log_q, neg = _cn_factors(self.mus, self.dtau)
+        G = functools.partial(_geometric_sum, log_q, neg)
+        if b == 1:
+            amp, tail = (dt * inv)[:, None], None
+        elif a == 1:   # r steps in the tail cell, b in each other cell
+            q_r = np.where(neg & (r % 2 == 1), -1.0, 1.0) * np.exp(
+                r * log_q) if r else 1.0
+            d = self.dtau * inv
+            amp, tail = (d * q_r * G(b))[:, None], d * G(r)
+        else:        # a window from a period start, c cells and c b/a steps in
+            c = a * max(0, end // a - 1)
+            whole, n = end - c, end - c + (r > 0)
+            win = propagator_time_profile(self.mus, self.m - c // a * b,
+                                          self.dtau, n, n * dt)
+            # u = whole < a (and >= 1) while less than a period has run
+            amp, tail = win[:, max(0, whole - a):max(whole, 1)], win[:, -1]
+        self.geometric = (amp, b * log_q, neg if b % 2 else np.zeros_like(neg),
+                          a if b == 1 else 1, end, tail if r else None)
 
-    def _build(self):
+    def dense(self):
         return propagator_time_profile(self.mus, self.m, self.dtau,
                                        self.n_star, self.horizon)
 
 
 def _geometric_sum(log_abs, negative, n):
     """G(x, n) = (1 - x^n)/(1 - x) for x = +-exp(log_abs), x < 0 where
-    ``negative``.  With e = expm1(m log|x|) in [-1, 0], 1 - x^m is -e or
-    2 + e, neither of which cancels."""
+    ``negative``; G(x, 0) = 0.  With e = expm1(m log|x|) in [-1, 0],
+    1 - x^m is -e or 2 + e, neither of which cancels."""
     def one_minus_power(m):
         e = np.expm1(m * log_abs)
         return np.where(negative & (m % 2 == 1), 2.0 + e, -e)
-    return 1.0 if n == 1 else one_minus_power(n) / one_minus_power(1)
+    return one_minus_power(n) / one_minus_power(1) if n > 1 else float(n)
 
 
 def time_gram(a, b, rows=slice(None)):
-    """Paired time Gram sum_n a[i, n] b[rows[i], n] of two profiles.
+    """Paired time Gram sum_n a[i, n] b[rows[i], n] of two profiles that
+    end in the same noise cell (else ValueError).
 
     ``rows`` picks the row of ``b`` paired with each row of ``a``; the
-    default pairs every row with itself (one basis).  Two geometric
-    profiles on one grid that end in the same cell, one block length
-    dividing the other, give with G(x, n) = (1 - x^n)/(1 - x)
+    default pairs every row with itself (one basis).  Two profiles with
+    u = 1, one run length dividing the other, give with
+    G(x, n) = (1 - x^n)/(1 - x)
 
         p_f amp_a amp_b G(x_f, r) G(x_c x_f^r, n_c) + tail_a tail_b,
 
-    f the profile with the finer blocks, c the coarser (n_c blocks),
-    r = p_c/p_f, and the tails 0 unless both profiles carry one.
-    Any other pair takes the dense product of the materialized arrays.
+    f the profile with the finer runs, c the coarser (n_c runs),
+    r = p_c/p_f, and the tails 0 unless both profiles carry one.  Any
+    other pair sums the cellwise products over the last L = lcm(w_a, w_b)
+    cells (w = u p), S, and over the last h = end mod L of them, S_h: with
+    y = x_a^(L/w_a) x_b^(L/w_b), the Gram is G(y, B) S + y^B S_h + tails
+    over B = end // L whole periods.
     """
     ga, gb = a.geometric, b.geometric
-    if (ga and gb and a.n_star == b.n_star
-            and math.isclose(a.horizon, b.horizon)
-            and ga[3] * ga[4] == gb[3] * gb[4]           # one end cell
-            and max(ga[3], gb[3]) % min(ga[3], gb[3]) == 0):  # nested
-        gb = tuple(v[rows] if isinstance(v, np.ndarray) else v for v in gb)
-        (amp_f, lx_f, neg_f, p_f, *_), (amp_c, lx_c, neg_c, p_c, n_c, _) = (
-            (ga, gb) if ga[3] <= gb[3] else (gb, ga))
+    if ga[4] != gb[4]:
+        raise ValueError("the profiles end in different noise cells")
+    gb = tuple(v[rows] if isinstance(v, np.ndarray) else v for v in gb)
+    tails = 0.0 if ga[5] is None or gb[5] is None else ga[5] * gb[5]
+    (amp_f, lx_f, neg_f, p_f, *_), (amp_c, lx_c, neg_c, p_c, end, _) = (
+        (ga, gb) if ga[3] <= gb[3] else (gb, ga))
+    if amp_f.shape[1] == amp_c.shape[1] == 1 and p_c % p_f == 0:   # nested
         r = p_c // p_f
-        tails = 0.0 if ga[5] is None or gb[5] is None else ga[5] * gb[5]
-        return (p_f * amp_f * amp_c * _geometric_sum(lx_f, neg_f, r)
+        return (p_f * amp_f[:, 0] * amp_c[:, 0]
+                * _geometric_sum(lx_f, neg_f, r)
                 * _geometric_sum(lx_c + r * lx_f,
-                                 neg_c ^ (neg_f & (r % 2 == 1)), n_c) + tails)
-    return (a.dense() * b.dense()[rows]).sum(1)
+                                 neg_c ^ (neg_f & (r % 2 == 1)), end // p_c)
+                + tails)
+    wa, wb = (g[0].shape[1] * g[3] for g in (ga, gb))
+    L = math.lcm(wa, wb)
+    B, h = divmod(end, L)
+    ca, cb = (np.repeat(x.columns(max(end - L, 0) // p, end // p), p, 1)
+              for x, p in ((a, ga[3]), (b, gb[3])))   # the last L cells
+    prod = ca[:, ::-1] * cb[rows, ::-1]   # from the end cell back
+    log_y = L // wa * ga[1] + L // wb * gb[1]
+    neg_y = (ga[2] & (L // wa % 2 == 1)) ^ (gb[2] & (L // wb % 2 == 1))
+    y_B = np.where(neg_y & (B % 2 == 1), -1.0, 1.0) * np.exp(
+        B * log_y) if B else 1.0   # y^0 = 1 also at log|y| = -inf
+    return (_geometric_sum(log_y, neg_y, B) * prod.sum(1)
+            + y_B * prod[:, :h].sum(1) + tails)
 
 
 class GaussianCoefficientMap:

@@ -296,10 +296,11 @@ def test_modeling_error_beyond_rounding_exits_2(monkeypatch, capsys):
 
 
 def test_allocation_failure_exits_2(capsys):
-    # dtau = 2^-50 asks for an 8 PiB step grid; numpy refuses it at once
-    assert run(["study", "--set", "study=tdr", "--set", "n_star=16",
-                "--set", "j_star=16", "--set", "K=32",
-                "--set", "dtau_levels=2,50"]) == 2
+    # dtau = 2^-50 asks CN stepping for an 8 PiB array of states; numpy
+    # refuses it at once
+    assert run(["study", "--set", "study=deterministic-cn", "--set",
+                "axis=time", "--set", "dtau_levels=2,50",
+                "--set", "window=2"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("numerical failure:")
@@ -335,6 +336,27 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_unwritable_out_fails_before_the_run(monkeypatch, capsys, tmp_path):
+    # the --out path is opened before any computation, and a file that
+    # exists keeps its text when the run then fails
+    def no_run(cfg):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(cli, "run_study", no_run)
+    monkeypatch.setattr(cli, "run_sample_path", no_run)
+    bad = os.path.join(os.devnull, "x.csv")
+    assert run(["study", "--set", "study=tdr", "--out", bad]) == 1
+    assert run(["sample-path", "--out", bad]) == 1
+    assert capsys.readouterr().err.count("error:") == 2
+
+    def failing(cfg):
+        raise ValueError("diverged")
+    monkeypatch.setattr(cli, "run_study", failing)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    assert run(["study", "--set", "study=tdr", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier results\n"
 
 
 def test_missing_subcommand():

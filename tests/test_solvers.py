@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -5,9 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stochheat import deterministic, fem, noise, solvers
+from stochheat import cli, deterministic, fem, noise, solvers
 from stochheat.spectral import SpectralField
 
 
@@ -21,27 +22,29 @@ def test_interval_overlaps_partition_both_ways():
     assert np.allclose(V.sum(axis=1), 1.0 / 6.0)   # each step covered
 
 
-def test_time_profile_paths_agree():
-    # an aligned CN profile's per-step weights, each repeated over its p
-    # cells (cells past the last step weigh 0), against the dense oracle
-    def spread(profile):
-        W, p = profile.steps()
-        out = np.zeros(profile.shape)
-        out[:, : W.shape[1] * p] = np.repeat(W, p, axis=1)
-        return out
+def _spread(profile):
+    """``steps()`` weights, each repeated over its p cells (cells past
+    the last step weigh 0): the profile's dense form."""
+    W, p = profile.steps()
+    out = np.zeros(profile.shape)
+    out[:, : W.shape[1] * p] = np.repeat(W, p, axis=1)
+    return out
 
+
+def test_time_profile_paths_agree():
+    # an aligned CN profile (p whole cells per step) against the oracle
     mus = np.array([1.0, 30.0, 900.0, 1e5])
     for M, m, n_star in ((8, 8, 32), (8, 3, 32), (4, 4, 4), (16, 5, 64)):
         A = solvers.PropagatorProfile(mus, m, 1.0 / M, n_star, 1.0)
-        assert A.geometric is not None
-        assert np.array_equal(spread(A), A.dense())   # dyadic: same bits
+        assert A.geometric[3] == n_star // M
+        assert np.array_equal(_spread(A), A.dense())   # dyadic: same bits
     # dt = 0.3/24 is no float: the two kernels round apart in the last bit
     lam2 = (np.arange(1, 1025) * math.pi) ** 2
     A = solvers.PropagatorProfile(lam2, 8, 0.3 / 8, 24, 0.3)
-    assert A.geometric is not None
+    assert A.geometric[3] == 3
     dense = A.dense()
     scale = np.abs(dense).max(axis=1, keepdims=True)
-    assert np.all(np.abs(spread(A) - dense) <= 1e-13 * scale)
+    assert np.all(np.abs(_spread(A) - dense) <= 1e-13 * scale)
 
 
 def test_spectral_solver_matches_duhamel_map():
@@ -425,8 +428,6 @@ def test_time_gram_closed_forms_match_dense(M, p, e, data,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [solvers.time_gram(a, b, rows) for a, b, rows in cases]
-    # every pair is aligned: the closed form builds no dense profile
-    assert all(x._array is None for pair in pairs for x in pair)
     for (a, b, rows), g in zip(cases, got):
         ref = _dense_gram(a, b, rows)
         na = np.sqrt((a.dense() ** 2).sum(1))
@@ -456,7 +457,6 @@ def test_time_gram_of_overlaps_matches_mpmath(horizon, n_star, t, exact,
     ks = np.array([1, 5, 40, 194, 1000])
     o = solvers.OverlapProfile(ks, t, n_star, horizon)
     got = solvers.time_gram(o, o)
-    assert o._array is None
     ref = np.array([overlap_sq_sum_mp(k, t if exact is None else exact,
                                       n_star, horizon) for k in ks])
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)
@@ -475,12 +475,11 @@ def test_regularized_map_holds_one_grouped_profile():
     finally:
         tracemalloc.stop()
     assert held <= 33 * 2 ** 20
-    assert m.time._array is None
 
 
 @pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (1.0, 8, 16)])
-def test_time_gram_falls_back_to_dense(horizon, n_star, M):
-    # non-aligned steps, and steps finer than the noise cells
+def test_time_gram_non_aligned_matches_dense(horizon, n_star, M):
+    # 3 cells per 2 steps (a period of 3 cells), and 2 steps per cell
     K = 6
     ks = np.arange(1, K + 1)
     lam2 = (ks * math.pi) ** 2
@@ -491,8 +490,11 @@ def test_time_gram_falls_back_to_dense(horizon, n_star, M):
     over = solvers.OverlapProfile(ks, M * dtau, n_star, horizon)
     for a, b in ((cn, cn), (cn, cn_h), (over, cn), (over, cn_h)):
         for rows in (slice(None), np.arange(K)[::-1]):
-            assert np.array_equal(solvers.time_gram(a, b, rows),
-                                  _dense_gram(a, b, rows))
+            ref = _dense_gram(a, b, rows)
+            scale = np.sqrt((a.dense() ** 2).sum(1)
+                            * (b.dense() ** 2).sum(1)[rows])
+            assert np.all(np.abs(solvers.time_gram(a, b, rows) - ref)
+                          <= 1e-12 * scale)
 
 
 def _dense_cell_loads(space, grid, M):
@@ -532,3 +534,145 @@ def test_cell_loads_non_aligned_take_the_overlaps():
     assert np.allclose(loads.sum(axis=1), whole, rtol=1e-12, atol=1e-12)
     assert np.allclose(loads, _dense_cell_loads(space, grid, 16),
                        rtol=1e-13, atol=1e-13)
+
+
+def test_time_factors_read_at_most_two_periods(monkeypatch):
+    # a profile's pattern comes from the dense kernels on at most two
+    # periods: interval_overlaps over more than 2b steps or 2a + 1 cells
+    # (a cells per b steps of its own grid) fails, as does any call of
+    # noise.time_overlaps
+    overlaps = solvers.interval_overlaps
+
+    def windowed(m, dtau, n_star, horizon=1.0):
+        a, b = solvers._period(dtau, horizon / n_star)
+        assert m <= 2 * b and n_star <= 2 * a + 1, (m, n_star, a, b)
+        return overlaps(m, dtau, n_star, horizon)
+
+    def dense(*args):
+        raise AssertionError("dense regularized overlaps built")
+    monkeypatch.setattr(solvers, "interval_overlaps", windowed)
+    monkeypatch.setattr(noise, "time_overlaps", dense)
+    # 3 cells per 2 steps at M = 16; tdr adds 3/4 and 3/8
+    grids = {"horizon": "0.3", "seed": "0", "n_star": "24", "j_star": "16",
+             "K": "32", "M": "16", "window": "2"}
+    for study, key, levels in (("tdr", "dtau_levels", "4,5,6"),
+                               ("sdr", "h_levels", "2,3,4"),
+                               ("total", "h_levels", "2,3,4")):
+        for samples in ("0", "3"):
+            rep = cli.run_study(dict(grids, study=study, samples=samples,
+                                     **{key: levels}))
+            assert all(r["error_exact"] > 0.0 for r in rep.rows)
+    # sub-cell steps: 2, 4 and 8 steps per noise cell
+    rep = cli.run_study(dict(grids, study="tdr", horizon="1.0", n_star="8",
+                             samples="3", dtau_levels="4,5,6"))
+    assert all(r["error_mc"] > 0.0 for r in rep.rows)
+    path = cli.run_sample_path({"horizon": "0.3", "seed": "1",
+                                "n_star": "24", "j_star": "16", "M": "16",
+                                "mesh": "8"})
+    assert path.count("\n") == 17
+
+
+def _abs_dense(profile):
+    """The dense CN profile of |r_l|, the scale of the dense oracle's own
+    rounding: where q is near -1 the steps of one cell cancel, and at
+    rho = 1e8 the oracle is 4.5e-9 of a row's maximum from 40-digit
+    mpmath while the closed form is exact.  Regularized rows are positive:
+    their dense profile."""
+    if isinstance(profile, solvers.OverlapProfile):
+        return profile.dense()
+    r = deterministic.step_factors(profile.mus, profile.m, profile.dtau)
+    return np.abs(r)[:, ::-1] @ solvers.interval_overlaps(
+        profile.m, profile.dtau, profile.n_star, profile.horizon)
+
+
+_FEM_VALUES = fem.generalized_eigen(fem.assemble(fem.Mesh(6))).values
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 48), M=st.integers(1, 48), m=st.integers(1, 48),
+       rhos_a=_RHOS, rhos_b=_RHOS,
+       ks=st.lists(st.integers(1, 256), min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 59), min_size=5, max_size=5))
+# q = 0 (rho = 1) with no whole period, m < b: sub-cell steps, and a
+# partial period of 3 cells per 8 steps
+@example(N=8, M=16, m=1, rhos_a=[1.0], rhos_b=[1.0, 1e8], ks=[3],
+         picks=[1, 0, 0, 0, 0])
+@example(N=24, M=64, m=5, rhos_a=[1.0, 1e8], rhos_b=[0.5], ks=[1, 7],
+         picks=[0, 1, 2, 3, 4])
+def test_profiles_on_every_grid_ratio_match_dense(N, M, m, rhos_a, rhos_b,
+                                                   ks, picks):
+    # N noise cells and M steps: a/b = N/M in lowest terms, any pair
+    m = 1 + (m - 1) % M
+    dtau = 2.0 ** -6      # keeps rho = dtau mu / 2 exact, rho = 1 too
+    horizon = M * dtau
+    profiles = [solvers.OverlapProfile(ks, m * dtau, N, horizon)] + [
+        solvers.PropagatorProfile(mus, m, dtau, N, horizon)
+        for mus in (2.0 * np.array(rhos_a) / dtau,
+                    2.0 * np.array(rhos_b) / dtau, _FEM_VALUES)]
+    scales = [_abs_dense(x) for x in profiles]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, s in zip(profiles, scales):
+            tol = 1e-13 * np.abs(s).max(axis=1, keepdims=True)
+            assert np.all(np.abs(_spread(x) - x.dense()) <= tol)
+        for (a, sa), (b, sb) in itertools.product(zip(profiles, scales),
+                                                  repeat=2):
+            paired = np.array(picks[: a.shape[0]]) % b.shape[0]
+            own = [slice(None)] if a.shape[0] == b.shape[0] else []
+            for rows in own + [paired]:
+                got = solvers.time_gram(a, b, rows)
+                scale = np.sqrt((sa ** 2).sum(1) * (sb ** 2).sum(1)[rows])
+                assert np.all(np.abs(got - _dense_gram(a, b, rows))
+                              <= 1e-12 * scale)
+
+
+def _profiles_mp(k, m, M, N, horizon):
+    """(regularized, CN) time profiles of mode k at t = m horizon/M on N
+    cells, at 40 digits from the exact values of the float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def mp(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+    with mpmath.workdps(40):
+        T = Fraction(horizon)
+        dtau, dt, t = T / M, T / N, m * T / M
+        lam2 = mp((k * math.pi) ** 2)
+        rho = mp(0.5 * (horizon / M)) * lam2   # the float product's inputs
+        q = (1 - rho) / (1 + rho)
+        reg, cn = [], []
+        for n in range(N):
+            lo, hi = n * dt, min((n + 1) * dt, t)
+            reg.append((mpmath.exp(-lam2 * mp(t - hi)) - mpmath.exp(
+                -lam2 * mp(t - lo))) / lam2 if hi > lo else mpmath.mpf(0))
+            cn.append(sum((q ** (m - l) / (1 + rho) * mp(
+                min(l * dtau, hi) - max((l - 1) * dtau, lo))
+                for l in range(1, m + 1)
+                if min(l * dtau, hi) > max((l - 1) * dtau, lo)),
+                mpmath.mpf(0)))
+        return reg, cn
+
+
+@pytest.mark.parametrize("horizon, N, M, m", [
+    (0.3, 24, 64, 64), (0.3, 24, 64, 21),   # 3 cells per 8 steps; a tail
+    (1.0, 8, 64, 64), (1.0, 8, 64, 13)])    # 8 steps per cell; a tail
+def test_time_grams_match_mpmath_off_aligned_grids(horizon, N, M, m):
+    # uu, uc and cc of the tdr moments, mode by mode, to 1e-13 of the
+    # Cauchy-Schwarz scale (rho up to 316: q near -1)
+    ks = np.array([1, 2, 5, 17, 64])
+    mpmath = pytest.importorskip("mpmath")
+    lam2 = (ks * math.pi) ** 2
+    dtau = horizon / M
+    over = solvers.OverlapProfile(ks, m * dtau, N, horizon)
+    cn = solvers.PropagatorProfile(lam2, m, dtau, N, horizon)
+    got = [solvers.time_gram(x, y) for x, y in ((over, over), (over, cn),
+                                                 (cn, cn))]
+    for i, k in enumerate(ks):
+        reg, cnk = _profiles_mp(int(k), m, M, N, horizon)
+        with mpmath.workdps(40):
+            ref = [float(mpmath.fsum(x * y for x, y in zip(u, v)))
+                   for u, v in ((reg, reg), (reg, cnk), (cnk, cnk))]
+        scale = math.sqrt(ref[0] * ref[2])
+        assert abs(got[0][i] - ref[0]) <= 1e-13 * ref[0]
+        assert abs(got[1][i] - ref[1]) <= 1e-13 * scale
+        assert abs(got[2][i] - ref[2]) <= 1e-13 * ref[2]
