@@ -22,6 +22,7 @@ __all__ = [
     "l2_project",
     "elliptic_solve_discrete",
     "generalized_eigen",
+    "cell_energies",
     "sine_hat_inner_matrix",
     "hat_cell_overlap_matrix",
     "h1_seminorm",
@@ -214,6 +215,71 @@ def generalized_eigen(system):
               / (2.0 + np.cos(p * (math.pi / J))))
     vectors = _eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
     return FemEigenBasis(system, values, vectors)
+
+
+def cell_energies(eigen, j_star):
+    """E_p = sum_j beta_pj^2, beta_pj the integral of phi_p over noise cell
+    D_j, in closed form: ``(V^T O)**2`` summed over cells, O the hat-cell
+    overlaps, without O.
+
+    Extended oddly at x = 0 and 1, phi_p is the interpolant of c_p sin(p pi
+    x_i) at every node, so sum_j beta_pj^2 is half its sum over a period
+    (2J nodes, 2J* cells): sum_i phi_i sum_d G_i(d) phi_(i+d), with G_i(d)
+    the cell-wise product of hats i and i + d (``_hat_cell_gram``).  G_i
+    depends only on the class i0 = i mod J', J' = J/gcd(J, J*), of the
+    node's offset within its cell.  Over the 2g nodes of a class (g =
+    gcd(J, J*)), phi_i phi_(i+d) = c_p^2/2 (cos(p pi d/J) - cos(p pi (2i +
+    d)/J)) sums to g c_p^2 (cos(p pi d/J) - [g | p] cos(p pi (2 i0 + d)/J)),
+    and the second cosine depends only on 2 i0 + d mod 2J'.
+    """
+    J = eigen.system.mesh.intervals
+    g = math.gcd(J, j_star)
+    G, d = _hat_cell_gram(J, j_star)   # (J' classes, 2w + 1), offsets d
+    p = np.arange(1, J)
+    energies = _cos_pi_ratio(np.outer(p, d), J) @ G.sum(0)
+    if g < J:                 # p = g m for m = 1 .. J' - 1
+        q = np.arange(2 * len(G))
+        H = np.bincount((2 * q[:len(G), None] + d).ravel() % len(q),
+                        G.ravel(), len(q))
+        energies[g - 1::g] -= _cos_pi_ratio(q, len(G))[
+            np.outer(q[1:len(G)], q) % len(q)] @ H
+    return 0.5 * g * _eigen_scale(p, J) ** 2 * energies
+
+
+def _cos_pi_ratio(m, n):
+    """cos(pi m/n) = sin(pi (n - 2m)/(2n)), in integers (``sin_pi_ratio``)."""
+    return sin_pi_ratio(n - 2 * m, 2 * n)
+
+
+def _hat_cell_gram(J, j_star):
+    """``(G, d)``: G[i0, w + d] = sum_j (hat_i0, 1_Dj)(hat_(i0 + d), 1_Dj)
+    over every cell D_j of the line, for the classes i0 < J/gcd(J, J*) and
+    the offsets |d| <= w = 1 + ceil(J/J*) past which two hats share no cell.
+
+    In units of 1/(J J*) node i sits at i J* and cell j spans [j J, j J +
+    J]; on each half of a hat the overlap is its length times the hat at
+    its midpoint, an integer over 2 J J*^2, so each product is one rounding.
+    """
+    classes = J // math.gcd(J, j_star)
+    w = 1 + -(-J // j_star)
+    d = np.arange(-w, w + 1)
+    i0 = np.arange(classes)[:, None, None]
+    # the cells hat i0 meets, from the one holding node i0 - 1
+    cells = (i0 - 1) * j_star // J + np.arange(2 * j_star // J + 2)
+    lo, hi = cells * J, cells * J + J
+    node = (i0 + d[:, None]) * j_star        # hats i0 + d: (classes, 2w+1, 1)
+
+    def half(a, b, rising):
+        """Overlap numerators of the half [a, b] of each hat."""
+        left, right = np.maximum(lo, a), np.minimum(hi, b)
+        mid2 = left + right                  # twice the midpoint
+        value = mid2 - 2 * a if rising else 2 * b - mid2
+        return np.maximum(right - left, 0) * value
+
+    N = (half(node - j_star, node, True)
+         + half(node, node + j_star, False)).astype(float)
+    G = np.sum(N[:, w:w + 1] * N, axis=2) / float(2 * J * j_star ** 2) ** 2
+    return G, d
 
 
 def h1_seminorm(v, system):

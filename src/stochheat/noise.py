@@ -22,6 +22,7 @@ __all__ = [
     "project_pi",
     "mode_cell_integrals",
     "sine_cell_fold",
+    "fold_rows",
     "mode_cell_sq_sums",
     "time_overlaps",
 ]
@@ -161,6 +162,19 @@ def mode_cell_integrals(K, j_star):
     return b
 
 
+def fold_rows(K, j_star):
+    """``(alias, c)`` of ``sine_cell_fold`` without its matrix S: mode k
+    reads row alias[k - 1] of S, times c[k - 1]."""
+    if K < 1 or j_star < 1:
+        raise ValueError("K and j_star must be >= 1")
+    ks = np.arange(1, K + 1)
+    quot, s = np.divmod(ks, 2 * j_star)
+    alias = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1
+    c = _cell_amplitudes(ks, j_star)
+    c[quot % 2 == 1] *= -1.0
+    return alias, c
+
+
 @functools.lru_cache(maxsize=1)
 def sine_cell_fold(K, j_star):
     """The cell integrals of modes 1..K folded onto at most J distinct
@@ -176,13 +190,7 @@ def sine_cell_fold(K, j_star):
     The last result is kept (read-only): every sine map on one (K, J)
     shares one fold, and so one projection per sample.
     """
-    if K < 1 or j_star < 1:
-        raise ValueError("K and j_star must be >= 1")
-    ks = np.arange(1, K + 1)
-    quot, s = np.divmod(ks, 2 * j_star)
-    alias = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1
-    c = _cell_amplitudes(ks, j_star)
-    c[quot % 2 == 1] *= -1.0
+    alias, c = fold_rows(K, j_star)
     rows = min(K, j_star)
     S = np.empty((rows, j_star))
     for lo in range(0, rows, 256):   # blocks bound the integer temporaries

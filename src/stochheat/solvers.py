@@ -44,6 +44,7 @@ __all__ = [
     "distance_moments",
     "squared_distance",
     "spectral_fem_gram",
+    "sine_fem_cell_cross",
 ]
 
 _MODE_CHUNK = 512
@@ -168,7 +169,9 @@ class _Profile:
         k = back // u                             # run j carries x^k
         W = amp.take(u - 1 - back % u, axis=1)
         live = np.count_nonzero(k)   # x^0 = 1 also at log|x| = -inf
-        W[:, :live] *= np.exp(np.multiply.outer(log_x, k[:live]))
+        e = np.multiply.outer(log_x, k[:live])
+        # exp rounds to 0 below -745.2: skip numpy's slow underflow path
+        W[:, :live] *= np.exp(e, out=np.zeros(e.shape), where=e > -746.0)
         W[np.ix_(neg, k % 2 == 1)] *= -1.0   # odd powers of x < 0
         return W
 
@@ -349,7 +352,8 @@ class GaussianCoefficientMap:
         """Space factor as ``(rows, c, S)``: row i of ``space()`` is
         c_i S[rows_i].  Sine maps take ``noise.sine_cell_fold`` (at most
         J* rows of S, shared by every sine map on one (K, J*)); a FEM map
-        keeps (every row, 1, V^T O) with O the hat-cell overlaps."""
+        keeps (every row, 1, V^T O) with O the hat-cell overlaps.  Only
+        sampling (``project``, ``reconstruct``) and ``space()`` read it."""
         if self._fold is None:
             if _is_fem(self.basis):
                 O = fem.hat_cell_overlap_matrix(self.basis.system.mesh,
@@ -502,15 +506,18 @@ def squared_distance(map_a, map_b):
 
 def _moment(map_a, map_b, pairing):
     """Per-row terms E x_k g_k y_{rows_k} (one per row of X) from the
-    paired time Grams and space factors."""
+    paired time Grams and the space factors sum_j (cell integrals of row
+    k)(cell integrals of row rows_k), each in closed form: sine against
+    FEM ``sine_fem_cell_cross``, FEM ``fem.cell_energies``, sine
+    ``noise.mode_cell_sq_sums``.  No fold is built; it serves sampling."""
     if not _same_grid(map_a, map_b):
         raise ValueError("maps live on different noise grids")
     rows, g, _ = pairing
     if map_a.basis != map_b.basis:     # sine rows of X, FEM rows of Y
-        alias, c, S = map_a.fold()
-        space = c * (S @ map_b.fold()[2].T)[alias, rows]
-    elif _is_fem(map_a.basis):         # the fold of a FEM map is V^T O
-        space = (map_a.fold()[2] ** 2).sum(1)
+        space = sine_fem_cell_cross(map_a.basis, rows, map_b.basis,
+                                    map_a.j_star)
+    elif _is_fem(map_a.basis):
+        space = fem.cell_energies(map_a.basis, map_a.j_star)
     else:
         space = _sine_energies(map_a.basis, map_a.j_star)
     terms = g * time_gram(map_a.time, map_b.time, rows) * space
@@ -544,6 +551,65 @@ def spectral_fem_gram(K, eigen):
          * math.sqrt(2.0) * 4.0 * sin_pi_ratio(r, 2 * J) ** 2
          / (ks * math.pi) ** 2)
     return np.where(live, p - 1, 0), np.where(live, g, 0.0)
+
+
+def sine_fem_cell_cross(K, rows, eigen, j_star):
+    """sum_j b_kj beta_pj per mode k = 1..K, p = rows_k + 1: the noise-cell
+    integrals of e_k (``noise.mode_cell_integrals``) against those of
+    phi_p (``fem.cell_energies``), in closed form.
+
+    b_kj = c_k sin(theta (j - 1/2)), theta = r pi/J* (``noise.fold_rows``,
+    r = alias_k + 1), is an eigenvector of the second difference in j, with
+    eigenvalue -4 sin^2(theta/2).  Extended oddly at x = 0 and 1, the
+    boundary terms of summation by parts vanish, and the second difference
+    of beta is the hat kinks -4 J sin^2(p pi/(2J)) phi_p(x_i) spread by a
+    tent of half-width dx over the at most 3 cells around node i.  With
+    node i u dx past a cell edge and w_l the tent's share of cell l = -1,
+    0, 1 (midpoint o_l = l + 1/2 - u cells past x_i), the tent meets the
+    sine as dx^2 (a_u sin(r pi x_i) + b_u cos(r pi x_i)), a_u + i b_u =
+    sum_l w_l exp(i theta o_l).  Over a period the nodes of one offset
+    class i0 (``fem.cell_energies``) sum sin(p pi x_i) against sin(r pi
+    x_i) and cos(r pi x_i) to 0 unless p = +-r (mod 2g), g = gcd(J, J*):
+
+        sum_j b_kj beta_pj = c_k g J dx^2 c_p sin^2(p pi/(2J))
+            / (2 sin^2(theta/2)) sum_i0 ([p = r] (a cos + b sin)(p - r)
+                                         - [p = -r] (a cos - b sin)(p + r))
+
+    at the phases (p -+ r) pi i0/J.  Class 0 has u = 0, a = cos(theta/2)
+    and b = 0; its a summed over the classes is J' = J/g where p = +-r (mod
+    2J), else 0, so the other classes enter only through a_u - a_0, taken
+    as products of sines.  When J divides J* there is one class: O(1) per
+    mode.  Every sine is taken in integers (``sin_pi_ratio``).
+    """
+    J = eigen.system.mesh.intervals
+    g = math.gcd(J, j_star)
+    alias, c = noise.fold_rows(K, j_star)
+    r, p = alias + 1, np.asarray(rows) + 1
+    n = 2 * J * j_star          # the phases theta (o_l +- 1/2)/2 are pi m/n
+    total = (J // g) * fem._cos_pi_ratio(r * J, n) * (
+        ((p - r) % (2 * J) == 0).astype(float) - ((p + r) % (2 * J) == 0))
+    q = np.arange(2 * J)
+    sines, cosines = sin_pi_ratio(q, J), fem._cos_pi_ratio(q, J)
+    rs = np.arange(1, min(K, j_star) + 1)    # a_u, b_u per fold row
+    live = [np.flatnonzero((p + sign * r) % (2 * g) == 0) for sign in (-1, 1)]
+    block = max(1, 2 ** 18 // K)   # about 2^18 (class, mode) pairs a block
+    for lo in range(1, J // g, block):
+        i0 = np.arange(lo, min(lo + block, J // g))[:, None]
+        e = i0 * j_star % J   # node i0 lies u = e/J of a cell past an edge
+        u = e / J
+        a = b = 0.0           # a is a_u - a_0: cosine differences as sines
+        for l, w in ((-1, 0.5 * (1.0 - u) ** 2), (0, 0.5 + u - u * u),
+                     (1, 0.5 * u * u)):
+            a = a - 2.0 * w * (sin_pi_ratio(rs * (J * l + J - e), n)
+                               * sin_pi_ratio(rs * (J * l - e), n))
+            b = b + w * sin_pi_ratio(rs * (2 * J * l + J - 2 * e), n)
+        for sign, k in zip((-1, 1), live):   # p = r, then p = -r (mod 2g)
+            m = (p[k] + sign * r[k]) * i0 % (2 * J)
+            total[k] += np.sum(b[:, alias[k]] * sines[m]
+                               - sign * a[:, alias[k]] * cosines[m], axis=0)
+    return (c * (0.5 * g * J / j_star ** 2) * fem._eigen_scale(p, J)
+            * (sin_pi_ratio(p, 2 * J) / sin_pi_ratio(r, 2 * j_star)) ** 2
+            * total)
 
 
 def map_regularized(n_star, j_star, horizon, K, t):

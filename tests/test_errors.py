@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,40 @@ def test_no_route_needs_the_cell_integral_matrix(monkeypatch, capsys):
     assert np.isfinite(traj.states).all()
     assert cli.run_selftest() == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_exact_space_errors_need_no_cell_fold(monkeypatch):
+    # the exact cell side is closed form: neither the folded sine rows nor
+    # the hat-cell overlaps are built, where J divides J*, where J = 16
+    # does not divide J* = 24, and where the mesh is finer than the cells
+    def dense(*args):
+        raise AssertionError("cell fold built")
+    monkeypatch.setattr(noise, "sine_cell_fold", dense)
+    monkeypatch.setattr(fem, "hat_cell_overlap_matrix", dense)
+    grids = {"horizon": "1.0", "seed": "0", "samples": "0", "n_star": "16",
+             "K": "100", "M": "16", "window": "2"}
+    for j_star, levels in (("16", "2,3,4"), ("24", "2,3,4"),
+                           ("8", "2,3,4,5")):
+        for study in ("sdr", "total"):
+            rep = cli.run_study(dict(grids, study=study, j_star=j_star,
+                                     h_levels=levels))
+            assert all(row["error_exact"] > 0.0 for row in rep.rows)
+
+
+def test_exact_sdr_peak_memory():
+    # no J* x J* fold, no nu x J* overlaps: at J* = 4096 the fold alone
+    # took 128 MiB
+    tracemalloc.start()
+    try:
+        rep = cli.run_study({
+            "study": "sdr", "horizon": "1.0", "seed": "0", "samples": "0",
+            "n_star": "4096", "j_star": "4096", "K": "16384", "M": "4096",
+            "h_levels": "3,4,5,6,7,8,9", "window": "2"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 7
+    assert peak <= 32 * 2 ** 20
 
 
 def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):

@@ -178,6 +178,81 @@ def test_folded_cross_term_matches_dense_cell_integrals(j_star, J, K):
     assert np.abs(folded - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
+def _dense_cell_side(K, J, j_star):
+    """The fold products the closed forms replace, beta = V^T O: per mode
+    k, c_k (S beta^T)[alias_k, rows_k] and its Cauchy-Schwarz scale; per
+    FEM row, (beta**2).sum(1) and the energy of |V|^T O as its scale."""
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    rows, _ = solvers.spectral_fem_gram(K, eig)
+    O = fem.hat_cell_overlap_matrix(eig.system.mesh, j_star)
+    beta = eig.vectors.T @ O
+    alias, c, S = noise.sine_cell_fold(K, j_star)
+    energies = (beta ** 2).sum(1)
+    scale = np.abs(c) * np.sqrt((S ** 2).sum(1)[alias] * energies[rows])
+    return (eig, rows, c * (S @ beta.T)[alias, rows], scale, energies,
+            ((np.abs(eig.vectors.T) @ O) ** 2).sum(1))
+
+
+@pytest.mark.parametrize("j_star, J", [(64, 16), (16, 16), (24, 16), (12, 8),
+                                       (8, 32), (6, 16)],
+                         ids=["J|J*", "J=J*", "J~|J*", "J~|J*-2", "J>J*",
+                              "J>J*-odd"])
+@pytest.mark.parametrize("modes", [lambda js: js // 2 + 1, lambda js: 4 * js,
+                                   lambda js: 13 * js + 5],
+                         ids=["K<J*", "K=4J*", "K>12J*"])
+def test_cell_side_closed_forms_match_dense_fold(j_star, J, modes):
+    # every (k, rows_k) pair of the alias pairing, its dead modes (g_k = 0,
+    # rows_k = 0) too, and every FEM row energy
+    K = modes(j_star)
+    eig, rows, cross, scale, energies, e_scale = _dense_cell_side(
+        K, J, j_star)
+    got = solvers.sine_fem_cell_cross(K, rows, eig, j_star)
+    assert np.all(np.abs(got - cross) <= 1e-12 * scale)
+    assert np.all(np.abs(fem.cell_energies(eig, j_star) - energies)
+                  <= 1e-12 * e_scale)
+
+
+@pytest.mark.parametrize("j_star, J", [(8, 4), (6, 4), (4, 8), (3, 4)])
+def test_cell_side_closed_forms_match_mpmath(j_star, J):
+    # cell integrals of phi_p split at the nodes, of e_k from the cosine
+    # antiderivative, and their products summed, all at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    K = 4 * j_star + 3
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    rows, _ = solvers.spectral_fem_gram(K, eig)
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        def phi(p, x):    # the interpolant of c_p sin(p pi x_i) at x
+            i = math.floor(x * J)
+            t = mp(x * J - i)
+            return mpmath.sqrt(6 / (2 + mpmath.cos(p * pi / J))) * (
+                (1 - t) * mpmath.sin(p * pi * i / J)
+                + t * mpmath.sin(p * pi * (i + 1) / J))
+
+        def beta(p, j):   # midpoint rule on each linear piece of the cell
+            lo, hi = Fraction(j, j_star), Fraction(j + 1, j_star)
+            cuts = sorted({lo, hi} | {Fraction(i, J) for i in range(J)
+                                      if lo < Fraction(i, J) < hi})
+            return mpmath.fsum(mp(b - a) * phi(p, (a + b) / 2)
+                               for a, b in zip(cuts, cuts[1:]))
+
+        B = [[beta(p, j) for j in range(j_star)] for p in range(1, J)]
+        cross = [float(mpmath.fsum(
+            mpmath.sqrt(2) / (k * pi) * (mpmath.cos(k * pi * j / j_star)
+                                        - mpmath.cos(k * pi * (j + 1)
+                                                     / j_star)) * B[p][j]
+            for j in range(j_star))) for k, p in zip(range(1, K + 1), rows)]
+        energies = [float(mpmath.fsum(b * b for b in row)) for row in B]
+    got = solvers.sine_fem_cell_cross(K, rows, eig, j_star)
+    assert np.abs(got - cross).max() <= 1e-14 * np.abs(cross).max()
+    got = fem.cell_energies(eig, j_star)
+    assert np.abs(got - energies).max() <= 1e-14 * max(energies)
+
+
 @pytest.mark.parametrize("horizon, n_star, M", [(1.0, 16, 16), (1.0, 64, 16),
                                                 (0.3, 24, 16)])
 def test_folded_reconstruct_matches_dense_maps(horizon, n_star, M):
