@@ -142,21 +142,32 @@ def sine_hat_inner_matrix(K, mesh):
     return math.sqrt(2.0) * core / (mesh.h * lam[:, None] ** 2)
 
 
-def _hat_antiderivative(i, mesh, x):
-    """Integral of hat_i from 0 to x (piecewise quadratic), vectorized."""
-    h = mesh.h
-    xl, xc, xr = (i - 1) * h, i * h, (i + 1) * h
-    x = np.asarray(x, dtype=float)
-    rise = np.clip(x, xl, xc) - xl
-    fall = np.clip(x, xc, xr) - xc
-    return rise**2 / (2.0 * h) + fall - fall**2 / (2.0 * h)
-
-
 def hat_cell_overlap_matrix(mesh, j_star):
-    """Matrix O with O[i-1, j-1] = integral of hat_i over D_j."""
-    edges = np.arange(j_star + 1) / j_star
-    i = np.arange(1, mesh.nu + 1)[:, None]
-    return np.diff(_hat_antiderivative(i, mesh, edges), axis=1)
+    """Matrix O with O[i-1, j-1] = integral of hat_i over D_j, correctly
+    rounded: ``_tent_overlaps`` in units of 1/(J J*), over 2 J J*^2, on
+    the band of cells each hat meets (``_hat_cells``), scattered into O."""
+    J = mesh.intervals
+    i = np.arange(1, J)[:, None]
+    cells = _hat_cells(i, J, j_star)
+    N = _tent_overlaps(i * j_star, j_star, cells * J, cells * J + J)
+    inside = cells < j_star   # hat J - 1's band may run past x = 1
+    O = np.zeros((mesh.nu, j_star))
+    O[inside.nonzero()[0], cells[inside]] = N[inside] / (2.0 * J * j_star**2)
+    return O
+
+
+def _hat_cells(i, J, j_star):
+    """The at most 2 J*/J + 2 cells hat i meets, from the one holding
+    node i - 1, along a new last axis of the integer nodes i."""
+    return (i - 1) * j_star // J + np.arange(2 * j_star // J + 2)
+
+
+def _tent_overlaps(center, half, lo, hi):
+    """2 half times the integral over [lo, hi] of the unit tent of
+    half-width ``half`` about ``center``, from integer arrays: up to
+    center + y, y in [-half, half], it is half^2 + y (2 half - |y|)."""
+    y0, y1 = (np.clip(x - center, -half, half) for x in (lo, hi))
+    return y1 * (2 * half - abs(y1)) - y0 * (2 * half - abs(y0))
 
 
 def load_vector(f, mesh, npts=8, nsub=4):
@@ -257,27 +268,17 @@ def _hat_cell_gram(J, j_star):
     the offsets |d| <= w = 1 + ceil(J/J*) past which two hats share no cell.
 
     In units of 1/(J J*) node i sits at i J* and cell j spans [j J, j J +
-    J]; on each half of a hat the overlap is its length times the hat at
-    its midpoint, an integer over 2 J J*^2, so each product is one rounding.
+    J]; each overlap is an integer over 2 J J*^2 (``_tent_overlaps``), so
+    each product is one rounding.
     """
     classes = J // math.gcd(J, j_star)
     w = 1 + -(-J // j_star)
     d = np.arange(-w, w + 1)
     i0 = np.arange(classes)[:, None, None]
-    # the cells hat i0 meets, from the one holding node i0 - 1
-    cells = (i0 - 1) * j_star // J + np.arange(2 * j_star // J + 2)
-    lo, hi = cells * J, cells * J + J
-    node = (i0 + d[:, None]) * j_star        # hats i0 + d: (classes, 2w+1, 1)
-
-    def half(a, b, rising):
-        """Overlap numerators of the half [a, b] of each hat."""
-        left, right = np.maximum(lo, a), np.minimum(hi, b)
-        mid2 = left + right                  # twice the midpoint
-        value = mid2 - 2 * a if rising else 2 * b - mid2
-        return np.maximum(right - left, 0) * value
-
-    N = (half(node - j_star, node, True)
-         + half(node, node + j_star, False)).astype(float)
+    cells = _hat_cells(i0, J, j_star)        # the cells hat i0 meets
+    # hats i0 + d over them: (classes, 2w+1, band) integer numerators
+    N = _tent_overlaps((i0 + d[:, None]) * j_star, j_star, cells * J,
+                       cells * J + J).astype(float)
     G = np.sum(N[:, w:w + 1] * N, axis=2) / float(2 * J * j_star ** 2) ** 2
     return G, d
 

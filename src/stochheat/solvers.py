@@ -51,17 +51,15 @@ _MODE_CHUNK = 512
 
 
 def interval_overlaps(m, dtau, n_star, horizon=1.0):
-    """Matrix V[l-1, n-1] = |Delta_l intersect T_n| for l = 1..m.
-
-    Both grids are uniform; in the studies they are dyadic, so the
-    float endpoint arithmetic below is exact.
+    """Matrix V[l-1, n-1] = |Delta_l intersect T_n| for l = 1..m, exact
+    on every grid: with a cells per b steps (``_period``), step l spans
+    [(l-1) a, l a] and cell n [(n-1) b, n b] in units of horizon/(n_star
+    b), so each overlap is an integer, scaled once.
     """
-    dt = horizon / n_star
-    tau = np.arange(m + 1) * dtau
-    t = np.arange(n_star + 1) * dt
-    lo = np.maximum(tau[:-1, None], t[None, :-1])
-    hi = np.minimum(tau[1:, None], t[None, 1:])
-    return np.maximum(hi - lo, 0.0)
+    a, b = _period(dtau, horizon / n_star)
+    lo, n = np.arange(m)[:, None] * a, np.arange(n_star) * b
+    width = np.minimum(lo + a, n + b) - np.maximum(lo, n)
+    return np.maximum(width, 0) * (horizon / (n_star * b))
 
 
 def _period(dtau, dt):
@@ -97,18 +95,14 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
 def _cell_loads(space, grid, M):
     """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``.
 
-    When each step spans a whole noise cells, V^T sums blocks of a
-    columns, each weighted dt; otherwise a cells span b steps and V^T is
-    one period's a x b overlaps, applied to each period of a cells.
+    a cells span b steps (``_period``), so V^T is one period's a x b
+    overlaps, applied to each period of a cells.
     """
     dtau = grid.horizon / M
     proj = space @ grid.increments.T
     a, b = _period(dtau, grid.dt)
-    if b == 1:
-        steps = proj.reshape(-1, M, a).sum(axis=2) * grid.dt
-    else:
-        V = interval_overlaps(b, dtau, a, a * grid.dt)
-        steps = (proj.reshape(len(proj), -1, a) @ V.T).reshape(len(proj), M)
+    V = interval_overlaps(b, dtau, a, a * grid.dt)
+    steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), M)
     return steps / (grid.dt * grid.dx)
 
 
@@ -579,7 +573,9 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
     and b = 0; its a summed over the classes is J' = J/g where p = +-r (mod
     2J), else 0, so the other classes enter only through a_u - a_0, taken
     as products of sines.  When J divides J* there is one class: O(1) per
-    mode.  Every sine is taken in integers (``sin_pi_ratio``).
+    mode.  Every sine is taken in integers (``sin_pi_ratio``), and every
+    share w_l is exact: ``fem._tent_overlaps`` / (2 J^2), with cells J
+    units wide.
     """
     J = eigen.system.mesh.intervals
     g = math.gcd(J, j_star)
@@ -596,10 +592,9 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
     for lo in range(1, J // g, block):
         i0 = np.arange(lo, min(lo + block, J // g))[:, None]
         e = i0 * j_star % J   # node i0 lies u = e/J of a cell past an edge
-        u = e / J
         a = b = 0.0           # a is a_u - a_0: cosine differences as sines
-        for l, w in ((-1, 0.5 * (1.0 - u) ** 2), (0, 0.5 + u - u * u),
-                     (1, 0.5 * u * u)):
+        for l in (-1, 0, 1):  # w: the share of cell l, J units wide
+            w = fem._tent_overlaps(e, J, J * l, J * l + J) / float(2 * J * J)
             a = a - 2.0 * w * (sin_pi_ratio(rs * (J * l + J - e), n)
                                * sin_pi_ratio(rs * (J * l - e), n))
             b = b + w * sin_pi_ratio(rs * (2 * J * l + J - 2 * e), n)

@@ -206,6 +206,25 @@ def test_exact_sdr_peak_memory():
     assert peak <= 32 * 2 ** 20
 
 
+def test_exact_sdr_rate_regimes():
+    # the h^1/2 rate holds while the mesh is coarser than the noise cells
+    # (dx = 2^-6); past them the slope settles near 3/2, with a jump across
+    # h = dx.  Meshes finer than the cells take 2 to 16 offset classes
+    rep = cli.run_study({
+        "study": "sdr", "horizon": "1.0", "seed": "0", "samples": "0",
+        "n_star": "4096", "j_star": "64", "K": "16384", "M": "4096",
+        "h_levels": "3,4,5,6,7,8,9,10", "window": "2"})
+    dx = 2.0 ** -6
+    for coarse, fine in zip(rep.rows, rep.rows[1:]):
+        slope = math.log2(coarse["error_exact"] / fine["error_exact"])
+        if fine["h"] >= 4 * dx:
+            assert 0.45 <= slope <= 0.9, (coarse["h"], slope)
+        if coarse["h"] <= dx / 4:
+            assert 1.4 <= slope <= 1.6, (coarse["h"], slope)
+        if coarse["h"] == dx:
+            assert slope > 1.6, slope
+
+
 def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
     # every regularized and aligned CN profile is geometric: the time Gram
     # and the sampled per-step weights come from its tuple, so neither the

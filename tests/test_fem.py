@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,16 +74,26 @@ def test_hat_cell_overlap_matches_quadrature():
             assert abs(O[i - 1, j] - direct) < 1e-12
 
 
-@pytest.mark.parametrize("J, j_star", [(8, 16), (24, 7), (5, 12)])
+def _hat_integral(i, J, x):
+    """Integral of hat_i from 0 to x in exact rational arithmetic."""
+    h = Fraction(1, J)
+    rise = min(max(x, (i - 1) * h), i * h) - (i - 1) * h
+    fall = min(max(x, i * h), (i + 1) * h) - i * h
+    return (rise * rise + 2 * h * fall - fall * fall) / (2 * h)
+
+
+@pytest.mark.parametrize("J, j_star", [(8, 16), (24, 7), (5, 12), (48, 64),
+                                       (3, 8), (16, 24), (6, 4), (7, 3)])
 def test_hat_cell_overlap_matrix_exact_on_linear_pieces(J, j_star):
     mesh = fem.Mesh(J)
     O = fem.hat_cell_overlap_matrix(mesh, j_star)
     assert O.shape == (mesh.nu, j_star)
-    # row by row, with the same arithmetic: the same bits
-    edges = np.arange(j_star + 1) / j_star
+    # every entry is the rational overlap, correctly rounded
+    edges = [Fraction(j, j_star) for j in range(j_star + 1)]
     for i in range(1, mesh.nu + 1):
-        assert np.array_equal(
-            O[i - 1], np.diff(fem._hat_antiderivative(i, mesh, edges)))
+        F = [_hat_integral(i, J, x) for x in edges]
+        ref = [float(hi - lo) for lo, hi in zip(F[:-1], F[1:])]
+        assert O[i - 1].tolist() == ref, i
     # hat_i is linear between the cell edges and the mesh nodes, so the
     # midpoint rule on those pieces is exact
     for j in range(j_star):
@@ -92,6 +104,17 @@ def test_hat_cell_overlap_matrix_exact_on_linear_pieces(J, j_star):
         for i in range(1, mesh.nu + 1):
             ref = float(np.diff(cuts) @ hat(i, mesh, mid))
             assert abs(O[i - 1, j] - ref) < 1e-15
+
+
+def test_hat_cell_overlap_matrix_peak_memory():
+    # only each hat's band of cells is formed before the scatter into O
+    tracemalloc.start()
+    try:
+        O = fem.hat_cell_overlap_matrix(fem.Mesh(512), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * O.nbytes
 
 
 def test_hat_cell_overlap_rows_sum_to_h():

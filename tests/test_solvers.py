@@ -22,6 +22,24 @@ def test_interval_overlaps_partition_both_ways():
     assert np.allclose(V.sum(axis=1), 1.0 / 6.0)   # each step covered
 
 
+@pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (0.3, 24, 64),
+                                                (1.0, 3000, 512)])
+def test_interval_overlaps_match_rational_arithmetic(horizon, n_star, M):
+    # within 1 ulp of the rational overlap, and exactly 0 where the step
+    # and the cell share no more than an end point
+    V = solvers.interval_overlaps(M, horizon / M, n_star, horizon)
+    H = Fraction(horizon)
+    ref = np.zeros((M, n_star))
+    for l in range(M):
+        lo, hi = H * l / M, H * (l + 1) / M
+        for n in range(max(0, l * n_star // M - 1),
+                       min(n_star, (l + 1) * n_star // M + 2)):
+            width = min(hi, H * (n + 1) / n_star) - max(lo, H * n / n_star)
+            ref[l, n] = float(max(width, 0))
+    assert np.array_equal(V == 0.0, ref == 0.0)
+    assert np.all(np.abs(V - ref) <= np.spacing(ref))
+
+
 def _spread(profile):
     """``steps()`` weights, each repeated over its p cells (cells past
     the last step weigh 0): the profile's dense form."""
@@ -582,20 +600,14 @@ def _dense_cell_loads(space, grid, M):
                                        (1024, 256)])
 def test_cell_loads_sum_whole_cells(n_star, M):
     # p = n_star/M cells per step.  p = 1 is the dense overlap product bit
-    # for bit; p = 4 sums each step's cells in order, which is the dense
-    # product up to the order of BLAS's sum
+    # for bit; p = 4 weighs each step's cells by one period's overlaps,
+    # which is the dense product up to the order of BLAS's sum
     grid = noise.sample(n_star, 64, 1.0, 9)
     space = fem.hat_cell_overlap_matrix(fem.Mesh(32), 64)
     loads = solvers._cell_loads(space, grid, M)
     dense = _dense_cell_loads(space, grid, M)
-    p = n_star // M
-    if p == 1:
+    if n_star == M:
         assert np.array_equal(loads, dense)
-    proj = space @ grid.increments.T
-    in_order = proj[:, 0::p] * grid.dt
-    for c in range(1, p):
-        in_order = in_order + proj[:, c::p] * grid.dt
-    assert np.array_equal(loads, in_order / (grid.dt * grid.dx))
     assert np.abs(loads - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
