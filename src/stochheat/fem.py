@@ -6,6 +6,7 @@ the discrete elliptic inverse, the closed-form generalized eigenbasis
 products between hat functions, sine modes and noise cells.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -200,12 +201,19 @@ def elliptic_solve_discrete(f, system):
 
 
 class FemEigenBasis:
-    """Generalized eigenpairs S phi = eps M phi, M-orthonormal, ascending."""
+    """Generalized eigenpairs S phi = eps M phi, M-orthonormal, ascending;
+    ``vectors`` (nu, nu), columns phi_p, is built on first read and kept:
+    only sampling and the selftest read it, not the exact route."""
 
-    def __init__(self, system, values, vectors):
+    def __init__(self, system, values):
         self.system = system
         self.values = values      # (nu,)
-        self.vectors = vectors    # (nu, nu), columns are phi_j
+
+    @functools.cached_property
+    def vectors(self):
+        J = self.system.mesh.intervals
+        p = np.arange(1, J)
+        return _eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
 
 
 def _eigen_scale(p, intervals):
@@ -222,10 +230,8 @@ def generalized_eigen(system):
     """
     J = system.mesh.intervals
     p = np.arange(1, J)
-    values = (12.0 * J * J * sin_pi_ratio(p, 2 * J) ** 2
-              / (2.0 + np.cos(p * (math.pi / J))))
-    vectors = _eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
-    return FemEigenBasis(system, values, vectors)
+    return FemEigenBasis(system, 12.0 * J * J * sin_pi_ratio(p, 2 * J) ** 2
+                         / (2.0 + np.cos(p * (math.pi / J))))
 
 
 def cell_energies(eigen, j_star):

@@ -162,9 +162,11 @@ def mode_cell_integrals(K, j_star):
     return b
 
 
+@functools.lru_cache(maxsize=1)
 def fold_rows(K, j_star):
     """``(alias, c)`` of ``sine_cell_fold`` without its matrix S: mode k
-    reads row alias[k - 1] of S, times c[k - 1]."""
+    reads row alias[k - 1] of S, times c[k - 1].  The last result is kept
+    (read-only): it serves every level of a study."""
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
     ks = np.arange(1, K + 1)
@@ -172,6 +174,7 @@ def fold_rows(K, j_star):
     alias = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1
     c = _cell_amplitudes(ks, j_star)
     c[quot % 2 == 1] *= -1.0
+    alias.flags.writeable = c.flags.writeable = False
     return alias, c
 
 
@@ -196,8 +199,7 @@ def sine_cell_fold(K, j_star):
     for lo in range(0, rows, 256):   # blocks bound the integer temporaries
         S[lo:lo + 256] = _cell_sines(range(lo + 1, min(lo + 256, rows) + 1),
                                      j_star)
-    for v in (alias, c, S):
-        v.flags.writeable = False
+    S.flags.writeable = False
     return alias, c, S
 
 
@@ -207,14 +209,15 @@ def mode_cell_sq_sums(ks, j_star):
     The sum of sin^2(k pi (2j - 1)/(2J)) over j telescopes to J/2, so it
     is a_k^2 J/2 (``sine_cell_fold``), except when k is a multiple of
     2J (every cell integral is 0) or an odd multiple of J (a_k^2 J).
+    a_k^2 = 8 sin^2/lam^2 (8 is exact): sin^2 and the sum are tables over
+    rem = k mod 2J, gathered at rem.
     """
     ks = np.asarray(ks, dtype=np.int64)
     rem = ks % (2 * j_star)
-    sq_sum = np.where(rem == j_star, j_star,
-                      np.where(rem == 0, 0.0, 0.5 * j_star))
-    # a_k^2 = 8 sin^2/lam^2 (8 is exact); sin^2 has period 2J: take it at rem
-    return (8.0 * sin_pi_ratio(rem, 2 * j_star) ** 2 / (ks * math.pi) ** 2
-            * sq_sum)
+    q = np.arange(rem.max(initial=0) + 1)   # the residues up to the largest
+    sq_sum = np.where(q == j_star, j_star, np.where(q == 0, 0.0, 0.5 * j_star))
+    return (8.0 * sin_pi_ratio(q, 2 * j_star) ** 2)[rem] / (
+        ks * math.pi) ** 2 * sq_sum[rem]
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):

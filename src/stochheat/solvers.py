@@ -533,18 +533,19 @@ def spectral_fem_gram(K, eigen):
     (e_k, phi_p) vanishes unless p = +-k (mod 2J), so with r = k mod 2J
     mode k meets only p = min(r, 2J - r), where (e_k, phi_p) is
     +-(J/2) c_p sqrt(2) 4 sin^2(k pi h/2)/(h lam_k^2) (+ for r < J).
-    Where p is 0 or J it is 0, and rows_k reads 0.
+    Where p is 0 or J it is 0, and rows_k reads 0.  Each factor but 1/lam_k^2
+    is a table over r in [0, 2J) (sin^2(k pi h/2) has period 2J).
     """
     J = eigen.system.mesh.intervals
     ks = np.arange(1, K + 1)
     r = ks % (2 * J)
-    p = np.minimum(r, 2 * J - r)
+    q = np.arange(min(K + 1, 2 * J))        # the residues r that occur
+    p = np.minimum(q, 2 * J - q)
     live = (p > 0) & (p < J)
-    # sin^2(k pi h/2) has period 2J in k: take it at r, a small argument
-    g = (np.where(r < J, 0.5, -0.5) * J * J * fem._eigen_scale(p, J)
-         * math.sqrt(2.0) * 4.0 * sin_pi_ratio(r, 2 * J) ** 2
-         / (ks * math.pi) ** 2)
-    return np.where(live, p - 1, 0), np.where(live, g, 0.0)
+    g = np.where(live, np.where(q < J, 0.5, -0.5) * J * J
+                 * fem._eigen_scale(p, J) * math.sqrt(2.0) * 4.0
+                 * sin_pi_ratio(q, 2 * J) ** 2, 0.0)
+    return np.where(live, p - 1, 0)[r], g[r] / (ks * math.pi) ** 2
 
 
 def sine_fem_cell_cross(K, rows, eigen, j_star):
@@ -575,19 +576,22 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
     as products of sines.  When J divides J* there is one class: O(1) per
     mode.  Every sine is taken in integers (``sin_pi_ratio``), and every
     share w_l is exact: ``fem._tent_overlaps`` / (2 J^2), with cells J
-    units wide.
+    units wide.  The factors in r are tables over the fold rows r =
+    1..min(K, J*), gathered by alias; those in p tables over p in [0, J).
     """
     J = eigen.system.mesh.intervals
     g = math.gcd(J, j_star)
     alias, c = noise.fold_rows(K, j_star)
     r, p = alias + 1, np.asarray(rows) + 1
     n = 2 * J * j_star          # the phases theta (o_l +- 1/2)/2 are pi m/n
-    total = (J // g) * fem._cos_pi_ratio(r * J, n) * (
-        ((p - r) % (2 * J) == 0).astype(float) - ((p + r) % (2 * J) == 0))
+    rs = np.arange(1, min(K, j_star) + 1)    # a_u, b_u per fold row
+    rm = (rs % (2 * J))[alias]    # p < J: p = +-r (mod 2J) is p = rm, 2J - rm
+    total = (J // g) * fem._cos_pi_ratio(rs * J, n)[alias] * (
+        (p == rm).astype(float) - (p + rm == 2 * J))
     q = np.arange(2 * J)
     sines, cosines = sin_pi_ratio(q, J), fem._cos_pi_ratio(q, J)
-    rs = np.arange(1, min(K, j_star) + 1)    # a_u, b_u per fold row
-    live = [np.flatnonzero((p + sign * r) % (2 * g) == 0) for sign in (-1, 1)]
+    live = [np.flatnonzero((p + sign * r) % (2 * g) == 0)
+            for sign in (-1, 1) if g < J]   # classes past 0 need g < J
     block = max(1, 2 ** 18 // K)   # about 2^18 (class, mode) pairs a block
     for lo in range(1, J // g, block):
         i0 = np.arange(lo, min(lo + block, J // g))[:, None]
@@ -602,9 +606,9 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
             m = (p[k] + sign * r[k]) * i0 % (2 * J)
             total[k] += np.sum(b[:, alias[k]] * sines[m]
                                - sign * a[:, alias[k]] * cosines[m], axis=0)
-    return (c * (0.5 * g * J / j_star ** 2) * fem._eigen_scale(p, J)
-            * (sin_pi_ratio(p, 2 * J) / sin_pi_ratio(r, 2 * j_star)) ** 2
-            * total)
+    return (c * (0.5 * g * J / j_star ** 2) * fem._eigen_scale(q[:J], J)[p]
+            * (sin_pi_ratio(q[:J], 2 * J)[p]
+               / sin_pi_ratio(rs, 2 * j_star)[alias]) ** 2 * total)
 
 
 def map_regularized(n_star, j_star, horizon, K, t):

@@ -29,7 +29,9 @@ def sin_pi_ratio(m, n):
     In integers, m = k n + e with e in [-n/2, n/2), so that
     sin(pi m/n) = (-1)^k sin(pi e/n) and the float argument is at most
     pi/2 in size.  e is kept doubled, 2e = ((2m + n) mod 2n) - n, and
-    large index arrays are worked in place.
+    large index arrays are worked in place.  m and m + 2n give the same e
+    and the same parity of k, so the bits depend only on m mod 2n: a table
+    over one period, gathered at m mod 2n, is this function.
     """
     shape = np.shape(m)
     two_e = np.multiply(m, 2, out=np.empty(shape, np.int64))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 
-from stochheat import fem, quadrature
-from stochheat.spectral import SpectralField
+from stochheat import cli, fem, quadrature
+from stochheat.spectral import SpectralField, sin_pi_ratio
 
 
 def hat(i, mesh, x):
@@ -182,6 +182,33 @@ def test_generalized_eigen_matches_dense_solver(J):
     signs = np.sign((vecs * eig.vectors).sum(0))
     assert np.all(signs != 0.0)
     assert np.abs(vecs * signs - eig.vectors).max() < 1e-10
+
+
+def test_eigenvectors_are_built_for_sampling_only(monkeypatch):
+    # the exact sdr/total route reads the closed forms, never the (J-1)^2
+    # matrix; a Monte Carlo study reconstructs nodal coefficients with it
+    bases, build = [], fem.generalized_eigen
+
+    def recorded(system):
+        bases.append(build(system))
+        return bases[-1]
+    monkeypatch.setattr(fem, "generalized_eigen", recorded)
+    grids = {"horizon": "1.0", "seed": "0", "n_star": "16", "j_star": "24",
+             "K": "100", "M": "16", "h_levels": "2,3,4", "window": "2"}
+    for study in ("sdr", "total"):
+        cli.run_study(dict(grids, study=study, samples="0"))
+    assert len(bases) == 6
+    assert not any("vectors" in vars(b) for b in bases)
+    bases.clear()
+    cli.run_study(dict(grids, study="sdr", samples="2"))
+    assert len(bases) == 3 and all("vectors" in vars(b) for b in bases)
+    # built on first read, kept, with the closed form's bits
+    J = 12
+    eig = build(fem.assemble(fem.Mesh(J)))
+    p = np.arange(1, J)
+    closed = fem._eigen_scale(p, J) * sin_pi_ratio(np.outer(p, p), J)
+    assert eig.vectors is eig.vectors
+    assert eig.vectors.tobytes() == closed.tobytes()
 
 
 def test_low_eigenvalues_approach_continuum():

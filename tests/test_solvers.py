@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stochheat import cli, deterministic, fem, noise, solvers
-from stochheat.spectral import SpectralField
+from stochheat.spectral import SpectralField, sin_pi_ratio
 
 
 def small_grid(seed=11, n=16, j=8):
@@ -368,6 +368,86 @@ def test_pairing_matches_dense_gram(J, K):
     paired = np.zeros_like(dense)
     paired[np.arange(K), rows] = g
     assert np.abs(paired - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _gram_per_mode(K, eigen):
+    """``spectral_fem_gram`` with every factor evaluated per mode k."""
+    J = eigen.system.mesh.intervals
+    ks = np.arange(1, K + 1)
+    r = ks % (2 * J)
+    p = np.minimum(r, 2 * J - r)
+    live = (p > 0) & (p < J)
+    g = (np.where(r < J, 0.5, -0.5) * J * J * fem._eigen_scale(p, J)
+         * math.sqrt(2.0) * 4.0 * sin_pi_ratio(r, 2 * J) ** 2
+         / (ks * math.pi) ** 2)
+    return np.where(live, p - 1, 0), np.where(live, g, 0.0)
+
+
+def _cell_cross_per_mode(K, rows, eigen, j_star):
+    """``sine_fem_cell_cross`` with every factor evaluated per mode k: the
+    fold row r, the amplitude c_k, the tent sums a and b, c_p and the sines
+    in p and r, each from k's own integers, summed in the same order."""
+    J = eigen.system.mesh.intervals
+    g = math.gcd(J, j_star)
+    ks = np.arange(1, K + 1)
+    quot, s = np.divmod(ks, 2 * j_star)
+    r = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s))
+    c = 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
+    c[quot % 2 == 1] *= -1.0
+    p, n = np.asarray(rows) + 1, 2 * J * j_star
+    total = (J // g) * fem._cos_pi_ratio(r * J, n) * (
+        ((p - r) % (2 * J) == 0).astype(float) - ((p + r) % (2 * J) == 0))
+    q = np.arange(2 * J)
+    sines, cosines = sin_pi_ratio(q, J), fem._cos_pi_ratio(q, J)
+    block = max(1, 2 ** 18 // K)
+    for lo in range(1, J // g, block):
+        i0 = np.arange(lo, min(lo + block, J // g))[:, None]
+        e = i0 * j_star % J
+        a = b = 0.0
+        for l in (-1, 0, 1):
+            w = fem._tent_overlaps(e, J, J * l, J * l + J) / float(2 * J * J)
+            a = a - 2.0 * w * (sin_pi_ratio(r * (J * l + J - e), n)
+                               * sin_pi_ratio(r * (J * l - e), n))
+            b = b + w * sin_pi_ratio(r * (2 * J * l + J - 2 * e), n)
+        for sign in (-1, 1):
+            k = np.flatnonzero((p + sign * r) % (2 * g) == 0)
+            m = (p[k] + sign * r[k]) * i0 % (2 * J)
+            total[k] += np.sum(b[:, k] * sines[m] - sign * a[:, k]
+                               * cosines[m], axis=0)
+    return (c * (0.5 * g * J / j_star ** 2) * fem._eigen_scale(p, J)
+            * (sin_pi_ratio(p, 2 * J) / sin_pi_ratio(r, 2 * j_star)) ** 2
+            * total)
+
+
+@pytest.mark.parametrize("J, j_star, K", [
+    (8, 16, 10), (16, 24, 20),   # K < J*
+    (16, 24, 1000),              # J does not divide J*; K wraps 2J and 4J*
+    (32, 8, 1000),               # the mesh finer than the cells
+    (12, 7, 1000), (12, 7, 5),   # a small coprime pair
+    (64, 1024, 4100)])           # K just past 4J*, J dividing J*
+def test_tabulated_factors_match_per_mode_formulas_bit_for_bit(J, j_star, K):
+    # the residue tables gather the bits the per-mode formulas give
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+    rows, g = solvers.spectral_fem_gram(K, eig)
+    rows_k, g_k = _gram_per_mode(K, eig)
+    assert rows.tobytes() == rows_k.tobytes() and g.tobytes() == g_k.tobytes()
+    w_k = 1.0 - np.bincount(rows_k, g_k * g_k, J - 1)
+    assert solvers._alias_pairing(K, eig)[2].tobytes() == w_k.tobytes()
+    ks = np.arange(1, K + 1)
+    rem = ks % (2 * j_star)
+    sq_k = (8.0 * sin_pi_ratio(rem, 2 * j_star) ** 2 / (ks * math.pi) ** 2
+            * np.where(rem == j_star, j_star,
+                       np.where(rem == 0, 0.0, 0.5 * j_star)))
+    assert noise.mode_cell_sq_sums(ks, j_star).tobytes() == sq_k.tobytes()
+    sub = ks[::-3]   # modes in any order, not from 1
+    assert noise.mode_cell_sq_sums(sub, j_star).tobytes() == \
+        sq_k[sub - 1].tobytes()
+    # the pairing's rows, and every FEM row against every mode
+    rng = np.random.default_rng(J * j_star + K)
+    for rows in (rows, rng.integers(0, J - 1, K)):
+        got = solvers.sine_fem_cell_cross(K, rows, eig, j_star)
+        assert got.tobytes() == \
+            _cell_cross_per_mode(K, rows, eig, j_star).tobytes()
 
 
 def _sine_fem_maps(J, K, n=16, j=16, M=8):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stochheat import quadrature, spectral
 from stochheat.spectral import SpectralField
@@ -46,6 +47,22 @@ def test_sin_pi_ratio_reduces_the_integer():
     assert np.array_equal(spectral.sin_pi_ratio(m + 2 * n * 10**9, n), base)
     assert np.abs(base - np.sin(math.pi * m / n)).max() < 1e-12
     assert spectral.sin_pi_ratio(4 * n * 10**9 + 1, n) == math.sin(math.pi / n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=1, max_size=8),
+       n=st.integers(1, 2 ** 30))
+@example(m=[-(2 ** 60), 2 ** 60, -1, 0, 3 * 999], n=999)
+@example(m=[-7, 7, 13, -13, 14], n=7)
+@example(m=[24 * 10 ** 9 + 5, -(48 * 10 ** 9) - 1], n=24)
+def test_sin_pi_ratio_depends_only_on_m_mod_2n(m, n):
+    # the per-mode factor tables gather sin_pi_ratio at m mod 2n, so the
+    # two must agree bit for bit, for arrays and for scalars
+    m = np.array(m, dtype=np.int64)
+    assert spectral.sin_pi_ratio(m, n).tobytes() == \
+        spectral.sin_pi_ratio(m % (2 * n), n).tobytes()
+    assert np.float64(spectral.sin_pi_ratio(int(m[0]), n)).tobytes() == \
+        np.float64(spectral.sin_pi_ratio(int(m[0]) % (2 * n), n)).tobytes()
 
 
 def test_sin_pi_ratio_is_relatively_accurate_near_multiples_of_pi():
