@@ -191,10 +191,10 @@ def run_study(cfg):
         fixed = _at_least(cfg, "n_star" if space else "j_star", 1)
         K = _at_least(cfg, "K", 1)
         key = "dx" if space else "dt"
-        for lvl, e in enumerate(_levels(cfg, key + "_levels")):
-            n_star, j_star = (fixed, 2 ** e) if space else (2 ** e, fixed)
-            err = errors.modeling_error_exact(horizon, n_star, j_star, K,
-                                              horizon)
+        grids = [(fixed, 2 ** e) if space else (2 ** e, fixed)
+                 for e in _levels(cfg, key + "_levels")]
+        errs = errors.modeling_errors(horizon, grids, K, horizon)
+        for lvl, ((n_star, j_star), err) in enumerate(zip(grids, errs)):
             rep.add_row(lvl, horizon / n_star, 1.0 / j_star, math.nan,
                         math.nan, K, err)
         rep.fit(key, window)

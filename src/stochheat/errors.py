@@ -15,6 +15,7 @@ from . import quadrature, solvers
 
 __all__ = [
     "modeling_error_exact",
+    "modeling_errors",
     "modeling_error_quadrature",
     "tdr_error_exact",
     "sdr_error_exact",
@@ -69,7 +70,12 @@ def _mode_tail(K, t):
 
 def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
                          include_tail=True):
-    """Root mean square gap between exact and regularized solutions at t.
+    """RMS gap of exact and regularized solutions at t, on one grid."""
+    return modeling_errors(t, [(n_star, j_star)], K, horizon, include_tail)[0]
+
+
+def modeling_errors(t, grids, K=8192, horizon=1.0, include_tail=True):
+    """``modeling_error_exact`` at t on each (n_star, j_star) of ``grids``.
 
     Mode by mode the cell-average projection is orthogonal in L2 of the
     strip, so the squared error is the semigroup variance minus the
@@ -77,19 +83,26 @@ def modeling_error_exact(t, n_star, j_star, K=8192, horizon=1.0,
     at every t (a geometric profile, with a partial last cell when t lies
     inside one).  Modes above K contribute through the analytic tail of
     the semigroup variance.  Each mode's gap goes through
-    ``_nonnegative`` against its semigroup variance.
+    ``_nonnegative`` against its semigroup variance.  The variance and
+    the tail are taken once; a grid with the n* of the grid before it
+    reuses that time profile and its ``self_gram``.
     """
     if t == 0.0:
-        return 0.0
-    # map_regularized raises ValueError for t outside [0, T]
-    proj = solvers.map_regularized(n_star, j_star, horizon, K,
-                                   t).row_moments()
-    lam2 = (math.pi * np.arange(1, K + 1)) ** 2
+        return [0.0] * len(grids)
+    ks = np.arange(1, K + 1)
+    # raises ValueError for t outside [0, T], before the K-long work
+    time = solvers.OverlapProfile(ks, t, grids[0][0], horizon)
+    lam2 = (math.pi * ks) ** 2
     semi = -np.expm1(-2.0 * lam2 * t) / (2.0 * lam2)
-    z2 = float(_nonnegative(semi - proj, semi, "modeling error term").sum())
-    if include_tail:
-        z2 += _mode_tail(K, t)
-    return math.sqrt(z2)
+    tail = _mode_tail(K, t) if include_tail else 0.0
+    out = []
+    for n_star, j_star in grids:
+        if time.n_star != n_star:
+            time = solvers.OverlapProfile(ks, t, n_star, horizon)
+        proj = solvers.GaussianCoefficientMap(time, K, j_star).row_moments()
+        gap = _nonnegative(semi - proj, semi, "modeling error term")
+        out.append(math.sqrt(float(gap.sum()) + tail))
+    return out
 
 
 def _cell_time_integrals(lam2, t_lo, t_hi, t, npts=24, levels=60):

@@ -129,12 +129,6 @@ def project_pi(g, n_star, j_star, horizon=1.0, npts=8, nsub=4):
     return out / (dt * dx)
 
 
-def _cell_amplitudes(ks, j_star):
-    """a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), the amplitude of the cell
-    integrals of mode k."""
-    return 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
-
-
 def _cell_sines(rows, j_star):
     """sin(r pi (2j - 1)/(2J)) for the mode indices ``rows`` (a range or
     array, one matrix row each) and cells j = 1..J."""
@@ -156,8 +150,8 @@ def mode_cell_integrals(K, j_star):
     b = np.empty((K, j_star))
     for lo in range(0, K, 512):
         ks = np.arange(lo + 1, min(lo + 512, K) + 1)
-        np.multiply(_cell_amplitudes(ks, j_star)[:, None],
-                    _cell_sines(ks, j_star), out=b[lo:lo + 512])
+        a = 2 * math.sqrt(2) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
+        np.multiply(a[:, None], _cell_sines(ks, j_star), out=b[lo:lo + 512])
     b.flags.writeable = False
     return b
 
@@ -166,14 +160,20 @@ def mode_cell_integrals(K, j_star):
 def fold_rows(K, j_star):
     """``(alias, c)`` of ``sine_cell_fold`` without its matrix S: mode k
     reads row alias[k - 1] of S, times c[k - 1].  The last result is kept
-    (read-only): it serves every level of a study."""
+    (read-only): it serves every level of a study.
+
+    c_k is a_k (``mode_cell_integrals``) with the sign (-1)^(k div 2J).
+    The alias, sin(k pi/(2J)) and the sign depend on k mod 4J alone:
+    tables over the residues, gathered at k mod 4J, with the same bits."""
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
     ks = np.arange(1, K + 1)
-    quot, s = np.divmod(ks, 2 * j_star)
-    alias = np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1
-    c = _cell_amplitudes(ks, j_star)
-    c[quot % 2 == 1] *= -1.0
+    rem = ks % (4 * j_star)
+    q = np.arange(min(K + 1, 4 * j_star))   # the residues that occur
+    s = q % (2 * j_star)
+    alias = (np.where(s == 0, j_star, np.minimum(s, 2 * j_star - s)) - 1)[rem]
+    sines = np.where(q < 2 * j_star, 1.0, -1.0) * sin_pi_ratio(q, 2 * j_star)
+    c = 2.0 * math.sqrt(2.0) * sines[rem] / (ks * math.pi)
     alias.flags.writeable = c.flags.writeable = False
     return alias, c
 

@@ -155,6 +155,12 @@ class _Profile:
     u columns of amp (rows x u) in turn, last column last, each period of
     u runs x times the next; ``tail`` (or None) sits on cell ``end``."""
 
+    @functools.cached_property
+    def self_gram(self):
+        """``time_gram(self, self)``, built on first use and kept: every
+        map of a modeling study at one n* shares one profile."""
+        return time_gram(self, self)
+
     def columns(self, lo, hi):
         """Weights of runs lo .. hi - 1, run j on cells j p .. j p + p - 1."""
         amp, log_x, neg, p, end, _ = self.geometric
@@ -256,10 +262,10 @@ class PropagatorProfile(_Profile):
 def _geometric_sum(log_abs, negative, n):
     """G(x, n) = (1 - x^n)/(1 - x) for x = +-exp(log_abs), x < 0 where
     ``negative``; G(x, 0) = 0.  With e = expm1(m log|x|) in [-1, 0],
-    1 - x^m is -e or 2 + e, neither of which cancels."""
+    1 - x^m is -e or (x < 0, m odd) 2 + e = 2 - (-e): neither cancels."""
     def one_minus_power(m):
-        e = np.expm1(m * log_abs)
-        return np.where(negative & (m % 2 == 1), 2.0 + e, -e)
+        out = -np.expm1(m * log_abs)
+        return np.subtract(2.0, out, out=out, where=negative) if m % 2 else out
     return one_minus_power(n) / one_minus_power(1) if n > 1 else float(n)
 
 
@@ -514,7 +520,8 @@ def _moment(map_a, map_b, pairing):
         space = fem.cell_energies(map_a.basis, map_a.j_star)
     else:
         space = _sine_energies(map_a.basis, map_a.j_star)
-    terms = g * time_gram(map_a.time, map_b.time, rows) * space
+    terms = g * (map_a.time.self_gram if map_a is map_b else
+                 time_gram(map_a.time, map_b.time, rows)) * space
     return map_a.cell_area * map_a.scale * map_b.scale * terms
 
 

@@ -80,20 +80,36 @@ def test_out_of_range_config_is_config_error(argv, capsys):
     assert "error" in captured.err
 
 
-@pytest.mark.parametrize("study", ["tdr", "sdr", "total"])
-@pytest.mark.parametrize("samples", [0, 3])
-def test_study_exact_column_matches_error_functionals(study, samples):
-    # the study shares one map pair between the exact and MC columns;
-    # its exact column must equal the standalone functional bit for bit
+_EXACT_COLUMN = [
+    pytest.param(n, s, 1.0, id="%d-%s" % (n, s))
+    for n in (0, 3) for s in ("tdr", "sdr", "total")] + [
+    # horizon 0.3: t/dt is snapped on a grid whose dt is no float
+    pytest.param(0, s, h, id="%s-%g" % (s, h))
+    for s in ("model-space", "model-time") for h in (1.0, 0.3)]
+
+
+@pytest.mark.parametrize("samples, study, horizon", _EXACT_COLUMN)
+def test_study_exact_column_matches_error_functionals(samples, study,
+                                                      horizon):
+    # the study shares one map pair between the exact and MC columns (a
+    # modeling study its per-study factors and one profile per n*); its
+    # exact column must equal the standalone functional bit for bit
     n_star, j_star, K, M, levels = 16, 8, 24, 8, (2, 3, 4)
-    key = "dtau_levels" if study == "tdr" else "h_levels"
+    key = {"tdr": "dtau_levels", "model-space": "dx_levels",
+           "model-time": "dt_levels"}.get(study, "h_levels")
     rep = cli.run_study({
-        "study": study, "horizon": "1.0", "seed": "1",
+        "study": study, "horizon": str(horizon), "seed": "1",
         "samples": str(samples), "n_star": str(n_star),
         "j_star": str(j_star), "K": str(K), "M": str(M),
         key: ",".join(map(str, levels)), "window": "3"})
     for row, e in zip(rep.rows, levels):
-        if study == "tdr":
+        if study == "model-space":
+            exact = errors.modeling_error_exact(horizon, n_star, 2 ** e, K,
+                                                horizon)
+        elif study == "model-time":
+            exact = errors.modeling_error_exact(horizon, 2 ** e, j_star, K,
+                                                horizon)
+        elif study == "tdr":
             exact = errors.tdr_error_exact(2 ** e, 2 ** e, n_star, j_star,
                                            1.0, K)
         else:
@@ -103,6 +119,50 @@ def test_study_exact_column_matches_error_functionals(study, samples):
                          M, M, n_star, j_star, eigen, 1.0, K)
         assert row["error_exact"] == exact
         assert (row["error_mc"] > 0.0) == (samples > 0)
+
+
+def test_modeling_studies_take_per_study_factors_once(monkeypatch):
+    # the K tail once per study; one regularized profile and one time Gram
+    # per distinct n*: one in all at a fixed n*, one per level otherwise
+    calls = {"tail": 0, "profile": 0, "gram": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(errors, "_mode_tail",
+                        counted("tail", errors._mode_tail))
+    monkeypatch.setattr(solvers, "OverlapProfile",
+                        counted("profile", solvers.OverlapProfile))
+    monkeypatch.setattr(solvers, "time_gram",
+                        counted("gram", solvers.time_gram))
+    base = {"horizon": "1.0", "seed": "0", "samples": "0", "K": "64",
+            "window": "3"}
+    for study, key, fixed, per_level in (
+            ("model-space", "dx_levels", "n_star", False),
+            ("model-time", "dt_levels", "j_star", True)):
+        calls.update(tail=0, profile=0, gram=0)
+        cli.run_study(dict(base, study=study, **{key: "2,3,4,5",
+                                                 fixed: "16"}))
+        n = 4 if per_level else 1
+        assert calls == {"tail": 1, "profile": n, "gram": n}, study
+
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name, study, extra", [
+    ("tdr", "tdr", {}), ("sdr", "sdr", {}), ("total", "total", {}),
+    ("model-space", "model-space", {}), ("model-time", "model-time", {}),
+    ("deterministic-cn-time", "deterministic-cn", {"axis": "time"})])
+def test_default_studies_match_golden_csvs(name, study, extra):
+    # tests/data/<name>.csv is the default study's CSV as written by
+    # commit 0c4586f; rewrite a file only with a deliberate output change
+    with open(os.path.join(_GOLDEN, name + ".csv")) as fh:
+        golden = fh.read()
+    assert cli.run_study(dict(cli._DEFAULTS[study], **extra)).to_csv() == \
+        golden
 
 
 def _study_cfg(study, samples, horizon, n_star, j_star, K, M, levels):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stochheat import noise, quadrature, solvers
+from stochheat.spectral import sin_pi_ratio
 
 
 def test_sample_shape_and_determinism():
@@ -127,6 +128,23 @@ def test_sine_cell_fold_rebuilds_cell_integrals(J, modes):
     assert not any(v.flags.writeable for v in (alias, c, S))
     assert np.array_equal(c[:, None] * S[alias],
                           noise.mode_cell_integrals(K, J))
+
+
+@pytest.mark.parametrize("J", [1, 3, 8, 1024])
+@pytest.mark.parametrize("modes", [
+    lambda J: 1, lambda J: 4 * J - 1, lambda J: 3 * 4 * J + 5],
+    ids=["1", "4J-1", "3*4J+5"])
+def test_fold_rows_tables_match_per_mode_form_bit_for_bit(J, modes):
+    # the residue tables mod 4J gather the bits of the per-mode form
+    K = modes(J)
+    ks = np.arange(1, K + 1)
+    quot, s = np.divmod(ks, 2 * J)
+    alias = np.where(s == 0, J, np.minimum(s, 2 * J - s)) - 1
+    c = 2.0 * math.sqrt(2.0) * sin_pi_ratio(ks, 2 * J) / (ks * math.pi)
+    c[quot % 2 == 1] *= -1.0
+    got_alias, got_c = noise.fold_rows(K, J)
+    assert got_alias.tobytes() == alias.tobytes()
+    assert got_c.tobytes() == c.tobytes()
 
 
 def test_sample_holds_one_grid():

@@ -555,6 +555,38 @@ _RHOS = st.lists(st.one_of(st.floats(1e-6, 0.999), st.just(1.0),
                  min_size=1, max_size=5)
 
 
+def _geometric_sum_where(log_abs, negative, n):
+    """G(x, n) with 1 - x^m chosen per row by ``np.where``: the form the
+    in-place ``solvers._geometric_sum`` must match bit for bit."""
+    def one_minus_power(m):
+        e = np.expm1(m * log_abs)
+        return np.where(negative & (m % 2 == 1), 2.0 + e, -e)
+    return one_minus_power(n) / one_minus_power(1) if n > 1 else float(n)
+
+
+_LOG_ABS = st.one_of(st.floats(-800.0, 0.0, exclude_max=True),
+                     st.just(-math.inf))
+_MIXED = [(-math.inf, True), (-math.inf, False), (-1e-3, True),
+          (-1e-3, False), (-40.0, True), (-5e-324, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(0, 3), st.integers(4, 2 ** 40)),
+       rows=st.lists(st.tuples(_LOG_ABS, st.booleans()), min_size=1,
+                     max_size=16))
+@example(n=0, rows=_MIXED)
+@example(n=1, rows=_MIXED)
+@example(n=6, rows=_MIXED)
+@example(n=7, rows=_MIXED)
+def test_geometric_sum_matches_where_form_bit_for_bit(n, rows):
+    # n in {0, 1, even, odd}; log|x| = -inf; x < 0 on any subset of rows
+    log_abs = np.array([r[0] for r in rows])
+    negative = np.array([r[1] for r in rows])
+    got = solvers._geometric_sum(log_abs, negative, n)
+    ref = _geometric_sum_where(log_abs, negative, n)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
 def _dense_gram(a, b, rows):
     return (a.dense() * b.dense()[rows]).sum(1)
 
