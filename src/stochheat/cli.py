@@ -281,11 +281,15 @@ def run_sample_path(cfg):
     seed = _get_int(cfg, "seed")
     horizon = _horizon(cfg)
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
-    # no local keeps the noise grid alive while the CSV is formatted
-    traj = solvers.cn_fem_spde(noise.sample(n_star, j_star, horizon, seed),
-                               fem.assemble(mesh), M)
-    row = ",".join(["%.17g"] * traj.states.shape[1]) + "\n"
-    return "".join([row % tuple(v.tolist()) for v in traj.states])
+    row = ",".join(["%.17g"] * mesh.nu) + "\n"
+    text = ""
+    for states in solvers.cn_fem_spde_blocks(n_star, j_star, horizon, seed,
+                                             fem.assemble(mesh), M):
+        # += grows the one string in place (CPython resizes a str that
+        # nothing else references); "".join over the blocks, or
+        # StringIO.getvalue(), would hold a second full copy at the end
+        text += "".join([row % tuple(v) for v in states.tolist()])
+    return text
 
 
 def _selftest_checks():

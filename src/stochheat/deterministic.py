@@ -22,6 +22,7 @@ __all__ = [
     "cn_spectral_steps",
     "modified_cn_spectral",
     "cn_fem_steps",
+    "cn_fem_stepper",
     "modified_cn_fem",
     "exact_trajectory",
     "l2t_error",
@@ -134,32 +135,52 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
     ``loads`` holds Lm (omit it for the homogeneous scheme).  From zero
     initial data the damped first step equals the trapezoidal one.
     A stacked system (``fem.FemSystem.stack``) steps its blocks at once;
-    its trajectory's ``mesh`` is the tuple of their meshes.
+    its trajectory's ``mesh`` is the tuple of their meshes.  The whole
+    path is one block of ``cn_fem_stepper``.
     """
     if M < 1:
         raise ValueError("need at least one step")
+    states = np.empty((M + 1, system.mass_diag.size))
+    states[0] = v0
+    with np.errstate(invalid="ignore", over="ignore"):   # checked per block
+        rhs = system.mass_apply(v0)
+    cn_fem_stepper(system, dtau)(rhs, states[1:], loads)
+    return Trajectory(dtau, states, "nodal", mesh=system.mesh)
+
+
+def cn_fem_stepper(system, dtau):
+    """The banded Crank-Nicolson step of ``cn_fem_steps`` as a function
+    ``advance(rhs, out, loads=None)`` that takes len(out) steps.
+
+    ``rhs`` is the right-hand side of the next step before its load: M V0
+    for step 1, else (M - dtau/2 S) V of the last state.  State m of the
+    block goes to out[m - 1], column m - 1 of ``loads`` is added to its
+    right-hand side, and the right-hand side of the step after the block
+    is returned, so a path stepped block by block has the bits of one
+    pass.  A block with a non-finite state raises ValueError.
+    """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
     chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
-    states = np.empty((M + 1, system.mass_diag.size))
-    states[0] = v0
-    # the LAPACK solve behind scipy's cho_solve_banded, without its
-    # per-call finiteness scans: a NaN or inf input spreads to the states
-    # (quietly), which are checked once at the end
-    with np.errstate(invalid="ignore", over="ignore"):
-        rhs = system.mass_apply(v0)
-        for m in range(1, M + 1):
-            if loads is not None:
-                rhs += loads[:, m - 1]
-            states[m], info = dpbtrs(chol, rhs)
-            if info:
-                raise ValueError("banded Cholesky solve failed (info %d)"
-                                 % info)
-            v = states[m]
-            rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
-    if not np.isfinite(states).all():
-        raise ValueError("Crank-Nicolson states are not finite")
-    return Trajectory(dtau, states, "nodal", mesh=system.mesh)
+
+    def advance(rhs, out, loads=None):
+        # the LAPACK solve behind scipy's cho_solve_banded, without its
+        # per-call finiteness scans: a NaN or inf input spreads to the
+        # states (quietly), which are checked once per block
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in range(len(out)):
+                if loads is not None:
+                    rhs += loads[:, m]
+                out[m], info = dpbtrs(chol, rhs)
+                if info:
+                    raise ValueError("banded Cholesky solve failed (info %d)"
+                                     % info)
+                v = out[m]
+                rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+        if not np.isfinite(out).all():
+            raise ValueError("Crank-Nicolson states are not finite")
+        return rhs
+    return advance
 
 
 def modified_cn_fem(v0, system, M, dtau):

@@ -13,11 +13,12 @@ import math
 import numpy as np
 
 from .quadrature import gauss_points
-from .spectral import sin_pi_ratio
+from .spectral import mode_eigenvalues, sin_pi_ratio
 
 __all__ = [
     "NoiseGrid",
     "sample",
+    "sample_blocks",
     "coarsen",
     "project_pi",
     "mode_cell_integrals",
@@ -81,6 +82,18 @@ def sample(n_star, j_star, horizon=1.0, seed=0):
 
     Philox is counter based, so a fixed (n_star, j_star, horizon, seed)
     reproduces the matrix bit for bit regardless of platform threading.
+    This is the one-block case of ``sample_blocks``.
+    """
+    inc, = sample_blocks(n_star, j_star, horizon, seed, n_star)
+    return _grid(n_star, j_star, horizon, seed, inc)
+
+
+def sample_blocks(n_star, j_star, horizon, seed, rows):
+    """The increments of ``sample`` drawn ``rows`` time rows at a time
+    (the last block may be shorter), each block a fresh array.
+
+    Consecutive draws continue the one Philox stream, so the blocks
+    stacked are ``sample``'s matrix bit for bit.
     """
     if n_star < 1 or j_star < 1:
         raise ValueError("cell counts must be >= 1")
@@ -88,9 +101,10 @@ def sample(n_star, j_star, horizon=1.0, seed=0):
         raise ValueError("horizon must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
-    inc = rng.standard_normal((n_star, j_star))
-    inc *= sd
-    return _grid(n_star, j_star, horizon, seed, inc)
+    for lo in range(0, n_star, rows):
+        inc = rng.standard_normal((min(rows, n_star - lo), j_star))
+        inc *= sd
+        yield inc
 
 
 def coarsen(grid, time_factor=1, space_factor=1):
@@ -210,14 +224,14 @@ def mode_cell_sq_sums(ks, j_star):
     is a_k^2 J/2 (``sine_cell_fold``), except when k is a multiple of
     2J (every cell integral is 0) or an odd multiple of J (a_k^2 J).
     a_k^2 = 8 sin^2/lam^2 (8 is exact): sin^2 and the sum are tables over
-    rem = k mod 2J, gathered at rem.
+    rem = k mod 2J, gathered at rem, and lam^2 is ``mode_eigenvalues``.
     """
     ks = np.asarray(ks, dtype=np.int64)
     rem = ks % (2 * j_star)
     q = np.arange(rem.max(initial=0) + 1)   # the residues up to the largest
     sq_sum = np.where(q == j_star, j_star, np.where(q == 0, 0.0, 0.5 * j_star))
-    return (8.0 * sin_pi_ratio(q, 2 * j_star) ** 2)[rem] / (
-        ks * math.pi) ** 2 * sq_sum[rem]
+    return (8.0 * sin_pi_ratio(q, 2 * j_star) ** 2)[rem] / mode_eigenvalues(
+        ks) * sq_sum[rem]
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):

@@ -21,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import fem, noise
-from .deterministic import (_cn_factors, cn_fem_steps, cn_spectral_steps,
-                            step_factors)
-from .spectral import SpectralField, sin_pi_ratio
+from .deterministic import (_cn_factors, cn_fem_stepper, cn_fem_steps,
+                            cn_spectral_steps, step_factors)
+from .spectral import (SpectralField, mode_eigenvalues, mode_table,
+                       sin_pi_ratio)
 
 __all__ = [
     "interval_overlaps",
@@ -33,6 +34,7 @@ __all__ = [
     "regularized_exact",
     "cn_time_discrete",
     "cn_fem_spde",
+    "cn_fem_spde_blocks",
     "OverlapProfile",
     "PropagatorProfile",
     "time_gram",
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 _MODE_CHUNK = 512
+# rows per block of a profile's live band (``_Profile.columns``)
+_BAND_ROWS = 256
 
 
 def interval_overlaps(m, dtau, n_star, horizon=1.0):
@@ -92,18 +96,45 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     return out
 
 
-def _cell_loads(space, grid, M):
-    """Step loads (space @ R^T) @ V^T / (dt dx) of the rows of ``space``.
+# noise increments per block of a path's step loads: 2^16 doubles (512 KiB)
+_PATH_BLOCK = 2 ** 16
+
+
+def _path_rows(dtau, dt, j_star):
+    """Noise rows per block of step loads: whole periods of a cells
+    (``_period``), about ``_PATH_BLOCK`` increments, at least one period."""
+    a = _period(dtau, dt)[0]
+    return a * max(1, _PATH_BLOCK // (a * j_star))
+
+
+def _block_loads(space, inc, dt, dx, dtau):
+    """Step loads (space @ inc^T) @ V^T / (dt dx) of the rows of ``space``
+    on the noise rows ``inc`` (whole periods of cells dt x dx).
 
     a cells span b steps (``_period``), so V^T is one period's a x b
     overlaps, applied to each period of a cells.
     """
-    dtau = grid.horizon / M
-    proj = space @ grid.increments.T
-    a, b = _period(dtau, grid.dt)
-    V = interval_overlaps(b, dtau, a, a * grid.dt)
-    steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), M)
-    return steps / (grid.dt * grid.dx)
+    proj = space @ inc.T
+    a, b = _period(dtau, dt)
+    V = interval_overlaps(b, dtau, a, a * dt)
+    steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), -1)
+    return steps / (dt * dx)
+
+
+def _cell_loads(space, grid, M):
+    """Step loads of the rows of ``space`` on the whole grid, M steps:
+    the ``_block_loads`` of each block of ``_path_rows`` noise rows.  A
+    streamed path (``cn_fem_spde_blocks``) takes the same blocks, so it
+    gets these bits whatever BLAS does with a product's shape."""
+    dt, dx, dtau = grid.dt, grid.dx, grid.horizon / M
+    rows = _path_rows(dtau, dt, grid.j_star)
+    out = np.empty((len(space), M))
+    step = 0
+    for lo in range(0, grid.n_star, rows):
+        L = _block_loads(space, grid.increments[lo:lo + rows], dt, dx, dtau)
+        out[:, step:step + L.shape[1]] = L
+        step += L.shape[1]
+    return out
 
 
 def stochastic_loads_spectral(grid, K, M):
@@ -129,8 +160,8 @@ def cn_time_discrete(grid, K, M):
     """Crank-Nicolson time stepping per sine mode, zero initial data."""
     if M < 1:
         raise ValueError("need at least one step")
-    return cn_spectral_steps(np.zeros(K), (np.arange(1, K + 1) * math.pi) ** 2,
-                             M, grid.horizon / M,
+    return cn_spectral_steps(np.zeros(K), mode_table(K)[1], M,
+                             grid.horizon / M,
                              stochastic_loads_spectral(grid, K, M))
 
 
@@ -140,6 +171,33 @@ def cn_fem_spde(grid, system, M):
         raise ValueError("need at least one step")
     return cn_fem_steps(np.zeros(system.mesh.nu), system, M, grid.horizon / M,
                         stochastic_loads_fem(grid, system, M))
+
+
+def cn_fem_spde_blocks(n_star, j_star, horizon, seed, system, M):
+    """The states of ``cn_fem_spde(noise.sample(n_star, j_star, horizon,
+    seed), system, M)`` with the same bits, yielded in blocks of rows:
+    first the zero start state, then one block per run of whole noise
+    periods (a cells per b steps, ``_period``) of about ``_PATH_BLOCK``
+    increments.  Each block draws its rows of the one Philox stream
+    (``noise.sample_blocks``), takes their step loads with the whole
+    grid's dt, dx and dtau, and steps on from the last state
+    (``cn_fem_stepper``), so one block of noise, loads and states is
+    live at a time.  A block with a non-finite state raises ValueError.
+    """
+    if M < 1:
+        raise ValueError("need at least one step")
+    dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
+    O = fem.hat_cell_overlap_matrix(system.mesh, j_star)
+    advance = cn_fem_stepper(system, dtau)
+    start = np.zeros((1, system.mesh.nu))
+    rhs = system.mass_apply(start[0])
+    yield start
+    for inc in noise.sample_blocks(n_star, j_star, horizon, seed,
+                                   _path_rows(dtau, dt, j_star)):
+        loads = _block_loads(O, inc, dt, dx, dtau)
+        states = np.empty((loads.shape[1], system.mesh.nu))
+        rhs = advance(rhs, states, loads)
+        yield states
 
 
 def _same_grid(a, b):
@@ -169,9 +227,22 @@ class _Profile:
         k = back // u                             # run j carries x^k
         W = amp.take(u - 1 - back % u, axis=1)
         live = np.count_nonzero(k)   # x^0 = 1 also at log|x| = -inf
-        e = np.multiply.outer(log_x, k[:live])
-        # exp rounds to 0 below -745.2: skip numpy's slow underflow path
-        W[:, :live] *= np.exp(e, out=np.zeros(e.shape), where=e > -746.0)
+        # exp rounds to 0 below -745.2, so row i needs exponents only on
+        # its band k |log x_i| <= 746 (+ |log x_i| for rounding), a tail
+        # of the live columns since k falls along them; per block of rows
+        # the widest band is exponentiated and the rest scaled by 0.0,
+        # which keeps the bits (and signed zeros) of the dense product
+        with np.errstate(divide="ignore"):
+            reach = 746.0 / np.abs(log_x) + 1.0
+        band = np.searchsorted(k[:live][::-1], reach, side="right")
+        for r in range(0, len(W), _BAND_ROWS):
+            rows = slice(r, r + _BAND_ROWS)
+            first = live - band[rows].max(initial=0)
+            e = np.multiply.outer(log_x[rows], k[first:live])
+            # skip numpy's slow underflow path below -746
+            W[rows, first:live] *= np.exp(e, out=np.zeros(e.shape),
+                                          where=e > -746.0)
+            W[rows, :first] *= 0.0
         W[np.ix_(neg, k % 2 == 1)] *= -1.0   # odd powers of x < 0
         return W
 
@@ -198,7 +269,7 @@ class OverlapProfile(_Profile):
         if not 0.0 <= self.t <= self.horizon + 1e-12:
             raise ValueError("time outside [0, T]")
         dt = self.horizon / self.n_star
-        lam2 = (self.ks * math.pi) ** 2
+        lam2 = mode_eigenvalues(self.ks)
         s = self.t / dt
         s = round(s) if abs(s - round(s)) <= 1e-12 * s else s
         w = min(math.floor(s), self.n_star)
@@ -529,7 +600,7 @@ def _moment(map_a, map_b, pairing):
 def _sine_energies(K, j_star):
     """``noise.mode_cell_sq_sums`` of modes 1..K.  The last result is kept
     (read-only): every sine moment of a study shares one (K, j_star)."""
-    e = noise.mode_cell_sq_sums(np.arange(1, K + 1), j_star)
+    e = noise.mode_cell_sq_sums(mode_table(K)[0], j_star)
     e.flags.writeable = False
     return e
 
@@ -544,7 +615,7 @@ def spectral_fem_gram(K, eigen):
     is a table over r in [0, 2J) (sin^2(k pi h/2) has period 2J).
     """
     J = eigen.system.mesh.intervals
-    ks = np.arange(1, K + 1)
+    ks, lam2 = mode_table(K)
     r = ks % (2 * J)
     q = np.arange(min(K + 1, 2 * J))        # the residues r that occur
     p = np.minimum(q, 2 * J - q)
@@ -552,7 +623,7 @@ def spectral_fem_gram(K, eigen):
     g = np.where(live, np.where(q < J, 0.5, -0.5) * J * J
                  * fem._eigen_scale(p, J) * math.sqrt(2.0) * 4.0
                  * sin_pi_ratio(q, 2 * J) ** 2, 0.0)
-    return np.where(live, p - 1, 0)[r], g[r] / (ks * math.pi) ** 2
+    return np.where(live, p - 1, 0)[r], g[r] / lam2
 
 
 def sine_fem_cell_cross(K, rows, eigen, j_star):
@@ -620,7 +691,7 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
 
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
-    time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
+    time = OverlapProfile(mode_table(K)[0], t, n_star, horizon)
     return GaussianCoefficientMap(time, K, j_star)
 
 
@@ -629,8 +700,7 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
     if not (1 <= m <= M):
         raise ValueError("step index out of range")
     dtau = horizon / M
-    lam2 = (np.arange(1, K + 1) * math.pi) ** 2
-    A = PropagatorProfile(lam2, m, dtau, n_star, horizon)
+    A = PropagatorProfile(mode_table(K)[1], m, dtau, n_star, horizon)
     return GaussianCoefficientMap(A, K, j_star)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,67 @@ def test_sample_path_reproducible(tmp_path):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+def _whole_path_csv(cfg):
+    """The sample path from one whole noise grid: ``cn_fem_spde`` states
+    as "%.17g" rows."""
+    grid = noise.sample(int(cfg["n_star"]), int(cfg["j_star"]),
+                        float(cfg["horizon"]), int(cfg["seed"]))
+    states = solvers.cn_fem_spde(grid, fem.assemble(fem.Mesh(int(
+        cfg["mesh"]))), int(cfg["M"])).states
+    row = ",".join(["%.17g"] * states.shape[1]) + "\n"
+    return "".join([row % tuple(v) for v in states.tolist()])
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["budget", "one-period"])
+@pytest.mark.parametrize("grid", [
+    dict(n_star="1024", j_star="128", M="1024", mesh="16"),
+    dict(horizon="0.3", n_star="24", M="16"),
+    dict(n_star="8", M="16"),
+    dict(n_star="600", M="600", mesh="16")],
+    ids=["aligned", "3-cells-per-2-steps", "2-steps-per-cell",
+         "partial-last-block"])
+def test_streamed_sample_path_matches_whole_path(grid, block, monkeypatch):
+    # at the real block budget (2 blocks when aligned, 256 + 256 + 88
+    # rows on the last grid) and at one noise period per block
+    if block is not None:
+        monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
+    cfg = dict(cli._SAMPLE_PATH_DEFAULTS, seed="5", **grid)
+    assert cli.run_sample_path(cfg) == _whole_path_csv(cfg)
+
+
+def test_sample_path_peak_is_its_csv_and_one_block():
+    # 16 blocks of 256 noise rows: the traced peak is the CSV, a quarter
+    # of it for the last block's rows and arrays, and one noise block
+    cfg = dict(cli._SAMPLE_PATH_DEFAULTS, n_star="4096", M="4096",
+               mesh="64")
+    cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, n_star="4", M="4"))
+    tracemalloc.start()
+    try:
+        text = cli.run_sample_path(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(text) + 8 * solvers._PATH_BLOCK
+
+
+def test_non_finite_sample_path_block_exits_2(monkeypatch, capsys):
+    # a NaN increment in the second of two blocks: the rows of the first
+    # block are never printed
+    draw = noise.sample_blocks
+
+    def spoiled(*args):
+        for i, inc in enumerate(draw(*args)):
+            if i == 1:
+                inc[3, 5] = np.nan
+            yield inc
+    monkeypatch.setattr(noise, "sample_blocks", spoiled)
+    assert run(["sample-path", "--set", "n_star=1024", "--set", "j_star=128",
+                "--set", "M=1024", "--set", "mesh=8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "not finite" in out.err
 
 
 def test_config_file_and_override(tmp_path):

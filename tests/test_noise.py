@@ -29,6 +29,18 @@ def test_sample_scales_the_philox_draw():
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 7, 48, 100])
+def test_sample_blocks_continue_the_stream(rows):
+    # chunked draws continue the one Philox stream: the blocks stacked
+    # are sample's matrix bit for bit, the last block the rows left
+    n_star, j_star, horizon, seed = 48, 20, 0.7, 123
+    blocks = list(noise.sample_blocks(n_star, j_star, horizon, seed, rows))
+    assert [len(b) for b in blocks] == [
+        min(rows, n_star - lo) for lo in range(0, n_star, rows)]
+    assert np.vstack(blocks).tobytes() == noise.sample(
+        n_star, j_star, horizon, seed).increments.tobytes()
+
+
 def test_increment_variance():
     # each cell increment is N(0, dt*dx); check the pooled variance
     g = noise.sample(400, 250, 1.0, seed=1)

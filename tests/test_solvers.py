@@ -49,6 +49,50 @@ def _spread(profile):
     return out
 
 
+def _dense_columns(profile, lo, hi):
+    """``_Profile.columns`` with every exponent taken: the reference the
+    live-band form must match bit for bit."""
+    amp, log_x, neg, p, end, _ = profile.geometric
+    u = amp.shape[1]
+    back = end // p - 1 - np.arange(lo, hi)
+    k = back // u
+    W = amp.take(u - 1 - back % u, axis=1)
+    live = np.count_nonzero(k)
+    e = np.multiply.outer(log_x, k[:live])
+    W[:, :live] *= np.exp(e, out=np.zeros(e.shape), where=e > -746.0)
+    W[np.ix_(neg, k % 2 == 1)] *= -1.0
+    return W
+
+
+@pytest.mark.parametrize("N, M, horizon", [
+    (64, 64, 1.0), (374, 374, 1.0), (24, 16, 0.3), (8, 16, 1.0),
+    (48, 16, 1.0)], ids=["aligned", "aligned-374", "3-cells-per-2-steps",
+                         "sub-cell", "3-cells-per-step"])
+def test_steps_build_only_the_live_band_bit_for_bit(N, M, horizon):
+    # exponents past a row's band underflow to 0: skipping them keeps
+    # every bit of the dense block, signed zeros included (amp < 0 and
+    # q < 0 rows), across several blocks of _BAND_ROWS rows
+    K = 3 * solvers._BAND_ROWS + 5
+    ks = np.arange(1, K + 1)
+    dtau = horizon / M
+    mus = np.concatenate([(ks * math.pi) ** 2, _FEM_VALUES,
+                          2.0 * np.array([1.0, 0.5, 3.0, 1e8]) / dtau])
+    profiles = [solvers.OverlapProfile(ks, t, N, horizon)
+                for t in (horizon, horizon - 0.5 * horizon / N)]
+    profiles += [solvers.PropagatorProfile(mus, m, dtau, N, horizon)
+                 for m in (M, M - 1, 1)]
+    for x in profiles:
+        W, p = x.steps()
+        end, tail = x.geometric[4], x.geometric[5]
+        ref = _dense_columns(x, 0, end // p)
+        if tail is not None:
+            ref = np.column_stack([ref, tail])
+        assert (W.tobytes(), p) == (ref.tobytes(), x.geometric[3])
+        lo = end // p // 3   # and a window that starts past the first run
+        assert x.columns(lo, end // p).tobytes() == \
+            _dense_columns(x, lo, end // p).tobytes()
+
+
 def test_time_profile_paths_agree():
     # an aligned CN profile (p whole cells per step) against the oracle
     mus = np.array([1.0, 30.0, 900.0, 1e5])
