@@ -281,10 +281,12 @@ def run_sample_path(cfg):
     seed = _get_int(cfg, "seed")
     horizon = _horizon(cfg)
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
+    rows = solvers.path_rows(n_star, j_star, horizon, M)
+    blocks = noise.sample_blocks(n_star, j_star, horizon, seed, rows)
     row = ",".join(["%.17g"] * mesh.nu) + "\n"
     text = ""
-    for states in solvers.cn_fem_spde_blocks(n_star, j_star, horizon, seed,
-                                             fem.assemble(mesh), M):
+    for states in solvers.cn_fem_path(blocks, n_star, j_star, horizon,
+                                      fem.assemble(mesh), M):
         # += grows the one string in place (CPython resizes a str that
         # nothing else references); "".join over the blocks, or
         # StringIO.getvalue(), would hold a second full copy at the end

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .quadrature import gauss_points
-from .spectral import mode_eigenvalues, sin_pi_ratio
+from .spectral import sin_pi_ratio
 
 __all__ = [
     "NoiseGrid",
@@ -224,14 +224,14 @@ def mode_cell_sq_sums(ks, j_star):
     is a_k^2 J/2 (``sine_cell_fold``), except when k is a multiple of
     2J (every cell integral is 0) or an odd multiple of J (a_k^2 J).
     a_k^2 = 8 sin^2/lam^2 (8 is exact): sin^2 and the sum are tables over
-    rem = k mod 2J, gathered at rem, and lam^2 is ``mode_eigenvalues``.
+    rem = k mod 2J, gathered at rem.
     """
     ks = np.asarray(ks, dtype=np.int64)
     rem = ks % (2 * j_star)
     q = np.arange(rem.max(initial=0) + 1)   # the residues up to the largest
     sq_sum = np.where(q == j_star, j_star, np.where(q == 0, 0.0, 0.5 * j_star))
-    return (8.0 * sin_pi_ratio(q, 2 * j_star) ** 2)[rem] / mode_eigenvalues(
-        ks) * sq_sum[rem]
+    return (8.0 * sin_pi_ratio(q, 2 * j_star) ** 2)[rem] / (
+        ks * math.pi) ** 2 * sq_sum[rem]
 
 
 def time_overlaps(ks, t, n_star, horizon=1.0):

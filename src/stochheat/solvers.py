@@ -21,10 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import fem, noise
-from .deterministic import (_cn_factors, cn_fem_stepper, cn_fem_steps,
+from .deterministic import (Trajectory, _cn_factors, cn_fem_stepper,
                             cn_spectral_steps, step_factors)
-from .spectral import (SpectralField, mode_eigenvalues, mode_table,
-                       sin_pi_ratio)
+from .spectral import SpectralField, sin_pi_ratio
 
 __all__ = [
     "interval_overlaps",
@@ -34,7 +33,8 @@ __all__ = [
     "regularized_exact",
     "cn_time_discrete",
     "cn_fem_spde",
-    "cn_fem_spde_blocks",
+    "path_rows",
+    "cn_fem_path",
     "OverlapProfile",
     "PropagatorProfile",
     "time_gram",
@@ -96,20 +96,9 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     return out
 
 
-# noise increments per block of a path's step loads: 2^16 doubles (512 KiB)
-_PATH_BLOCK = 2 ** 16
-
-
-def _path_rows(dtau, dt, j_star):
-    """Noise rows per block of step loads: whole periods of a cells
-    (``_period``), about ``_PATH_BLOCK`` increments, at least one period."""
-    a = _period(dtau, dt)[0]
-    return a * max(1, _PATH_BLOCK // (a * j_star))
-
-
-def _block_loads(space, inc, dt, dx, dtau):
+def _cell_loads(space, inc, dt, dx, dtau):
     """Step loads (space @ inc^T) @ V^T / (dt dx) of the rows of ``space``
-    on the noise rows ``inc`` (whole periods of cells dt x dx).
+    on the noise rows ``inc``: whole periods of cells dt x dx.
 
     a cells span b steps (``_period``), so V^T is one period's a x b
     overlaps, applied to each period of a cells.
@@ -121,33 +110,18 @@ def _block_loads(space, inc, dt, dx, dtau):
     return steps / (dt * dx)
 
 
-def _cell_loads(space, grid, M):
-    """Step loads of the rows of ``space`` on the whole grid, M steps:
-    the ``_block_loads`` of each block of ``_path_rows`` noise rows.  A
-    streamed path (``cn_fem_spde_blocks``) takes the same blocks, so it
-    gets these bits whatever BLAS does with a product's shape."""
-    dt, dx, dtau = grid.dt, grid.dx, grid.horizon / M
-    rows = _path_rows(dtau, dt, grid.j_star)
-    out = np.empty((len(space), M))
-    step = 0
-    for lo in range(0, grid.n_star, rows):
-        L = _block_loads(space, grid.increments[lo:lo + rows], dt, dx, dtau)
-        out[:, step:step + L.shape[1]] = L
-        step += L.shape[1]
-    return out
-
-
 def stochastic_loads_spectral(grid, K, M):
     """W[k-1, l-1] = integral over Delta_l of (noise, e_k), from the
     loads of the folded rows (``noise.sine_cell_fold``)."""
     alias, c, S = noise.sine_cell_fold(K, grid.j_star)
-    return c[:, None] * _cell_loads(S, grid, M)[alias]
+    return c[:, None] * _cell_loads(S, grid.increments, grid.dt, grid.dx,
+                                    grid.horizon / M)[alias]
 
 
 def stochastic_loads_fem(grid, system, M):
     """L[i-1, l-1] = integral over Delta_l of (noise, hat_i)."""
     return _cell_loads(fem.hat_cell_overlap_matrix(system.mesh, grid.j_star),
-                       grid, M)
+                       grid.increments, grid.dt, grid.dx, grid.horizon / M)
 
 
 def regularized_exact(grid, K, t):
@@ -160,44 +134,73 @@ def cn_time_discrete(grid, K, M):
     """Crank-Nicolson time stepping per sine mode, zero initial data."""
     if M < 1:
         raise ValueError("need at least one step")
-    return cn_spectral_steps(np.zeros(K), mode_table(K)[1], M,
-                             grid.horizon / M,
+    return cn_spectral_steps(np.zeros(K), (np.arange(1, K + 1) * math.pi) ** 2,
+                             M, grid.horizon / M,
                              stochastic_loads_spectral(grid, K, M))
 
 
-def cn_fem_spde(grid, system, M):
-    """Crank-Nicolson finite element stepping, zero initial data."""
+# doubles per block of a path: noise increments, or states
+_PATH_BLOCK = 2 ** 16
+
+
+def path_rows(n_star, j_star, horizon, M):
+    """Noise rows per block of ``cn_fem_path``: whole periods of a cells
+    per b steps (``_period``) of about ``_PATH_BLOCK`` increments, at
+    least one period."""
     if M < 1:
         raise ValueError("need at least one step")
-    return cn_fem_steps(np.zeros(system.mesh.nu), system, M, grid.horizon / M,
-                        stochastic_loads_fem(grid, system, M))
+    a = _period(horizon / M, horizon / n_star)[0]
+    return a * max(1, _PATH_BLOCK // (a * j_star))
 
 
-def cn_fem_spde_blocks(n_star, j_star, horizon, seed, system, M):
-    """The states of ``cn_fem_spde(noise.sample(n_star, j_star, horizon,
-    seed), system, M)`` with the same bits, yielded in blocks of rows:
-    first the zero start state, then one block per run of whole noise
-    periods (a cells per b steps, ``_period``) of about ``_PATH_BLOCK``
-    increments.  Each block draws its rows of the one Philox stream
-    (``noise.sample_blocks``), takes their step loads with the whole
-    grid's dt, dx and dtau, and steps on from the last state
-    (``cn_fem_stepper``), so one block of noise, loads and states is
-    live at a time.  A block with a non-finite state raises ValueError.
+def cn_fem_path(blocks, n_star, j_star, horizon, system, M):
+    """Crank-Nicolson finite element stepping, zero initial data, on the
+    noise increments ``blocks``: the N x J* grid in consecutive blocks of
+    ``path_rows`` rows (the last may be shorter).
+
+    Yields the states in row blocks: the zero start state, then each
+    noise block's steps in pieces of at most ``_PATH_BLOCK`` / nu states.
+    A block's step loads take the whole grid's dt, dx and dtau, and its
+    steps go on from the last right-hand side (``cn_fem_stepper``), so
+    one block of noise and loads and one piece of states are live at a
+    time.  A block is at least one period and holds nu loads per step:
+    where one period is the whole grid (n* and M share no factor) its
+    noise is the whole grid's, and where M is many times n* its loads
+    come near the whole path's.  A piece with a non-finite state raises
+    ValueError.
     """
     if M < 1:
         raise ValueError("need at least one step")
     dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
+    nu = system.mesh.nu
     O = fem.hat_cell_overlap_matrix(system.mesh, j_star)
     advance = cn_fem_stepper(system, dtau)
-    start = np.zeros((1, system.mesh.nu))
+    start = np.zeros((1, nu))
     rhs = system.mass_apply(start[0])
     yield start
-    for inc in noise.sample_blocks(n_star, j_star, horizon, seed,
-                                   _path_rows(dtau, dt, j_star)):
-        loads = _block_loads(O, inc, dt, dx, dtau)
-        states = np.empty((loads.shape[1], system.mesh.nu))
-        rhs = advance(rhs, states, loads)
-        yield states
+    piece = max(1, _PATH_BLOCK // nu)
+    for inc in blocks:
+        loads = _cell_loads(O, inc, dt, dx, dtau)
+        for lo in range(0, loads.shape[1], piece):
+            states = np.empty((min(piece, loads.shape[1] - lo), nu))
+            rhs = advance(rhs, states, loads[:, lo:lo + piece])
+            yield states
+
+
+def cn_fem_spde(grid, system, M):
+    """Crank-Nicolson finite element stepping, zero initial data: the
+    whole ``cn_fem_path`` on the grid's increments."""
+    nu = system.mesh.nu
+    rows = path_rows(grid.n_star, grid.j_star, grid.horizon, M)
+    inc = grid.increments
+    blocks = (inc[lo:lo + rows] for lo in range(0, grid.n_star, rows))
+    states = np.empty((M + 1, nu))
+    m = 0
+    for piece in cn_fem_path(blocks, grid.n_star, grid.j_star, grid.horizon,
+                             system, M):
+        states[m:m + len(piece)] = piece
+        m += len(piece)
+    return Trajectory(grid.horizon / M, states, "nodal", mesh=system.mesh)
 
 
 def _same_grid(a, b):
@@ -269,7 +272,7 @@ class OverlapProfile(_Profile):
         if not 0.0 <= self.t <= self.horizon + 1e-12:
             raise ValueError("time outside [0, T]")
         dt = self.horizon / self.n_star
-        lam2 = mode_eigenvalues(self.ks)
+        lam2 = (self.ks * math.pi) ** 2
         s = self.t / dt
         s = round(s) if abs(s - round(s)) <= 1e-12 * s else s
         w = min(math.floor(s), self.n_star)
@@ -600,7 +603,7 @@ def _moment(map_a, map_b, pairing):
 def _sine_energies(K, j_star):
     """``noise.mode_cell_sq_sums`` of modes 1..K.  The last result is kept
     (read-only): every sine moment of a study shares one (K, j_star)."""
-    e = noise.mode_cell_sq_sums(mode_table(K)[0], j_star)
+    e = noise.mode_cell_sq_sums(np.arange(1, K + 1), j_star)
     e.flags.writeable = False
     return e
 
@@ -615,7 +618,7 @@ def spectral_fem_gram(K, eigen):
     is a table over r in [0, 2J) (sin^2(k pi h/2) has period 2J).
     """
     J = eigen.system.mesh.intervals
-    ks, lam2 = mode_table(K)
+    ks = np.arange(1, K + 1)
     r = ks % (2 * J)
     q = np.arange(min(K + 1, 2 * J))        # the residues r that occur
     p = np.minimum(q, 2 * J - q)
@@ -623,7 +626,7 @@ def spectral_fem_gram(K, eigen):
     g = np.where(live, np.where(q < J, 0.5, -0.5) * J * J
                  * fem._eigen_scale(p, J) * math.sqrt(2.0) * 4.0
                  * sin_pi_ratio(q, 2 * J) ** 2, 0.0)
-    return np.where(live, p - 1, 0)[r], g[r] / lam2
+    return np.where(live, p - 1, 0)[r], g[r] / (ks * math.pi) ** 2
 
 
 def sine_fem_cell_cross(K, rows, eigen, j_star):
@@ -691,7 +694,7 @@ def sine_fem_cell_cross(K, rows, eigen, j_star):
 
 def map_regularized(n_star, j_star, horizon, K, t):
     """Coefficient map of the regularized solution at time t."""
-    time = OverlapProfile(mode_table(K)[0], t, n_star, horizon)
+    time = OverlapProfile(np.arange(1, K + 1), t, n_star, horizon)
     return GaussianCoefficientMap(time, K, j_star)
 
 
@@ -700,7 +703,8 @@ def map_cn_spectral(n_star, j_star, horizon, K, M, m):
     if not (1 <= m <= M):
         raise ValueError("step index out of range")
     dtau = horizon / M
-    A = PropagatorProfile(mode_table(K)[1], m, dtau, n_star, horizon)
+    lam2 = (np.arange(1, K + 1) * math.pi) ** 2
+    A = PropagatorProfile(lam2, m, dtau, n_star, horizon)
     return GaussianCoefficientMap(A, K, j_star)
 
 

@@ -6,7 +6,6 @@ sine series, so the heat semigroup is a diagonal operation on the
 coefficient vector.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ import numpy as np
 __all__ = [
     "SpectralField",
     "eigenvalue_sqrt",
-    "mode_table",
-    "mode_eigenvalues",
     "sin_pi_ratio",
     "semigroup_apply",
 ]
@@ -24,24 +21,6 @@ __all__ = [
 def eigenvalue_sqrt(k):
     """lam_k = k*pi for mode index k >= 1 (accepts arrays)."""
     return np.asarray(k, dtype=float) * math.pi
-
-
-@functools.lru_cache(maxsize=1)
-def mode_table(K):
-    """``(ks, lam2)``: the modes k = 1..K and lam_k^2 = (k pi)^2, both
-    read-only.  The last table is kept: the profiles, maps and moments
-    of a study share one K."""
-    ks = np.arange(1, K + 1)
-    lam2 = (ks * math.pi) ** 2
-    ks.flags.writeable = lam2.flags.writeable = False
-    return ks, lam2
-
-
-def mode_eigenvalues(ks):
-    """lam_k^2 = (k pi)^2 for the mode indices ``ks``: the kept lam2 of
-    ``mode_table`` when ``ks`` is that table's own ks, else computed."""
-    table_ks, lam2 = mode_table(np.size(ks))
-    return lam2 if ks is table_ks else (np.asarray(ks) * math.pi) ** 2
 
 
 def sin_pi_ratio(m, n):

@@ -489,12 +489,14 @@ def _whole_path_csv(cfg):
     dict(n_star="1024", j_star="128", M="1024", mesh="16"),
     dict(horizon="0.3", n_star="24", M="16"),
     dict(n_star="8", M="16"),
-    dict(n_star="600", M="600", mesh="16")],
+    dict(n_star="600", M="600", mesh="16"),
+    dict(n_star="3", M="64", mesh="16")],
     ids=["aligned", "3-cells-per-2-steps", "2-steps-per-cell",
-         "partial-last-block"])
+         "partial-last-block", "one-period-is-the-grid"])
 def test_streamed_sample_path_matches_whole_path(grid, block, monkeypatch):
     # at the real block budget (2 blocks when aligned, 256 + 256 + 88
-    # rows on the last grid) and at one noise period per block
+    # rows on the partial grid) and at one noise period and one state
+    # per piece
     if block is not None:
         monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
     cfg = dict(cli._SAMPLE_PATH_DEFAULTS, seed="5", **grid)
@@ -514,6 +516,22 @@ def test_sample_path_peak_is_its_csv_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * len(text) + 8 * solvers._PATH_BLOCK
+
+
+def test_sample_path_peak_when_one_period_is_the_whole_grid(monkeypatch):
+    # 3 cells per 4096 steps share no factor: the one block holds the
+    # whole grid's noise and its 63 x 4096 loads, but its states and rows
+    # come in pieces of _PATH_BLOCK / nu = 65 steps
+    monkeypatch.setattr(solvers, "_PATH_BLOCK", 2 ** 12)
+    cfg = dict(cli._SAMPLE_PATH_DEFAULTS, n_star="3", M="4096", mesh="64")
+    cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, n_star="4", M="4"))
+    tracemalloc.start()
+    try:
+        text = cli.run_sample_path(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(text) + 8 * 63 * 4096 + 8 * solvers._PATH_BLOCK
 
 
 def test_non_finite_sample_path_block_exits_2(monkeypatch, capsys):

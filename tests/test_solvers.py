@@ -760,7 +760,8 @@ def test_cell_loads_sum_whole_cells(n_star, M):
     # which is the dense product up to the order of BLAS's sum
     grid = noise.sample(n_star, 64, 1.0, 9)
     space = fem.hat_cell_overlap_matrix(fem.Mesh(32), 64)
-    loads = solvers._cell_loads(space, grid, M)
+    loads = solvers._cell_loads(space, grid.increments, grid.dt, grid.dx,
+                                1.0 / M)
     dense = _dense_cell_loads(space, grid, M)
     if n_star == M:
         assert np.array_equal(loads, dense)
@@ -770,7 +771,8 @@ def test_cell_loads_sum_whole_cells(n_star, M):
 def test_cell_loads_non_aligned_take_the_overlaps():
     grid = noise.sample(24, 16, 0.3, 4)
     space = noise.mode_cell_integrals(20, 16)
-    loads = solvers._cell_loads(space, grid, 16)
+    loads = solvers._cell_loads(space, grid.increments, grid.dt, grid.dx,
+                                0.3 / 16)
     # each step load is the noise integrated over the step: the loads of
     # steps add up to the loads of the whole horizon
     whole = space @ grid.increments.sum(axis=0) / grid.dx

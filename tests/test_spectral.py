@@ -85,19 +85,3 @@ def test_field_immutable():
     f = SpectralField(np.array([1.0]))
     with pytest.raises(AttributeError):
         f.coeffs = np.array([2.0])
-
-
-def test_mode_table_has_the_bits_of_k_pi_squared():
-    K = 5000
-    ks, lam2 = spectral.mode_table(K)
-    assert ks.tobytes() == np.arange(1, K + 1).tobytes()
-    assert lam2.tobytes() == ((ks * math.pi) ** 2).tobytes()
-    assert lam2.tobytes() == ((math.pi * ks) ** 2).tobytes()
-    assert not ks.flags.writeable and not lam2.flags.writeable
-    # kept for the next call, and read back for its own ks without a pass
-    assert spectral.mode_table(K)[1] is lam2
-    assert spectral.mode_eigenvalues(ks) is lam2
-    for other in (np.arange(1, K + 1), np.array([7, 1, 4999, 7, 300])):
-        got = spectral.mode_eigenvalues(other)
-        assert got is not lam2
-        assert got.tobytes() == ((other * math.pi) ** 2).tobytes()
