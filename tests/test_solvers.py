@@ -130,6 +130,27 @@ def test_fem_solver_matches_duhamel_map():
     assert np.allclose(traj.states[-1], nodal, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 64], ids=["one-period", "two-pieces"])
+@pytest.mark.parametrize("n_star, M, horizon", [
+    (64, 64, 1.0), (24, 16, 0.3), (8, 16, 1.0), (3, 64, 1.0)],
+    ids=["aligned", "3-cells-per-2-steps", "2-steps-per-cell",
+         "one-period-is-the-grid"])
+def test_cn_fem_spde_in_blocks_matches_one_pass(n_star, M, horizon, block,
+                                                monkeypatch):
+    # blocks of whole noise periods, and pieces of states within a block
+    # (4 steps at nu = 15 with a budget of 64), step on from where the
+    # last one ended: one pass of cn_fem_steps on the whole grid's loads
+    # agrees up to the order of BLAS's sums
+    monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
+    g = noise.sample(n_star, 16, horizon, 3)
+    system = fem.assemble(fem.Mesh(16))
+    got = solvers.cn_fem_spde(g, system, M).states
+    ref = deterministic.cn_fem_steps(
+        np.zeros(system.mesh.nu), system, M, horizon / M,
+        solvers.stochastic_loads_fem(g, system, M)).states
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def _fem_schemes(g, M):
     system = fem.assemble(fem.Mesh(8))
     v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
