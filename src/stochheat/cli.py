@@ -6,8 +6,10 @@ refinement level and a trailing fitted-slope line.
 """
 
 import argparse
+import functools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -283,15 +285,146 @@ def run_sample_path(cfg):
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
     rows = solvers.path_rows(n_star, j_star, horizon, M)
     blocks = noise.sample_blocks(n_star, j_star, horizon, seed, rows)
-    row = ",".join(["%.17g"] * mesh.nu) + "\n"
+    step = max(1, _CSV_BLOCK // mesh.nu)
     text = ""
     for states in solvers.cn_fem_path(blocks, n_star, j_star, horizon,
                                       fem.assemble(mesh), M):
-        # += grows the one string in place (CPython resizes a str that
-        # nothing else references); "".join over the blocks, or
-        # StringIO.getvalue(), would hold a second full copy at the end
-        text += "".join([row % tuple(v) for v in states.tolist()])
+        for lo in range(0, len(states), step):
+            # += grows the one string in place (CPython resizes a str that
+            # nothing else references); "".join over the pieces, or
+            # StringIO.getvalue(), would hold a second full copy at the end
+            text += _csv_rows(states[lo:lo + step])
     return text
+
+
+# values per _csv_rows call (whole rows, at least one): its n x 48 byte
+# template stays small beside the CSV
+_CSV_BLOCK = 2 ** 11
+# the fast path takes 10**-_FAST_EXP <= |v| < 10**_FAST_EXP: there the
+# Veltkamp splits of |v| and of 10**(16 - E) cannot overflow and the lo
+# parts of the powers of ten stay normal
+_FAST_EXP = 280
+
+
+@functools.cache
+def _csv_tables():
+    """The tables of ``_csv_rows``, built on first use.
+
+    One value is laid out in 48 bytes: 2 unused, "-", "0.000" (fixed
+    notation, E < 0), digit k of 17 at byte 8 + 2k with a point after
+    it, "e+XXX" and the separator.  ``pow10[:, k + 300]``, |k| <= 300:
+    10**k as a double-double (hi, lo) from exact rationals, the
+    Veltkamp halves of hi, and the smallest double >= 10**k.
+    ``quad[g]``: the 8 bytes of four digits g < 10**4 and their points
+    (digits 4j..4j + 3 fill bytes 8 + 8j..15 + 8j); ``last[j, g]``: the
+    digits up to the last nonzero one of g as group j, or negative for
+    g = 0 (group 4 is digit 16 alone).
+    ``tail[E + 300] | ones[digit 16]``: bytes 40..47.  ``keep``: the byte
+    masks of %g's layout; row ``first[E + 300] + digits`` (+ 425 if
+    negative) keeps E with that many significant digits.
+    """
+    pow10 = []
+    for k in range(-300, 301):
+        exact = Fraction(10) ** k
+        hi = float(exact)
+        lo = float(exact - Fraction(hi))
+        c = 134217729.0 * hi
+        half = c - (c - hi)
+        pow10.append((hi, lo, half, hi - half,
+                      math.nextafter(hi, math.inf) if lo > 0 else hi))
+    g = np.arange(10 ** 4)
+    quad = np.full((g.size, 8), ord("."), np.uint8)
+    quad[:, ::2] = g[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    last = np.select([g % 10 > 0, g % 100 > 0, g % 1000 > 0, g > 0],
+                     [4, 3, 2, 1], -32) + np.arange(0, 20, 4)[:, None]
+    last[4, 1:] = 17                 # digit 16 alone
+    e = np.arange(-300, 301)
+    tail = np.zeros((e.size, 8), np.uint8)
+    tail[:, 1:4] = np.frombuffer(b".e+", np.uint8)
+    tail[e < 0, 3] = ord("-")
+    tail[:, 4:7] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    tail[:, 7] = ord(",")
+    ones = np.zeros((10, 8), np.uint8)
+    ones[:, 0] = np.arange(10) + ord("0")
+    # one representative E per class: 0 for E <= -100, 1 up to -5, 2..22
+    # for -4..16 (fixed notation), 23 up to 99, 24 from 100
+    neg, E, sig = (x.ravel() for x in np.meshgrid(
+        [False, True], [-100, -5, *range(-4, 17), 17, 100],
+        np.arange(1, 18), indexing="ij"))
+    fixed = (E >= -4) & (E < 17)
+    shown = np.where(fixed, np.maximum(sig, E + 1), sig)[:, None]
+    k = np.arange(17)
+    keep = np.zeros((E.size, 48), bool)
+    keep[:, 2] = neg
+    keep[:, 3:8] = fixed[:, None] & (E[:, None] <= [-1, -1, -2, -3, -4])
+    keep[:, 8:42:2] = k < shown
+    keep[:, 9:42:2] = (k == np.where(fixed, E, 0)[:, None]) & (k < shown - 1)
+    keep[:, 42:47] = ~fixed[:, None]
+    keep[:, 44] &= np.abs(E) >= 100
+    keep[:, 47] = True
+    first = 17 * (np.clip(e, -5, 17) + 6 - (e <= -100) + (e >= 100)) - 1
+    return (np.array(pow10).T.copy(), quad.view(np.uint64)[:, 0],
+            last.astype(np.int8), tail.view(np.uint64)[:, 0],
+            ones.view(np.uint64)[:, 0], first,
+            (keep * np.uint8(255)).view(np.uint64))
+
+
+def _csv_rows(states):
+    """The rows of ``states`` as "%.17g" CSV lines, byte for byte.
+
+    D = round(|v| 10**(16 - E)) comes from Dekker's error-free product of
+    |v| with 10**(16 - E) as a double-double; its rounding is certain
+    unless the product lies within 2**-40 of a half (the error is below
+    1e-14).  Those values, the non-finite ones and those outside the
+    _FAST_EXP window take '%.17g' % v one at a time; +-0 is "0" or "-0".
+    """
+    pow10, quad, last, tail, ones, first, keep = _csv_tables()
+    v = np.ravel(states)
+    a = np.abs(v)
+    fast = (a >= 10.0 ** -_FAST_EXP) & (a < 10.0 ** _FAST_EXP)
+    a[~fast] = 1.0
+    # E = floor(log10 a): log10 may be one off next to a power of ten
+    E = np.floor(np.log10(a)).astype(np.intp)
+    E += a >= pow10[4].take(E + 301)
+    E -= a < pow10[4].take(E + 300)
+    hi, lo, hh, hl = (col.take(316 - E) for col in pow10[:4])  # 10**(16-E)
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi                       # an integer: p > 2**53
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    n = np.rint(r)
+    fast &= np.abs(r - n) < 0.5 - 2.0 ** -40
+    D = p.astype(np.int64) + n.astype(np.int64)
+    up = D == 10 ** 17               # rounds up to the next power of ten
+    D[up] = 10 ** 16
+    E += up
+    hi9 = (D // 10 ** 9).astype(np.uint32)
+    lo9 = (D % 10 ** 9).astype(np.uint32)
+    groups = (hi9 // 10 ** 4, hi9 % 10 ** 4, lo9 // 10 ** 5,
+              lo9 // 10 % 10 ** 4)
+    d16 = lo9 % 10
+    sig = np.maximum.reduce(
+        [last[j].take(x) for j, x in enumerate(groups + (d16,))])
+    T = np.empty((v.size, 6), np.uint64)
+    T[:, 0] = np.frombuffer(b"\0\0-0.000", np.uint64)[0]
+    for j, x in enumerate(groups):
+        T[:, j + 1] = quad.take(x)
+    T[:, 5] = tail.take(E + 300) | ones.take(d16)
+    T[v == 0, 1] = quad[0]
+    T &= keep.take(first.take(E + 300) + sig + 425 * np.signbit(v), axis=0)
+    B = T.view(np.uint8)
+    B[states.shape[-1] - 1::states.shape[-1], 47] = ord("\n")
+    for i in np.flatnonzero(~fast & (v != 0)):
+        text = _fallback(v[i])
+        B[i, :47] = 0
+        B[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return B.tobytes().translate(None, b"\0").decode()
+
+
+def _fallback(x):
+    """'%.17g' % x as bytes, for a value the fast path does not take."""
+    return ("%.17g" % x).encode()
 
 
 def _selftest_checks():

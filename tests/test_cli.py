@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -371,7 +372,7 @@ def test_allocation_failure_exits_2(capsys):
 def test_cli_import_leaves_scipy_out():
     # scipy is imported by the first banded solve only: neither start-up
     # nor an exact study (the mode tail's trigamma is computed in-package)
-    # loads it
+    # loads it; the CSV kernel's tables are not built at import
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     studies = [
@@ -388,6 +389,7 @@ def test_cli_import_leaves_scipy_out():
     ]
     code = ("import sys, stochheat.cli as cli\n"
             "print('scipy' in sys.modules)\n"
+            "print(cli._csv_tables.cache_info().currsize)\n"
             "for s in %r:\n"
             "    argv = ['study', '--samples', '0', '--out', %r]\n"
             "    for kv in s:\n"
@@ -396,7 +398,7 @@ def test_cli_import_leaves_scipy_out():
             "print('scipy' in sys.modules)\n" % (studies, os.devnull))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False", "0", "False"]
 
 
 def test_unwritable_out_fails_before_the_run(monkeypatch, capsys, tmp_path):
@@ -501,6 +503,30 @@ def test_streamed_sample_path_matches_whole_path(grid, block, monkeypatch):
         monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
     cfg = dict(cli._SAMPLE_PATH_DEFAULTS, seed="5", **grid)
     assert cli.run_sample_path(cfg) == _whole_path_csv(cfg)
+
+
+@pytest.mark.parametrize("grid, digest", [
+    (dict(seed="0"),
+     "f0afa3adc29953be8a2888cf07e3f1048dc8e034ef79a6962bd52d8edb1b17c9"),
+    (dict(seed="1"),
+     "64a337310fa98d2865f9d821f699e3cafee0ed58bf29b857879e187b16073c12"),
+    (dict(seed="1", horizon="0.3", n_star="24", M="16"),
+     "dd8f8083818433e9b95c4503245da769acb81d5a0edc95ddf0289ff9defaf48f"),
+    (dict(seed="1", n_star="8", M="16"),
+     "d9b8416413a93049c4608101a821fc34c9a509ffd5c81e9d6fa927f54f390d62"),
+    (dict(seed="1", n_star="512", M="128"),
+     "ee348e248ae8b50f7944df1d8c6cfa1ddfd9228707944b628dbdef2626258f37"),
+    (dict(seed="1", n_star="600", M="600", mesh="16"),
+     "4f35907d444fd839f9f3d2eedf058b3c054449b330ce3063df2917c602d4e3b5"),
+    (dict(seed="1", mesh="48", j_star="64"),
+     "4f1f49a41f53f9cae8154a7de779442ed2456d7a32e0de0adda8e6b6c3c59616")],
+    ids=["default-seed-0", "default-seed-1", "3-cells-per-2-steps",
+         "2-steps-per-cell", "4-cells-per-step", "partial-last-block",
+         "mesh-48"])
+def test_sample_path_bytes_are_pinned(grid, digest):
+    # sha256 of the CSV as the per-row "%.17g" formatter wrote it
+    text = cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, **grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sample_path_peak_is_its_csv_and_one_block():
