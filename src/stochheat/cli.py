@@ -9,7 +9,6 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -313,7 +312,7 @@ def _csv_tables():
     One value is laid out in 48 bytes: 2 unused, "-", "0.000" (fixed
     notation, E < 0), digit k of 17 at byte 8 + 2k with a point after
     it, "e+XXX" and the separator.  ``pow10[:, k + 300]``, |k| <= 300:
-    10**k as a double-double (hi, lo) from exact rationals, the
+    10**k as a double-double (hi, lo) from integer arithmetic, the
     Veltkamp halves of hi, and the smallest double >= 10**k.
     ``quad[g]``: the 8 bytes of four digits g < 10**4 and their points
     (digits 4j..4j + 3 fill bytes 8 + 8j..15 + 8j); ``last[j, g]``: the
@@ -325,9 +324,10 @@ def _csv_tables():
     """
     pow10 = []
     for k in range(-300, 301):
-        exact = Fraction(10) ** k
-        hi = float(exact)
-        lo = float(exact - Fraction(hi))
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi = num / den                   # int / int rounds correctly
+        p, q = hi.as_integer_ratio()
+        lo = (num * q - p * den) / (den * q)
         c = 134217729.0 * hi
         half = c - (c - hi)
         pow10.append((hi, lo, half, hi - half,
@@ -382,7 +382,7 @@ def _csv_rows(states):
     v = np.ravel(states)
     a = np.abs(v)
     fast = (a >= 10.0 ** -_FAST_EXP) & (a < 10.0 ** _FAST_EXP)
-    a[~fast] = 1.0
+    a[~fast] = 1.0                   # the others go through as 1.0
     # E = floor(log10 a): log10 may be one off next to a power of ten
     E = np.floor(np.log10(a)).astype(np.intp)
     E += a >= pow10[4].take(E + 301)
@@ -411,7 +411,7 @@ def _csv_rows(states):
     for j, x in enumerate(groups):
         T[:, j + 1] = quad.take(x)
     T[:, 5] = tail.take(E + 300) | ones.take(d16)
-    T[v == 0, 1] = quad[0]
+    T[v == 0, 1] = quad[0]           # +-0: the layout of 1.0, digit 0
     T &= keep.take(first.take(E + 300) + sig + 425 * np.signbit(v), axis=0)
     B = T.view(np.uint8)
     B[states.shape[-1] - 1::states.shape[-1], 47] = ord("\n")
@@ -419,7 +419,7 @@ def _csv_rows(states):
         text = _fallback(v[i])
         B[i, :47] = 0
         B[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return B.tobytes().translate(None, b"\0").decode()
+    return B.tobytes().translate(None, b"\0").decode()   # drop the 0 bytes
 
 
 def _fallback(x):
