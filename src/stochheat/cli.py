@@ -259,11 +259,11 @@ def run_study(cfg):
             states = deterministic.modified_cn_fem(
                 np.concatenate([fem.l2_project(v0, s) for s in systems]),
                 fem.FemSystem.stack(systems), M, dtau).states
-            ends = np.cumsum([s.mesh.nu for s in systems])
-            for lvl, (system, hi) in enumerate(zip(systems, ends)):
-                num = deterministic.Trajectory(
-                    dtau, states[:, hi - system.mesh.nu:hi], "nodal",
-                    mesh=system.mesh)
+            parts = np.split(states, np.cumsum(
+                [s.mesh.nu for s in systems])[:-1], axis=1)
+            for lvl, (system, part) in enumerate(zip(systems, parts)):
+                num = deterministic.Trajectory(dtau, part, "nodal",
+                                               mesh=system.mesh)
                 err = deterministic.l2t_error(num, ref, "midpoint", system)
                 rep.add_row(lvl, math.nan, math.nan, dtau, system.mesh.h,
                             1, err)

@@ -140,7 +140,7 @@ def cn_fem_steps(v0, system, M, dtau, loads=None):
     """
     if M < 1:
         raise ValueError("need at least one step")
-    states = np.empty((M + 1, system.mass_diag.size))
+    states = np.empty((M + 1, system.mass_band.shape[1]))
     states[0] = v0
     with np.errstate(invalid="ignore", over="ignore"):   # checked per block
         rhs = system.mass_apply(v0)
@@ -161,7 +161,7 @@ def cn_fem_stepper(system, dtau):
     """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
-    chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
+    chol = cholesky_banded(system.mass_band + 0.5 * dtau * system.stiff_band)
 
     def advance(rhs, out, loads=None):
         # the LAPACK solve behind scipy's cho_solve_banded, without its

@@ -160,11 +160,9 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
     return math.sqrt(_nonnegative(total, scale, "quadrature modeling error"))
 
 
-def tdr_error_exact(m, M, n_star, j_star, horizon=1.0, K=None):
+def tdr_error_exact(m, M, n_star, j_star, K, horizon=1.0):
     """Exact RMS time-discretization error at step m of M: the regularized
     solution against the mode-wise CN scheme at t = m * dtau."""
-    if K is None:
-        K = 4 * j_star
     map_u = solvers.map_regularized(n_star, j_star, horizon, K,
                                     m * (horizon / M))
     map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
@@ -193,7 +191,7 @@ def pair_error(map_a, map_b):
                                   "squared error"))
 
 
-def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
+def sdr_error_exact(m, M, n_star, j_star, eigen, K, horizon=1.0):
     """Exact RMS gap between CN-spectral and CN-FEM at step m of M.
 
     The spectral side is truncated to K modes consistently in both the
@@ -201,17 +199,13 @@ def sdr_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
     To reuse the spectral side across meshes, build
     ``solvers.map_cn_spectral`` once and call ``pair_error`` instead.
     """
-    if K is None:
-        K = 4 * j_star
     map_s = solvers.map_cn_spectral(n_star, j_star, horizon, K, M, m)
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)
     return pair_error(map_s, map_h)
 
 
-def total_error_exact(m, M, n_star, j_star, eigen, horizon=1.0, K=None):
+def total_error_exact(m, M, n_star, j_star, eigen, K, horizon=1.0):
     """Exact RMS gap between the regularized solution and CN-FEM."""
-    if K is None:
-        K = 4 * j_star
     map_u = solvers.map_regularized(n_star, j_star, horizon, K,
                                     m * (horizon / M))
     map_h = solvers.map_cn_fem(n_star, j_star, horizon, eigen, M, m)

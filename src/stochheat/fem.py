@@ -51,72 +51,70 @@ class Mesh:
 
 
 class FemSystem:
-    """Mesh plus assembled tridiagonal mass and stiffness matrices.
+    """Mesh plus the tridiagonal mass and stiffness matrices, each held
+    once in the upper banded form of scipy's Cholesky solvers: row 0 the
+    off-diagonal behind a leading 0, row 1 the diagonal.
 
     ``stack`` joins independent systems into one block-diagonal system.
     """
 
     def __init__(self, mesh):
-        h = mesh.h
-        nu = mesh.nu
-        self._set(mesh, np.full(nu, 2.0 * h / 3.0), np.full(nu - 1, h / 6.0),
-                  np.full(nu, 2.0 / h), np.full(nu - 1, -1.0 / h))
-
-    def _set(self, mesh, mass_diag, mass_off, stiff_diag, stiff_off):
         self.mesh = mesh
-        self.mass_diag, self.mass_off = mass_diag, mass_off
-        self.stiff_diag, self.stiff_off = stiff_diag, stiff_off
-        # banded storage (upper form) for scipy's Cholesky solvers
-        self._mass_band = np.vstack([np.concatenate([[0.0], self.mass_off]),
-                                     self.mass_diag])
-        self._stiff_band = np.vstack([np.concatenate([[0.0], self.stiff_off]),
-                                      self.stiff_diag])
+        self.mass_band = _band(mesh.nu, 2.0 * mesh.h / 3.0, mesh.h / 6.0)
+        self.stiff_band = _band(mesh.nu, 2.0 / mesh.h, -1.0 / mesh.h)
 
     @classmethod
     def stack(cls, systems):
         """Independent systems as one block-diagonal system, ``mesh`` the
-        tuple of their meshes: the diagonals end to end and the
-        off-diagonals joined by exact zeros, so the banded Cholesky solve,
-        ``mass_apply`` and ``stiff_apply`` give each block the bits of its
-        own system."""
-        def join(name):
-            if name.endswith("off"):   # a 0 couples each block to the next
-                return np.concatenate([np.append(getattr(s, name), 0.0)
-                                       for s in systems])[:-1]
-            return np.concatenate([getattr(s, name) for s in systems])
+        tuple of their meshes: the bands end to end, so each block's
+        leading 0 decouples it from the one before, and the banded
+        Cholesky solve, ``mass_apply`` and ``stiff_apply`` give each block
+        the bits of its own system."""
         out = cls.__new__(cls)
-        out._set(tuple(s.mesh for s in systems),
-                 *map(join, ("mass_diag", "mass_off", "stiff_diag",
-                             "stiff_off")))
+        out.mesh = tuple(s.mesh for s in systems)
+        out.mass_band = np.hstack([s.mass_band for s in systems])
+        out.stiff_band = np.hstack([s.stiff_band for s in systems])
         return out
 
     def mass_dense(self):
-        return (np.diag(self.mass_diag) + np.diag(self.mass_off, 1)
-                + np.diag(self.mass_off, -1))
+        return _band_dense(self.mass_band)
 
     def stiff_dense(self):
-        return (np.diag(self.stiff_diag) + np.diag(self.stiff_off, 1)
-                + np.diag(self.stiff_off, -1))
+        return _band_dense(self.stiff_band)
 
     def mass_apply(self, v):
         """M v, for one nodal vector or a stack (..., nu) of them."""
-        out = self.mass_diag * v
-        out[..., :-1] += self.mass_off * v[..., 1:]
-        out[..., 1:] += self.mass_off * v[..., :-1]
-        return out
+        return _band_apply(self.mass_band, v)
 
     def stiff_apply(self, v):
         """S v, for one nodal vector or a stack (..., nu) of them."""
-        out = self.stiff_diag * v
-        out[..., :-1] += self.stiff_off * v[..., 1:]
-        out[..., 1:] += self.stiff_off * v[..., :-1]
-        return out
+        return _band_apply(self.stiff_band, v)
 
     def mass_solve(self, rhs):
-        return _solveh(self._mass_band, rhs)
+        return _solveh(self.mass_band, rhs)
 
     def stiff_solve(self, rhs):
-        return _solveh(self._stiff_band, rhs)
+        return _solveh(self.stiff_band, rhs)
+
+
+def _band(nu, diag, off):
+    """Upper banded form of the constant tridiagonal (off, diag, off)."""
+    band = np.full((2, nu), [[off], [diag]])
+    band[0, 0] = 0.0
+    return band
+
+
+def _band_dense(band):
+    off = band[0, 1:]
+    return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _band_apply(band, v):
+    off = band[0, 1:]
+    out = band[1] * v
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
+    return out
 
 
 def _solveh(band, rhs):

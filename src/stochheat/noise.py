@@ -150,14 +150,12 @@ def _cell_sines(rows, j_star):
                         2 * j_star)
 
 
-@functools.lru_cache(maxsize=1)
 def mode_cell_integrals(K, j_star):
     """Matrix b with b[k-1, j-1] = integral of e_k over space cell D_j.
 
     Product form b_{k,j} = a_k sin(k pi (2j - 1)/(2J)) with amplitude
     a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), filled in blocks of rows.  A
-    dense oracle for ``sine_cell_fold``, which needs only min(K, J) rows;
-    the last result is kept (read-only).
+    dense oracle for ``sine_cell_fold``, which needs only min(K, J) rows.
     """
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
@@ -166,7 +164,6 @@ def mode_cell_integrals(K, j_star):
         ks = np.arange(lo + 1, min(lo + 512, K) + 1)
         a = 2 * math.sqrt(2) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
         np.multiply(a[:, None], _cell_sines(ks, j_star), out=b[lo:lo + 512])
-    b.flags.writeable = False
     return b
 
 

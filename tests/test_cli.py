@@ -112,13 +112,12 @@ def test_study_exact_column_matches_error_functionals(samples, study,
             exact = errors.modeling_error_exact(horizon, 2 ** e, j_star, K,
                                                 horizon)
         elif study == "tdr":
-            exact = errors.tdr_error_exact(2 ** e, 2 ** e, n_star, j_star,
-                                           1.0, K)
+            exact = errors.tdr_error_exact(2 ** e, 2 ** e, n_star, j_star, K)
         else:
             eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(2 ** e)))
             exact = {"sdr": errors.sdr_error_exact,
                      "total": errors.total_error_exact}[study](
-                         M, M, n_star, j_star, eigen, 1.0, K)
+                         M, M, n_star, j_star, eigen, K)
         assert row["error_exact"] == exact
         assert (row["error_mc"] > 0.0) == (samples > 0)
 
@@ -157,10 +156,12 @@ _GOLDEN = os.path.join(os.path.dirname(__file__), "data")
 @pytest.mark.parametrize("name, study, extra", [
     ("tdr", "tdr", {}), ("sdr", "sdr", {}), ("total", "total", {}),
     ("model-space", "model-space", {}), ("model-time", "model-time", {}),
-    ("deterministic-cn-time", "deterministic-cn", {"axis": "time"})])
+    ("deterministic-cn-time", "deterministic-cn", {"axis": "time"}),
+    ("deterministic-cn-space", "deterministic-cn", {"axis": "space"})])
 def test_default_studies_match_golden_csvs(name, study, extra):
     # tests/data/<name>.csv is the default study's CSV as written by
-    # commit 0c4586f; rewrite a file only with a deliberate output change
+    # commit 0c4586f (deterministic-cn-space: 1b6ea19); rewrite a file
+    # only with a deliberate output change
     with open(os.path.join(_GOLDEN, name + ".csv")) as fh:
         golden = fh.read()
     assert cli.run_study(dict(cli._DEFAULTS[study], **extra)).to_csv() == \

@@ -129,7 +129,7 @@ def test_mixed_norm_consistent_with_interpolation():
 def _cho_solve_banded_steps(v0, system, M, dtau, loads=None):
     """Oracle: the stepping loop written with scipy's cho_solve_banded."""
     from scipy.linalg import cho_solve_banded, cholesky_banded
-    chol = cholesky_banded(system._mass_band + 0.5 * dtau * system._stiff_band)
+    chol = cholesky_banded(system.mass_band + 0.5 * dtau * system.stiff_band)
     states = np.empty((M + 1, system.mesh.nu))
     states[0] = v0
     rhs = system.mass_apply(v0)

@@ -225,6 +225,25 @@ def test_exact_sdr_rate_regimes():
             assert slope > 1.6, slope
 
 
+def test_exact_tdr_rate_regimes():
+    # the dtau^1/4 regime holds while the steps are longer than the noise
+    # cells (dt = 2^-8), bends toward it, jumps across dtau = dt and
+    # settles near 3/2 once the steps are well inside the cells
+    rep = cli.run_study({
+        "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
+        "n_star": "256", "j_star": "256", "K": "16384",
+        "dtau_levels": "4,5,6,7,8,9,10,11", "window": "2"})
+    dt = 2.0 ** -8
+    for coarse, fine in zip(rep.rows, rep.rows[1:]):
+        slope = math.log2(coarse["error_exact"] / fine["error_exact"])
+        if fine["dtau"] >= 4 * dt:
+            assert 0.2 <= slope <= 0.45, (coarse["dtau"], slope)
+        if coarse["dtau"] == dt:
+            assert slope > 2.5, slope
+        if coarse["dtau"] <= dt / 4:
+            assert 1.4 <= slope <= 1.65, (coarse["dtau"], slope)
+
+
 def test_modeling_error_needs_no_overlap_sq_sum(monkeypatch):
     # every regularized and aligned CN profile is geometric: the time Gram
     # and the sampled per-step weights come from its tuple, so neither the

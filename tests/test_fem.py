@@ -34,15 +34,33 @@ def test_mass_solve_round_trip():
     assert np.allclose(system.stiff_solve(system.stiff_apply(v)), v)
 
 
+def test_stack_is_block_diagonal_bit_for_bit():
+    # the bands end to end: each block's leading 0 is its zero coupling to
+    # the block before, so the stack is block_diag of its parts, and its
+    # products on a stack of vectors are each block's own products
+    systems = [fem.assemble(fem.Mesh(J)) for J in (2, 3, 8)]
+    stacked = fem.FemSystem.stack(systems)
+    ends = np.cumsum([s.mesh.nu for s in systems])[:-1]
+    v = np.random.default_rng(2).standard_normal((3, 1 + 2 + 7))
+    for name in ("mass", "stiff"):
+        dense = getattr(stacked, name + "_dense")()
+        parts = [getattr(s, name + "_dense")() for s in systems]
+        assert dense.tobytes() == sla.block_diag(*parts).tobytes()
+        own = [getattr(s, name + "_apply")(w)
+               for s, w in zip(systems, np.split(v, ends, axis=1))]
+        assert (getattr(stacked, name + "_apply")(v).tobytes()
+                == np.hstack(own).tobytes())
+
+
 def test_one_node_mesh_solves_by_division():
     # Mesh(2) has one interior node, so each banded system is 1 x 1
     system = fem.assemble(fem.Mesh(2))
     rhs = np.array([0.3])
-    assert system.mass_solve(rhs)[0] == 0.3 / system.mass_diag[0]
-    assert system.stiff_solve(rhs)[0] == 0.3 / system.stiff_diag[0]
+    assert system.mass_solve(rhs)[0] == 0.3 / system.mass_dense()[0, 0]
+    assert system.stiff_solve(rhs)[0] == 0.3 / system.stiff_dense()[0, 0]
     v = fem.l2_project(SpectralField(np.array([1.0])), system)
     C = fem.sine_hat_inner_matrix(1, system.mesh)
-    assert v.shape == (1,) and v[0] == C[0, 0] / system.mass_diag[0]
+    assert v.shape == (1,) and v[0] == C[0, 0] / system.mass_dense()[0, 0]
     # -Lap_h v = 1 is nodally exact in 1D: v(1/2) = (x^2 - x)/2 = -1/8
     v = fem.elliptic_solve_discrete(lambda x: np.ones_like(x), system)
     assert np.allclose(v, [-0.125], rtol=1e-14, atol=0)

@@ -117,7 +117,6 @@ def test_mode_cell_integrals_rows_near_multiples_of_pi_match_mpmath():
 
 def test_mode_cell_integrals_peak_memory():
     # the product form is filled in row blocks: no K x (J* + 1) table
-    noise.mode_cell_integrals.cache_clear()
     tracemalloc.start()
     try:
         B = noise.mode_cell_integrals(4096, 1024)
@@ -125,7 +124,6 @@ def test_mode_cell_integrals_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * B.nbytes
-    assert not B.flags.writeable
 
 
 @pytest.mark.parametrize("J", [1, 3, 8, 1024])
