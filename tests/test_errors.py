@@ -226,9 +226,9 @@ def test_exact_sdr_rate_regimes():
 
 
 def test_exact_tdr_rate_regimes():
-    # the dtau^1/4 regime holds while the steps are longer than the noise
-    # cells (dt = 2^-8), bends toward it, jumps across dtau = dt and
-    # settles near 3/2 once the steps are well inside the cells
+    # the dtau^1/4 rate holds while each step spans at least 4 noise cells
+    # (dt = 2^-8); the slope jumps above 2.5 across dtau = dt and settles
+    # near 3/2 once each cell spans at least 4 steps
     rep = cli.run_study({
         "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
         "n_star": "256", "j_star": "256", "K": "16384",
