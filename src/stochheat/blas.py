@@ -1,0 +1,56 @@
+"""Thread count of the OpenBLAS that numpy loaded.
+
+OpenBLAS exports its thread-count functions from the library numpy
+links; ctypes reaches them through numpy's core extension.  Only the
+Monte Carlo pass (``cli._mc_rms``) imports this module, so the start-up
+of the CLI does not compile it.
+"""
+
+import contextlib
+import ctypes
+
+import numpy as np
+
+__all__ = ["threads", "one_thread"]
+
+# thread-count symbols of the OpenBLAS numpy may load; %s is get or set
+_NAMES = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+          "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+
+
+def threads():
+    """(get, set) of the OpenBLAS thread count, or None when numpy's
+    extension exports none of ``_NAMES``."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _NAMES:
+        try:
+            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Hold OpenBLAS to one thread, restoring its count on exit.
+
+    Idle OpenBLAS workers spin on the other core after each GEMM, where
+    the Monte Carlo draw thread runs.  A no-op without OpenBLAS.
+    """
+    blas = threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    prev = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prev)

@@ -137,8 +137,9 @@ def _levels(cfg, key):
     return vals
 
 
-# increments drawn per Monte Carlo block: 2^19 doubles (4 MiB)
-_MC_BLOCK = 2 ** 19
+# increments drawn per Monte Carlo block: 2^18 doubles (2 MiB); with the
+# next block drawn ahead, two blocks (4 MiB) are in flight
+_MC_BLOCK = 2 ** 18
 
 
 def _mc_rms(levels, samples, seed):
@@ -150,13 +151,38 @@ def _mc_rms(levels, samples, seed):
     at most ``_MC_BLOCK`` increments; each block is projected once per
     distinct space fold (``GaussianCoefficientMap.fold``; every sine map
     on one (K, J*) shares one) and reconstructed once per distinct map.
+    One background thread draws the next block while this one is
+    projected, with BLAS held to one thread.  Every seed has its own
+    generator, so the bits depend on neither the threads nor the block
+    size.
     """
+    # imported here, so that start-up loads neither
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import blas
+
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
+    size = max(1, _MC_BLOCK // (first.n_star * first.j_star))
+    # mc_error's blocks of seeds, in the order it asks for them
+    seeds = [errors.sample_seed(seed, i) for i in range(samples)]
+    todo = iter([seeds[lo:lo + size] for lo in range(0, samples, size)])
 
-    def block(seeds):
-        grids = [noise.sample(first.n_star, first.j_star, first.horizon, s)
-                 for s in seeds]
+    def draw(chunk):
+        return [noise.sample(first.n_star, first.j_star, first.horizon, s)
+                for s in chunk]
+
+    def start():   # hand the next block of seeds to the draw thread
+        chunk = next(todo, None)
+        return chunk, chunk and pool.submit(draw, chunk)
+
+    def block(chunk):
+        nonlocal ahead
+        drawn, future = ahead
+        if drawn != chunk:
+            raise RuntimeError("mc_error asked for seeds out of order")
+        ahead = start()
+        grids = future.result()
         proj, coef = {}, {}
         for m in maps:   # each map keeps its fold, so the ids stay live
             if id(m.fold()) not in proj:
@@ -164,8 +190,14 @@ def _mc_rms(levels, samples, seed):
             coef[id(m)] = m.reconstruct(grids, proj[id(m.fold())])
         return [[dist(coef[id(a)][i], coef[id(b)][i])
                  for a, b, dist in levels] for i in range(len(grids))]
-    size = max(1, _MC_BLOCK // (first.n_star * first.j_star))
-    means, ses = errors.mc_error(block, samples, seed, block=size)
+
+    with blas.one_thread():
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            ahead = start()
+            means, ses = errors.mc_error(block, samples, seed, block=size)
+        finally:
+            pool.shutdown(cancel_futures=True)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
             for mean, se in zip(means, ses)]

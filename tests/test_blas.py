@@ -1,0 +1,33 @@
+import pytest
+
+from stochheat import blas
+
+
+def test_one_thread_holds_and_restores():
+    get_set = blas.threads()
+    if get_set is None:
+        pytest.skip("numpy exports no OpenBLAS thread-count symbol")
+    get, put = get_set
+    prev = get()
+    try:
+        put(2)
+        with blas.one_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(KeyError):
+            with blas.one_thread():
+                assert get() == 1
+                raise KeyError("inside")
+        assert get() == 2
+    finally:
+        put(prev)
+
+
+def test_one_thread_without_openblas_is_a_no_op(monkeypatch):
+    get_set = blas.threads()   # the real symbols, if any
+    before = get_set and get_set[0]()
+    monkeypatch.setattr(blas, "_NAMES", ("no_such_%s_symbol",))
+    assert blas.threads() is None
+    with blas.one_thread():
+        assert (get_set and get_set[0]()) == before
+    assert (get_set and get_set[0]()) == before

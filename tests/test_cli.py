@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stochheat import cli, deterministic, errors, fem, noise, solvers
+from stochheat import (blas, cli, deterministic, errors, fem, noise,
+                       solvers)
 from stochheat.spectral import SpectralField
 
 
@@ -207,10 +209,10 @@ _ONE_BLOCK = [("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
 @pytest.mark.parametrize("study,horizon,n_star,M,j_star,samples", [
     pytest.param(*case, 8, 6, id="-".join(map(str, case)))
     for case in _ONE_BLOCK] + [
-    # 2^19 increments per block: blocks of 8 and 2 grids at 256 x 256,
+    # 2^18 increments per block: blocks of 4, 4 and 2 grids at 256 x 256,
     # one grid per block at 1024 x 1024
-    pytest.param("tdr", 1.0, 256, 8, 256, 10, id="tdr-blocks-8-2"),
-    pytest.param("sdr", 1.0, 256, 8, 256, 10, id="sdr-blocks-8-2"),
+    pytest.param("tdr", 1.0, 256, 8, 256, 10, id="tdr-blocks-4-4-2"),
+    pytest.param("sdr", 1.0, 256, 8, 256, 10, id="sdr-blocks-4-4-2"),
     pytest.param("tdr", 1.0, 1024, 8, 1024, 2, id="tdr-blocks-1-1"),
     pytest.param("sdr", 1.0, 1024, 16, 1024, 2, id="sdr-blocks-1-1")])
 def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M,
@@ -279,6 +281,67 @@ def test_shared_projection_keeps_grid_check():
     with pytest.raises(ValueError, match="does not match"):
         cli._mc_rms([(ok, foreign, solvers.squared_distance(ok, foreign))],
                     2, 0)
+
+
+# the perfbench sampled studies at seed 0, as that benchmark spells them
+_MC_PINS = [
+    ({"study": "tdr", "horizon": "1.0", "seed": "0", "samples": "200",
+      "n_star": "256", "j_star": "256", "K": "1024",
+      "dtau_levels": "4,5,6,7,8", "window": "4"},
+     "e89d1be8119468be4f0de3788d872bb0cc11a7e0d702029b266f95b35808e67f"),
+    ({"study": "sdr", "horizon": "1.0", "seed": "0", "samples": "50",
+      "n_star": "256", "j_star": "256", "K": "1024", "M": "256",
+      "h_levels": "3,4,5,6", "window": "4"},
+     "6daf1baf99090c969a45ee6a67f3c12942cf17db783b26bc370df71d9579a1b5")]
+
+
+@pytest.mark.parametrize("cfg, digest", _MC_PINS, ids=["tdr-mc", "sdr-mc"])
+@pytest.mark.parametrize("grids_per_block", [None, 1],
+                         ids=["default-blocks", "one-grid-blocks"])
+def test_mc_study_bytes_are_pinned(cfg, digest, grids_per_block,
+                                   monkeypatch):
+    # sha256 of the CSV recorded when the grids were drawn serially, in
+    # blocks of 2^19 increments: neither the draw thread nor the block
+    # size may move a bit
+    if grids_per_block:
+        monkeypatch.setattr(cli, "_MC_BLOCK", 256 * 256 * grids_per_block)
+    text = cli.run_study(dict(cfg)).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _blas_count():
+    get_set = blas.threads()
+    return get_set and get_set[0]()
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["draw", "grid-check"])
+def test_failed_mc_pass_leaves_nothing_behind(failure, monkeypatch):
+    # one grid per block, so the draw thread is busy when the pass fails
+    monkeypatch.setattr(cli, "_MC_BLOCK", 16 * 8)
+    ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
+    # same space fold (so the projection is shared), other horizon
+    foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
+    other, expect = foreign, ValueError
+    if failure == "draw":
+        bad = errors.sample_seed(0, 3)
+        sample = noise.sample
+
+        def failing(*args):
+            if args[-1] == bad:
+                raise _DrawFailed("draw")
+            return sample(*args)
+        monkeypatch.setattr(noise, "sample", failing)
+        other, expect = ok, _DrawFailed
+    threads, count = threading.active_count(), _blas_count()
+    with pytest.raises(expect):
+        cli._mc_rms([(ok, other, solvers.squared_distance(ok, other))],
+                    6, 0)
+    assert threading.active_count() == threads
+    assert _blas_count() == count
 
 
 @pytest.mark.parametrize("levels", [(3, 4, 5, 6, 7), (5, 3, 4), (1, 2, 3)])
@@ -400,6 +463,19 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "0", "False"]
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # the Monte Carlo pass imports its thread pool and the BLAS thread
+    # hold: start-up does not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, stochheat.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "print('stochheat.blas' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_unwritable_out_fails_before_the_run(monkeypatch, capsys, tmp_path):
