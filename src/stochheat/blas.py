@@ -8,8 +8,9 @@ of the CLI does not compile it.
 
 import contextlib
 import ctypes
+import sys
 
-import numpy as np
+import numpy  # noqa: F401  (loads the extension that threads() opens)
 
 __all__ = ["threads", "one_thread"]
 
@@ -20,9 +21,12 @@ _NAMES = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
 
 def threads():
     """(get, set) of the OpenBLAS thread count, or None when numpy's
-    extension exports none of ``_NAMES``."""
+    core extension, loaded as ``numpy._core`` (numpy 2) or ``numpy.core``
+    (numpy 1), exports none of ``_NAMES``."""
+    ext = (sys.modules.get("numpy._core._multiarray_umath")   # numpy 2
+           or sys.modules.get("numpy.core._multiarray_umath"))   # numpy 1
     try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        lib = ctypes.CDLL(ext.__file__)
     except (AttributeError, OSError):
         return None
     for name in _NAMES:

@@ -147,14 +147,14 @@ def _mc_rms(levels, samples, seed):
 
     Each ``(map_a, map_b, dist)`` of ``levels`` is a level, ``dist`` its
     ``solvers.squared_distance``.  All levels see the same grids (read
-    from the first map).  The grids are drawn in seed order, in blocks of
-    at most ``_MC_BLOCK`` increments; each block is projected once per
-    distinct space fold (``GaussianCoefficientMap.fold``; every sine map
-    on one (K, J*) shares one) and reconstructed once per distinct map.
-    One background thread draws the next block while this one is
-    projected, with BLAS held to one thread.  Every seed has its own
-    generator, so the bits depend on neither the threads nor the block
-    size.
+    from the first map), drawn in the seed order of ``errors.mc_error``,
+    in blocks of at most ``_MC_BLOCK`` increments; each block is
+    projected once per distinct space fold (``GaussianCoefficientMap.fold``;
+    every sine map on one (K, J*) shares one) and reconstructed once per
+    distinct map.  One background thread draws the next block while this
+    one is projected, with BLAS held to one thread.  Every seed has its
+    own generator, so the bits depend on neither the threads nor the
+    block size.
     """
     # imported here, so that start-up loads neither
     from concurrent.futures import ThreadPoolExecutor
@@ -164,25 +164,12 @@ def _mc_rms(levels, samples, seed):
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
     size = max(1, _MC_BLOCK // (first.n_star * first.j_star))
-    # mc_error's blocks of seeds, in the order it asks for them
-    seeds = [errors.sample_seed(seed, i) for i in range(samples)]
-    todo = iter([seeds[lo:lo + size] for lo in range(0, samples, size)])
 
-    def draw(chunk):
+    def draw(seeds):
         return [noise.sample(first.n_star, first.j_star, first.horizon, s)
-                for s in chunk]
+                for s in seeds]
 
-    def start():   # hand the next block of seeds to the draw thread
-        chunk = next(todo, None)
-        return chunk, chunk and pool.submit(draw, chunk)
-
-    def block(chunk):
-        nonlocal ahead
-        drawn, future = ahead
-        if drawn != chunk:
-            raise RuntimeError("mc_error asked for seeds out of order")
-        ahead = start()
-        grids = future.result()
+    def distances(grids):
         proj, coef = {}, {}
         for m in maps:   # each map keeps its fold, so the ids stay live
             if id(m.fold()) not in proj:
@@ -191,13 +178,18 @@ def _mc_rms(levels, samples, seed):
         return [[dist(coef[id(a)][i], coef[id(b)][i])
                  for a, b, dist in levels] for i in range(len(grids))]
 
-    with blas.one_thread():
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            ahead = start()
-            means, ses = errors.mc_error(block, samples, seed, block=size)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    def sampled(seeds):
+        out = []
+        with blas.one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+            ahead = pool.submit(draw, seeds[:size])
+            for lo in range(size, len(seeds) + size, size):
+                grids = ahead.result()
+                if lo < len(seeds):   # the next block, drawn meanwhile
+                    ahead = pool.submit(draw, seeds[lo:lo + size])
+                out += distances(grids)
+        return out
+
+    means, ses = errors.mc_error(sampled, samples, seed)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
             for mean, se in zip(means, ses)]
@@ -314,11 +306,11 @@ def run_sample_path(cfg):
     seed = _get_int(cfg, "seed")
     horizon = _horizon(cfg)
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
-    rows = solvers.path_rows(n_star, j_star, horizon, M)
-    blocks = noise.sample_blocks(n_star, j_star, horizon, seed, rows)
+    draw = functools.partial(noise.sample_blocks, n_star, j_star, horizon,
+                             seed)
     step = max(1, _CSV_BLOCK // mesh.nu)
     text = ""
-    for states in solvers.cn_fem_path(blocks, n_star, j_star, horizon,
+    for states in solvers.cn_fem_path(draw, n_star, j_star, horizon,
                                       fem.assemble(mesh), M):
         for lo in range(0, len(states), step):
             # += grows the one string in place (CPython resizes a str that

@@ -218,25 +218,23 @@ def sample_seed(base_seed, i):
     return base_seed ^ (0x9E3779B97F4A7C15 * (i + 1) & 0xFFFFFFFFFFFFFFFF)
 
 
-def mc_error(pair_fn, samples, base_seed=0, block=None):
+def mc_error(pair_fn, samples, base_seed=0):
     """Monte Carlo mean and standard error of a squared-error functional.
 
-    ``pair_fn(seed)`` returns one squared-error sample, or a sequence of
-    samples (one per level, all from the one grid of that seed); seeds
-    come from ``sample_seed``, so runs are reproducible.  With ``block``
-    b, ``pair_fn`` takes a list of at most b consecutive seeds and returns
-    one such result per seed.  A scalar result gives floats (mean,
-    stderr), a sequence one list of each.
+    ``pair_fn(seeds)`` is called once, with the ``samples`` seeds of
+    ``sample_seed`` in order, so runs are reproducible.  It returns one
+    result per seed: a squared-error sample, or a sequence of samples
+    (one per level, all from the one grid of that seed); any other count
+    raises ValueError.  Scalar results give floats (mean, stderr),
+    sequences one list of each.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    seeds = [sample_seed(base_seed, i) for i in range(samples)]
-    if block is None:
-        vals = [pair_fn(s) for s in seeds]
-    else:
-        vals = [v for lo in range(0, samples, block)
-                for v in pair_fn(seeds[lo:lo + block])]
-    vals = np.array(vals)
+    vals = np.array(pair_fn([sample_seed(base_seed, i)
+                             for i in range(samples)]))
+    if vals.shape[:1] != (samples,):
+        raise ValueError("pair_fn must give one result per seed, %d in all"
+                         % samples)
     if vals.ndim == 1:
         return _mean_se(vals)
     # a contiguous copy per level sums exactly as a scalar run would

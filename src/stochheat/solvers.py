@@ -33,7 +33,6 @@ __all__ = [
     "regularized_exact",
     "cn_time_discrete",
     "cn_fem_spde",
-    "path_rows",
     "cn_fem_path",
     "OverlapProfile",
     "PropagatorProfile",
@@ -143,35 +142,27 @@ def cn_time_discrete(grid, K, M):
 _PATH_BLOCK = 2 ** 16
 
 
-def path_rows(n_star, j_star, horizon, M):
-    """Noise rows per block of ``cn_fem_path``: whole periods of a cells
-    per b steps (``_period``) of about ``_PATH_BLOCK`` increments, at
-    least one period."""
-    if M < 1:
-        raise ValueError("need at least one step")
-    a = _period(horizon / M, horizon / n_star)[0]
-    return a * max(1, _PATH_BLOCK // (a * j_star))
-
-
-def cn_fem_path(blocks, n_star, j_star, horizon, system, M):
+def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     """Crank-Nicolson finite element stepping, zero initial data, on the
-    noise increments ``blocks``: the N x J* grid in consecutive blocks of
-    ``path_rows`` rows (the last may be shorter).
+    noise increments of ``draw(rows)``: the N x J* grid in consecutive
+    blocks of ``rows`` rows (the last may be shorter), each whole periods
+    of a cells per b steps (``_period``) of about ``_PATH_BLOCK``
+    increments, at least one period.
 
     Yields the states in row blocks: the zero start state, then each
     noise block's steps in pieces of at most ``_PATH_BLOCK`` / nu states.
     A block's step loads take the whole grid's dt, dx and dtau, and its
     steps go on from the last right-hand side (``cn_fem_stepper``), so
     one block of noise and loads and one piece of states are live at a
-    time.  A block is at least one period and holds nu loads per step:
-    where one period is the whole grid (n* and M share no factor) its
-    noise is the whole grid's, and where M is many times n* its loads
-    come near the whole path's.  A piece with a non-finite state raises
-    ValueError.
+    time.  A block holds nu loads per step: where one period is the
+    whole grid (n* and M share no factor) its noise is the whole grid's,
+    and where M is many times n* its loads come near the whole path's.
+    A piece with a non-finite state raises ValueError.
     """
     if M < 1:
         raise ValueError("need at least one step")
     dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
+    a = _period(dtau, dt)[0]
     nu = system.mesh.nu
     O = fem.hat_cell_overlap_matrix(system.mesh, j_star)
     advance = cn_fem_stepper(system, dtau)
@@ -179,7 +170,7 @@ def cn_fem_path(blocks, n_star, j_star, horizon, system, M):
     rhs = system.mass_apply(start[0])
     yield start
     piece = max(1, _PATH_BLOCK // nu)
-    for inc in blocks:
+    for inc in draw(a * max(1, _PATH_BLOCK // (a * j_star))):
         loads = _cell_loads(O, inc, dt, dx, dtau)
         for lo in range(0, loads.shape[1], piece):
             states = np.empty((min(piece, loads.shape[1] - lo), nu))
@@ -190,14 +181,12 @@ def cn_fem_path(blocks, n_star, j_star, horizon, system, M):
 def cn_fem_spde(grid, system, M):
     """Crank-Nicolson finite element stepping, zero initial data: the
     whole ``cn_fem_path`` on the grid's increments."""
-    nu = system.mesh.nu
-    rows = path_rows(grid.n_star, grid.j_star, grid.horizon, M)
     inc = grid.increments
-    blocks = (inc[lo:lo + rows] for lo in range(0, grid.n_star, rows))
-    states = np.empty((M + 1, nu))
+    states = np.empty((M + 1, system.mesh.nu))
     m = 0
-    for piece in cn_fem_path(blocks, grid.n_star, grid.j_star, grid.horizon,
-                             system, M):
+    for piece in cn_fem_path(
+            lambda rows: np.split(inc, range(rows, len(inc), rows)),
+            grid.n_star, grid.j_star, grid.horizon, system, M):
         states[m:m + len(piece)] = piece
         m += len(piece)
     return Trajectory(grid.horizon / M, states, "nodal", mesh=system.mesh)
@@ -474,10 +463,9 @@ class GaussianCoefficientMap:
             projection = projection[None]
         (rows, slot), Wg, p = self._grouped_steps()
         cells = projection[:, :, : Wg.shape[2] * p]
-        if p > 1:   # a matrix-vector product sums short rows fastest; one
-            # per grid, since BLAS splits a longer one among its threads
-            cells = np.stack([(c.reshape(-1, p) @ np.ones(p)).reshape(
-                len(c), -1) for c in cells])
+        if p > 1:   # a matrix-vector product sums short rows fastest
+            cells = (cells.reshape(-1, p) @ np.ones(p)).reshape(
+                cells.shape[:2] + (-1,))
         dots = np.einsum("rgn,brn->rgb", Wg, cells)[rows, slot].T
         coef = self.scale * self.fold()[1] * dots
         return coef[0] if one else coef

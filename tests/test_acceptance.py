@@ -102,7 +102,8 @@ def test_criterion_7_monte_carlo_oracle():
         def one(seed, m=m):
             x = m.reconstruct(noise.sample(n, j, 1.0, seed))
             return float(x @ x)
-        mean, se = errors.mc_error(one, 1000, base_seed=777)
+        mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)),
+                                  1000, base_seed=777)
         sigmas[name] = abs(mean - m.second_moment()) / se
     secs = time.perf_counter() - t0
     ok = all(s <= 3.0 for s in sigmas.values()) and secs < 120.0

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from stochheat import blas
@@ -31,3 +33,20 @@ def test_one_thread_without_openblas_is_a_no_op(monkeypatch):
     with blas.one_thread():
         assert (get_set and get_set[0]()) == before
     assert (get_set and get_set[0]()) == before
+
+
+def test_threads_finds_the_numpy_1_extension(monkeypatch):
+    # numpy 1.x loads its core extension as numpy.core._multiarray_umath
+    # and has no numpy._core
+    get_set = blas.threads()
+    if get_set is None:
+        pytest.skip("numpy exports no OpenBLAS thread-count symbol")
+    ext = (sys.modules.get("numpy._core._multiarray_umath")
+           or sys.modules["numpy.core._multiarray_umath"])
+    monkeypatch.delitem(sys.modules, "numpy._core._multiarray_umath",
+                        raising=False)
+    monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", ext)
+    found = blas.threads()
+    assert found is not None and found[0]() == get_set[0]()
+    monkeypatch.delitem(sys.modules, "numpy.core._multiarray_umath")
+    assert blas.threads() is None

@@ -235,7 +235,8 @@ def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M,
             rows, gk, w = pairing
             d = a - gk * b[rows]
             return float(d @ d + w @ (b * b))
-        mean, se = errors.mc_error(one, samples, 5)
+        mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)),
+                                  samples, 5)
         assert row["error_mc"] == math.sqrt(mean)
         assert row["stderr"] == se / (2.0 * math.sqrt(mean))
 

@@ -96,7 +96,8 @@ def test_tdr_against_monte_carlo():
         d = u.reconstruct(g) - a.reconstruct(g)
         return float(d @ d)
 
-    mean, se = errors.mc_error(one, 500, base_seed=21)
+    mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)), 500,
+                               base_seed=21)
     assert abs(mean - exact**2) < 3.5 * se
 
 
@@ -334,7 +335,8 @@ def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments(
 
 def test_mc_error_unbiased_on_known_distribution():
     rng_mean, se = errors.mc_error(
-        lambda seed: float(np.random.default_rng(seed).normal() ** 2), 2000)
+        lambda seeds: [float(np.random.default_rng(seed).normal() ** 2)
+                       for seed in seeds], 2000)
     assert abs(rng_mean - 1.0) < 3.5 * se
 
 
@@ -342,15 +344,35 @@ def test_mc_error_vector_matches_scalar_per_column():
     def draws(seed):
         x = np.random.default_rng(seed).normal(size=3)
         return [float(x @ x), float(x[0] ** 2), 1e6 * float(x[1])]
-    means, ses = errors.mc_error(draws, 37, base_seed=4)
+    means, ses = errors.mc_error(lambda seeds: list(map(draws, seeds)), 37,
+                                 base_seed=4)
     for c in range(3):
         assert (means[c], ses[c]) == errors.mc_error(
-            lambda seed: draws(seed)[c], 37, base_seed=4)
+            lambda seeds: [draws(seed)[c] for seed in seeds], 37, base_seed=4)
 
 
 def test_mc_error_needs_samples():
     with pytest.raises(ValueError):
-        errors.mc_error(lambda s: 1.0, 1)
+        errors.mc_error(lambda seeds: [1.0] * len(seeds), 1)
+
+
+def test_mc_error_calls_pair_fn_once_with_every_seed():
+    calls = []
+
+    def pair_fn(seeds):
+        calls.append(seeds)
+        return [float(s % 7) for s in seeds]
+    errors.mc_error(pair_fn, 5, base_seed=9)
+    assert calls == [[errors.sample_seed(9, i) for i in range(5)]]
+
+
+@pytest.mark.parametrize("pair_fn", [
+    lambda seeds: [1.0] * (len(seeds) - 1),
+    lambda seeds: [[1.0, 2.0]] * (len(seeds) + 1),
+    lambda seeds: 1.0], ids=["short", "long", "scalar"])
+def test_mc_error_needs_one_result_per_seed(pair_fn):
+    with pytest.raises(ValueError, match="one result per seed"):
+        errors.mc_error(pair_fn, 4)
 
 
 def test_fit_rate_recovers_slope():

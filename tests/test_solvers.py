@@ -151,6 +151,27 @@ def test_cn_fem_spde_in_blocks_matches_one_pass(n_star, M, horizon, block,
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("budget", [64, None], ids=["small-blocks",
+                                                  "default-blocks"])
+@pytest.mark.parametrize("n_star, M", [(24, 16), (3, 4096)],
+                         ids=["3-cells-per-2-steps", "one-period-is-the-grid"])
+def test_cn_fem_path_draws_whole_periods(n_star, M, budget, monkeypatch):
+    # 3 cells per 2 steps, and 3 cells per 4096 steps: a = 3 either way
+    if budget:
+        monkeypatch.setattr(solvers, "_PATH_BLOCK", budget)
+    g = noise.sample(n_star, 16, 1.0, 3)
+    asked = []
+
+    def draw(rows):
+        asked.append(rows)
+        return np.split(g.increments, range(rows, n_star, rows))
+    system = fem.assemble(fem.Mesh(16))
+    steps = sum(len(s) for s in solvers.cn_fem_path(draw, n_star, 16, 1.0,
+                                                     system, M))
+    assert steps == M + 1
+    assert len(asked) == 1 and asked[0] % 3 == 0 and asked[0] >= 3
+
+
 def _fem_schemes(g, M):
     system = fem.assemble(fem.Mesh(8))
     v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
