@@ -286,8 +286,7 @@ def run_study(cfg):
             parts = np.split(states, np.cumsum(
                 [s.mesh.nu for s in systems])[:-1], axis=1)
             for lvl, (system, part) in enumerate(zip(systems, parts)):
-                num = deterministic.Trajectory(dtau, part, "nodal",
-                                               mesh=system.mesh)
+                num = deterministic.Trajectory(dtau, part, "nodal")
                 err = deterministic.l2t_error(num, ref, "midpoint", system)
                 rep.add_row(lvl, math.nan, math.nan, dtau, system.mesh.h,
                             1, err)

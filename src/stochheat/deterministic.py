@@ -21,7 +21,6 @@ __all__ = [
     "Trajectory",
     "cn_spectral_steps",
     "modified_cn_spectral",
-    "cn_fem_steps",
     "cn_fem_stepper",
     "modified_cn_fem",
     "exact_trajectory",
@@ -76,16 +75,15 @@ class Trajectory:
     """Time-indexed states: rows of ``states`` are fields at tau_m = m*dtau.
 
     ``kind`` is 'spectral' (rows are sine coefficients) or 'nodal'
-    (rows are interior nodal values on a mesh).
+    (rows are interior nodal values of the FemSystem that stepped them).
     """
 
-    def __init__(self, dtau, states, kind, mesh=None):
+    def __init__(self, dtau, states, kind):
+        if kind not in ("spectral", "nodal"):
+            raise ValueError(f"unknown trajectory kind {kind!r}")
         self.dtau = float(dtau)
         self.states = np.asarray(states, dtype=float)
         self.kind = kind
-        self.mesh = mesh
-        if kind == "nodal" and mesh is None:
-            raise ValueError("nodal trajectory needs its mesh")
 
     @property
     def steps(self):
@@ -99,8 +97,8 @@ class Trajectory:
 
 def cn_spectral_steps(v0, lam2, M, dtau, loads=None):
     """Crank-Nicolson stepping of sine coefficients v0 with eigenvalues
-    lam2, M steps: ``cn_fem_steps`` with identity mass and diagonal
-    stiffness.
+    lam2, M steps: the scheme of ``cn_fem_stepper`` with identity mass and
+    diagonal stiffness.
 
     V1 = (V0 + L1)/(1 + rho), then Vm = q V(m-1) + Lm/(1 + rho) with
     q = (1 - rho)/(1 + rho), where column m-1 of ``loads`` holds Lm
@@ -127,37 +125,16 @@ def modified_cn_spectral(v0, M, dtau):
                              M, dtau)
 
 
-def cn_fem_steps(v0, system, M, dtau, loads=None):
-    """Banded Crank-Nicolson stepping of nodal values v0, M steps.
-
-    Step 1 solves (M + dtau/2 S) V1 = M V0 + L1, later steps solve
-    (M + dtau/2 S) Vm = (M - dtau/2 S) V(m-1) + Lm, where column m-1 of
-    ``loads`` holds Lm (omit it for the homogeneous scheme).  From zero
-    initial data the damped first step equals the trapezoidal one.
-    A stacked system (``fem.FemSystem.stack``) steps its blocks at once;
-    its trajectory's ``mesh`` is the tuple of their meshes.  The whole
-    path is one block of ``cn_fem_stepper``.
-    """
-    if M < 1:
-        raise ValueError("need at least one step")
-    states = np.empty((M + 1, system.mass_band.shape[1]))
-    states[0] = v0
-    with np.errstate(invalid="ignore", over="ignore"):   # checked per block
-        rhs = system.mass_apply(v0)
-    cn_fem_stepper(system, dtau)(rhs, states[1:], loads)
-    return Trajectory(dtau, states, "nodal", mesh=system.mesh)
-
-
 def cn_fem_stepper(system, dtau):
-    """The banded Crank-Nicolson step of ``cn_fem_steps`` as a function
+    """Banded Crank-Nicolson stepping of nodal values as a function
     ``advance(rhs, out, loads=None)`` that takes len(out) steps.
 
-    ``rhs`` is the right-hand side of the next step before its load: M V0
-    for step 1, else (M - dtau/2 S) V of the last state.  State m of the
-    block goes to out[m - 1], column m - 1 of ``loads`` is added to its
-    right-hand side, and the right-hand side of the step after the block
-    is returned, so a path stepped block by block has the bits of one
-    pass.  A block with a non-finite state raises ValueError.
+    Step m solves (M + dtau/2 S) Vm = rhs + Lm: rhs is M V0 for step 1
+    (from zero data, the trapezoidal step), else (M - dtau/2 S) V(m-1),
+    and Lm is column m - 1 of ``loads`` (omit it for the homogeneous
+    scheme).  State m of the block goes to out[m - 1] and the rhs of the
+    step after it is returned, so a path stepped block by block has the
+    bits of one pass.  A block with a non-finite state raises ValueError.
     """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
@@ -184,11 +161,18 @@ def cn_fem_stepper(system, dtau):
 
 
 def modified_cn_fem(v0, system, M, dtau):
-    """Fully discrete scheme (``cn_fem_steps``); starts from the L2
-    projection of v0 unless v0 is already a nodal vector, which a
-    stacked system needs."""
+    """Fully discrete scheme: M steps of ``cn_fem_stepper`` in one pass
+    from the L2 projection of v0, or from v0 if it is a nodal vector, as
+    for a stacked system (``fem.FemSystem.stack``)."""
+    if M < 1:
+        raise ValueError("need at least one step")
     v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
-    return cn_fem_steps(v, system, M, dtau)
+    states = np.empty((M + 1, system.mass_band.shape[1]))
+    states[0] = v
+    with np.errstate(invalid="ignore", over="ignore"):   # checked per block
+        rhs = system.mass_apply(v)
+    cn_fem_stepper(system, dtau)(rhs, states[1:])
+    return Trajectory(dtau, states, "nodal")
 
 
 def exact_trajectory(v0, M, dtau):
@@ -245,7 +229,7 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
     if "nodal" in kinds and system is None:
         raise ValueError("nodal comparison needs the FemSystem")
     if kinds == ("spectral", "nodal"):
-        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], traj_b.mesh)
+        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], system.mesh)
     M = traj_a.steps
     midpoint = variant == "midpoint"
     total = 0.0

@@ -65,13 +65,11 @@ class FemSystem:
 
     @classmethod
     def stack(cls, systems):
-        """Independent systems as one block-diagonal system, ``mesh`` the
-        tuple of their meshes: the bands end to end, so each block's
-        leading 0 decouples it from the one before, and the banded
-        Cholesky solve, ``mass_apply`` and ``stiff_apply`` give each block
-        the bits of its own system."""
+        """Independent systems as one block-diagonal system, with no mesh:
+        the bands end to end, so each block's leading 0 decouples it from
+        the one before, and the banded Cholesky solve, ``mass_apply`` and
+        ``stiff_apply`` give each block the bits of its own system."""
         out = cls.__new__(cls)
-        out.mesh = tuple(s.mesh for s in systems)
         out.mass_band = np.hstack([s.mass_band for s in systems])
         out.stiff_band = np.hstack([s.stiff_band for s in systems])
         return out

@@ -57,12 +57,16 @@ def interval_overlaps(m, dtau, n_star, horizon=1.0):
     """Matrix V[l-1, n-1] = |Delta_l intersect T_n| for l = 1..m, exact
     on every grid: with a cells per b steps (``_period``), step l spans
     [(l-1) a, l a] and cell n [(n-1) b, n b] in units of horizon/(n_star
-    b), so each overlap is an integer, scaled once.
+    b), so each overlap, clip((a + b)/2 - |d|, 0, min(a, b)) for the
+    distance d of their centres, is an integer, formed in the result's
+    float64 buffer and scaled once.
     """
     a, b = _period(dtau, horizon / n_star)
-    lo, n = np.arange(m)[:, None] * a, np.arange(n_star) * b
-    width = np.minimum(lo + a, n + b) - np.maximum(lo, n)
-    return np.maximum(width, 0) * (horizon / (n_star * b))
+    out = np.subtract.outer(np.arange(m) * float(a) + 0.5 * (a - b),
+                            np.arange(n_star) * float(b))
+    np.subtract(0.5 * (a + b), np.abs(out, out=out), out=out)
+    np.clip(out, 0.0, min(a, b), out=out)
+    return np.multiply(out, horizon / (n_star * b), out=out)
 
 
 def _period(dtau, dt):
@@ -189,7 +193,7 @@ def cn_fem_spde(grid, system, M):
             grid.n_star, grid.j_star, grid.horizon, system, M):
         states[m:m + len(piece)] = piece
         m += len(piece)
-    return Trajectory(grid.horizon / M, states, "nodal", mesh=system.mesh)
+    return Trajectory(grid.horizon / M, states, "nodal")
 
 
 def _same_grid(a, b):

@@ -365,6 +365,24 @@ def test_deterministic_space_study_matches_per_level_steps(levels):
     assert cli.run_study(cfg).to_csv() == rep.to_csv()
 
 
+@pytest.mark.parametrize("grid, digest", [
+    (dict(M="64", h_levels="2,3,4"),
+     "972ef98b702f10828989a9c8fa9098a7289368efebc5a2403628a8db7dc1e25a"),
+    (dict(h_levels="4,2,3"),
+     "cdfc960d73681e49eb9e7277eae40c8aa0d361a5191362bcccc0e59b6dcdd331"),
+    (dict(M="1000", h_levels="4,2,3"),
+     "c827b643fb36bb073eed62d6895c05a462648b69bfd9a7bae4dd180686b3416b"),
+    (dict(h_levels="1,2,3"),
+     "39011ad2c29758988cbcfd925a09816b9588ddce286d8fd3bf0bc149f774737b")],
+    ids=["M-64", "levels-out-of-order", "two-step-blocks", "one-node"])
+def test_deterministic_space_study_bytes_are_pinned(grid, digest):
+    # sha256 of the CSV of the stacked banded run, for the grids CI runs
+    cfg = dict(cli._DEFAULTS["deterministic-cn"], axis="space", window="3",
+               **grid)
+    text = cli.run_study(cfg).to_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_non_finite_fem_start_exits_2(monkeypatch, capsys):
     project = fem.l2_project
 

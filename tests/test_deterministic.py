@@ -82,6 +82,13 @@ def test_h1_seminorm_decay():
     assert all(b <= a + 1e-13 for a, b in zip(semis, semis[1:]))
 
 
+@pytest.mark.parametrize("kind", ["Nodal", "spectal", "", None])
+def test_trajectory_rejects_an_unknown_kind(kind):
+    # a misspelled kind would pass on to l2t_error, which knows only two
+    with pytest.raises(ValueError, match="unknown trajectory kind"):
+        deterministic.Trajectory(0.1, np.zeros((3, 2)), kind)
+
+
 def test_l2t_error_rejects_mismatched_grids():
     v0 = SpectralField(np.array([1.0]))
     a = deterministic.modified_cn_spectral(v0, 4, 0.25)
@@ -143,19 +150,21 @@ def _cho_solve_banded_steps(v0, system, M, dtau, loads=None):
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads):
+def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads,
+                                                        cn_fem_whole_path):
     rng = np.random.default_rng(7)
     system = fem.assemble(fem.Mesh(32))
     M, dtau = 60, 1.0 / 60
     v0 = rng.standard_normal(system.mesh.nu)
     loads = rng.standard_normal((system.mesh.nu, M)) if with_loads else None
-    traj = deterministic.cn_fem_steps(v0, system, M, dtau, loads)
+    traj = (cn_fem_whole_path(v0, system, M, dtau, loads) if with_loads
+            else deterministic.modified_cn_fem(v0, system, M, dtau))
     assert np.array_equal(traj.states,
                           _cho_solve_banded_steps(v0, system, M, dtau, loads))
 
 
 @pytest.mark.parametrize("bad", ["nan load", "inf load", "nan start"])
-def test_cn_fem_steps_reject_non_finite_input(bad):
+def test_cn_fem_steps_reject_non_finite_input(bad, cn_fem_whole_path):
     system = fem.assemble(fem.Mesh(8))
     v0, loads = np.ones(system.mesh.nu), np.zeros((system.mesh.nu, 5))
     if bad == "nan load":
@@ -165,19 +174,20 @@ def test_cn_fem_steps_reject_non_finite_input(bad):
     else:
         v0[1] = np.nan
     with pytest.raises(ValueError):
-        deterministic.cn_fem_steps(v0, system, 5, 0.2, loads)
+        cn_fem_whole_path(v0, system, 5, 0.2, loads)
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads):
+def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads,
+                                                       cn_fem_whole_path):
     # a path stepped block by block, each from the right-hand side the
-    # block before returned, has the bits of cn_fem_steps in one pass
+    # block before returned, has the bits of one pass
     rng = np.random.default_rng(11)
     system = fem.assemble(fem.Mesh(16))
     M, dtau = 40, 1.0 / 40
     v0 = rng.standard_normal(system.mesh.nu)
     loads = rng.standard_normal((system.mesh.nu, M)) if with_loads else None
-    whole = deterministic.cn_fem_steps(v0, system, M, dtau, loads).states
+    whole = cn_fem_whole_path(v0, system, M, dtau, loads).states
     advance = deterministic.cn_fem_stepper(system, dtau)
     rhs, out, lo = system.mass_apply(v0), np.empty((M, system.mesh.nu)), 0
     for hi in (1, 6, 23, M):
@@ -188,7 +198,8 @@ def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads):
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_stacked_systems_step_each_block_bit_for_bit(with_loads):
+def test_stacked_systems_step_each_block_bit_for_bit(with_loads,
+                                                     cn_fem_whole_path):
     # the joint off-diagonals are exactly 0: every block keeps its bits
     rng = np.random.default_rng(5)
     systems = [fem.assemble(fem.Mesh(J)) for J in (16, 4, 8, 2)]
@@ -197,13 +208,12 @@ def test_stacked_systems_step_each_block_bit_for_bit(with_loads):
     loads = [rng.standard_normal((s.mesh.nu, M)) if with_loads else None
              for s in systems]
     stacked = fem.FemSystem.stack(systems)
-    assert stacked.mesh == tuple(s.mesh for s in systems)
-    traj = deterministic.cn_fem_steps(
+    traj = cn_fem_whole_path(
         np.concatenate(v0), stacked, M, dtau,
         np.concatenate(loads) if with_loads else None)
     lo = 0
     for s, v, L in zip(systems, v0, loads):
-        own = deterministic.cn_fem_steps(v, s, M, dtau, L).states
+        own = cn_fem_whole_path(v, s, M, dtau, L).states
         assert traj.states[:, lo:lo + s.mesh.nu].tobytes() == own.tobytes()
         lo += s.mesh.nu
     assert lo == traj.states.shape[1]
@@ -224,7 +234,7 @@ def _per_step_l2t(traj_a, traj_b, variant, system):
         traj_a, traj_b = traj_b, traj_a
     kinds = (traj_a.kind, traj_b.kind)
     if kinds == ("spectral", "nodal"):
-        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], traj_b.mesh)
+        C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], system.mesh)
 
     def dist(a, b):
         if kinds == ("spectral", "spectral"):
@@ -247,7 +257,8 @@ def _per_step_l2t(traj_a, traj_b, variant, system):
 
 @pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
 @pytest.mark.parametrize("pair", ["spectral", "nodal", "mixed", "reversed"])
-def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
+def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair,
+                                                    cn_fem_whole_path):
     # M = 1100 steps cross two blocks of 512; K = 200 modes make the row
     # sums pairwise
     rng = np.random.default_rng(3)
@@ -259,7 +270,7 @@ def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
     nodal = deterministic.modified_cn_fem(v0, system, M, dtau)
     a, b = {
         "spectral": (spec, deterministic.exact_trajectory(v0, M, dtau)),
-        "nodal": (nodal, deterministic.cn_fem_steps(
+        "nodal": (nodal, cn_fem_whole_path(
             nodal.states[0], system, M, dtau,
             rng.standard_normal((system.mesh.nu, M)) * 1e-3)),
         "mixed": (spec, nodal),
@@ -272,7 +283,8 @@ def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
 
 @pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
 @pytest.mark.parametrize("intervals", [2, 8, 128])
-def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals):
+def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals,
+                                                    cn_fem_whole_path):
     # nu = 1, 7, 127 interior nodes; M = 1000 ends on a partial block of
     # 512 steps.  Levels stepped as one stacked system, as the
     # deterministic-cn space study does: nodal/nodal on the stacked
@@ -285,10 +297,9 @@ def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals):
     v0 = SpectralField(np.array([1.0, -0.3, 0.2]))
     x0 = np.concatenate([fem.l2_project(v0, s) for s in systems])
     num = deterministic.modified_cn_fem(x0, stacked, M, dtau)
-    other = deterministic.cn_fem_steps(
+    other = cn_fem_whole_path(
         x0, stacked, M, dtau, rng.standard_normal((x0.size, M)) * 1e-3)
-    level = deterministic.Trajectory(dtau, num.states[:, :nu], "nodal",
-                                     mesh=systems[0].mesh)
+    level = deterministic.Trajectory(dtau, num.states[:, :nu], "nodal")
     for a, b, system in [
             (num, other, stacked),
             (deterministic.modified_cn_spectral(v0, M, dtau), level,

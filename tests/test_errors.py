@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,31 @@ def test_mode_tail_matches_mpmath_series(K, t):
             / (2 * (k * mpmath.pi) ** 2), [K + 1, mpmath.inf]))
     assert abs(errors._mode_tail(K, t) - ref) <= 1e-13 * ref
     assert errors._mode_tail(K, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("K", [32, 8192])
+@pytest.mark.parametrize("t", [2.2e-6, 1e-6, 2.4e-7, 1e-8, 1e-10])
+def test_mode_tail_at_small_t_matches_the_series(K, t):
+    # below 2 pi^2 (K + 4096)^2 t = 746 (all but K = 8192 at t >= 1e-6;
+    # 2.2e-6 and 2.4e-7 lie just below it for K = 32 and 8192) the tail
+    # is the Poisson-summed whole series less its first K terms;
+    # the reference sums the terms one by one, exactly, until their
+    # exponentials underflow, and the trigamma value past that
+    pis2 = math.pi ** 2
+    N = K + int(math.sqrt(800.0 / (2.0 * pis2 * t)))
+    lam2 = pis2 * np.arange(K + 1, N + 1, dtype=float) ** 2
+    ref = (math.fsum(-np.expm1(-2.0 * lam2 * t) / (2.0 * lam2))
+           + errors._trigamma(N + 1) / (2.0 * pis2))
+    assert abs(errors._mode_tail(K, t) - ref) <= 1e-13 * ref
+
+
+def test_mode_tail_at_a_tiny_horizon_returns_at_once():
+    # the series would take about 1.6/sqrt(t) modes
+    start = time.perf_counter()
+    tail = errors._mode_tail(32, 1e-300)
+    assert time.perf_counter() - start < 0.1
+    assert tail == pytest.approx(math.sqrt(1e-300 / (2.0 * math.pi)),
+                                 rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,20 @@ def test_interval_overlaps_match_rational_arithmetic(horizon, n_star, M):
     assert np.all(np.abs(V - ref) <= np.spacing(ref))
 
 
+def test_interval_overlaps_peak_is_its_result():
+    # 999 steps on 1000 cells, one period: the integer overlaps are formed
+    # in the result's own buffer, with no full-size temporary beside it
+    solvers.interval_overlaps(2, 0.5, 3)
+    tracemalloc.start()
+    try:
+        V = solvers.interval_overlaps(999, 1.0 / 999, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.shape == (999, 1000)
+    assert peak <= 1.1 * V.nbytes
+
+
 def _spread(profile):
     """``steps()`` weights, each repeated over its p cells (cells past
     the last step weigh 0): the profile's dense form."""
@@ -136,16 +150,17 @@ def test_fem_solver_matches_duhamel_map():
     ids=["aligned", "3-cells-per-2-steps", "2-steps-per-cell",
          "one-period-is-the-grid"])
 def test_cn_fem_spde_in_blocks_matches_one_pass(n_star, M, horizon, block,
-                                                monkeypatch):
+                                                monkeypatch,
+                                                cn_fem_whole_path):
     # blocks of whole noise periods, and pieces of states within a block
     # (4 steps at nu = 15 with a budget of 64), step on from where the
-    # last one ended: one pass of cn_fem_steps on the whole grid's loads
+    # last one ended: one pass of the stepper on the whole grid's loads
     # agrees up to the order of BLAS's sums
     monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
     g = noise.sample(n_star, 16, horizon, 3)
     system = fem.assemble(fem.Mesh(16))
     got = solvers.cn_fem_spde(g, system, M).states
-    ref = deterministic.cn_fem_steps(
+    ref = cn_fem_whole_path(
         np.zeros(system.mesh.nu), system, M, horizon / M,
         solvers.stochastic_loads_fem(g, system, M)).states
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -172,16 +187,16 @@ def test_cn_fem_path_draws_whole_periods(n_star, M, budget, monkeypatch):
     assert len(asked) == 1 and asked[0] % 3 == 0 and asked[0] >= 3
 
 
-def _fem_schemes(g, M):
+def _fem_schemes(g, M, whole_path):
     system = fem.assemble(fem.Mesh(8))
     v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
     loads = solvers.stochastic_loads_fem(g, system, M)
-    return (deterministic.cn_fem_steps(v0, system, M, 1.0 / M, loads),
+    return (whole_path(v0, system, M, 1.0 / M, loads),
             deterministic.modified_cn_fem(v0, system, M, 1.0 / M),
             solvers.cn_fem_spde(g, system, M))
 
 
-def _spectral_schemes(g, M):
+def _spectral_schemes(g, M, whole_path):
     K = 10
     v0 = np.linspace(1.0, -0.5, K)
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
@@ -193,9 +208,11 @@ def _spectral_schemes(g, M):
 
 @pytest.mark.parametrize("schemes", [_fem_schemes, _spectral_schemes],
                          ids=["fem", "spectral"])
-def test_cn_stepper_superposes_initial_data_and_loads(schemes):
+def test_cn_stepper_superposes_initial_data_and_loads(schemes,
+                                                      cn_fem_whole_path):
     # one stepper per basis serves both schemes; it is linear in (v0, L)
-    both, homogeneous, forced = schemes(small_grid(seed=17), 8)
+    both, homogeneous, forced = schemes(small_grid(seed=17), 8,
+                                        cn_fem_whole_path)
     np.testing.assert_allclose(both.states,
                                homogeneous.states + forced.states, rtol=1e-12)
 
