@@ -6,6 +6,7 @@ refinement level and a trailing fitted-slope line.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -151,15 +152,12 @@ def _mc_rms(levels, samples, seed):
     in blocks of at most ``_MC_BLOCK`` increments; each block is
     projected once per distinct space fold (``GaussianCoefficientMap.fold``;
     every sine map on one (K, J*) shares one) and reconstructed once per
-    distinct map.  One background thread draws the next block while this
-    one is projected, with BLAS held to one thread.  Every seed has its
-    own generator, so the bits depend on neither the threads nor the
-    block size.
+    distinct map.  One worker thread draws the next block while this one
+    is projected, with BLAS held to one thread (``blas.ahead``).  Every
+    seed has its own generator, so the bits depend on neither the
+    threads nor the block size.
     """
-    # imported here, so that start-up loads neither
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import blas
+    from . import blas   # imported here, so that start-up loads neither
 
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     first = maps[0]
@@ -180,12 +178,9 @@ def _mc_rms(levels, samples, seed):
 
     def sampled(seeds):
         out = []
-        with blas.one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-            ahead = pool.submit(draw, seeds[:size])
-            for lo in range(size, len(seeds) + size, size):
-                grids = ahead.result()
-                if lo < len(seeds):   # the next block, drawn meanwhile
-                    ahead = pool.submit(draw, seeds[lo:lo + size])
+        cuts = (seeds[lo:lo + size] for lo in range(0, len(seeds), size))
+        with blas.ahead(draw, cuts) as blocks:
+            for grids in blocks:
                 out += distances(grids)
         return out
 
@@ -309,13 +304,15 @@ def run_sample_path(cfg):
                              seed)
     step = max(1, _CSV_BLOCK // mesh.nu)
     text = ""
-    for states in solvers.cn_fem_path(draw, n_star, j_star, horizon,
-                                      fem.assemble(mesh), M):
-        for lo in range(0, len(states), step):
-            # += grows the one string in place (CPython resizes a str that
-            # nothing else references); "".join over the pieces, or
-            # StringIO.getvalue(), would hold a second full copy at the end
-            text += _csv_rows(states[lo:lo + step])
+    # closed on any exit, so a failure here stops the path's worker thread
+    with contextlib.closing(solvers.cn_fem_path(
+            draw, n_star, j_star, horizon, fem.assemble(mesh), M)) as path:
+        for states in path:
+            for lo in range(0, len(states), step):
+                # += grows the one string in place (CPython resizes a str
+                # that nothing else references); "".join over the pieces,
+                # or StringIO.getvalue(), would hold a second full copy
+                text += _csv_rows(states[lo:lo + step])
     return text
 
 

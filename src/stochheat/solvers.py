@@ -14,6 +14,7 @@ profile and its ratio to the period before.  ``time_gram`` and sampling
 both read that tuple; the dense K x N arrays (``dense()``) are oracles.
 """
 
+import contextlib
 import functools
 import math
 from fractions import Fraction
@@ -156,15 +157,19 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     Yields the states in row blocks: the zero start state, then each
     noise block's steps in pieces of at most ``_PATH_BLOCK`` / nu states.
     A block's step loads take the whole grid's dt, dx and dtau, and its
-    steps go on from the last right-hand side (``cn_fem_stepper``), so
-    one block of noise and loads and one piece of states are live at a
-    time.  A block holds nu loads per step: where one period is the
-    whole grid (n* and M share no factor) its noise is the whole grid's,
-    and where M is many times n* its loads come near the whole path's.
-    A piece with a non-finite state raises ValueError.
+    steps go on from the last right-hand side (``cn_fem_stepper``).  One
+    worker thread draws the next block and forms its loads while this
+    one is stepped (``blas.ahead``), so the loads of one block, the noise
+    and loads of the next and one piece of states are live at a time.
+    A block holds nu loads per step: where one period is the whole grid
+    (n* and M share no factor) its noise is the whole grid's, and where
+    M is many times n* its loads come near the whole path's.  A piece
+    with a non-finite state raises ValueError.  A caller that may stop
+    early closes the generator, which stops the worker.
     """
     if M < 1:
         raise ValueError("need at least one step")
+    from . import blas   # imported here, so that start-up loads neither
     dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
     a = _period(dtau, dt)[0]
     nu = system.mesh.nu
@@ -172,27 +177,31 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     advance = cn_fem_stepper(system, dtau)
     start = np.zeros((1, nu))
     rhs = system.mass_apply(start[0])
-    yield start
     piece = max(1, _PATH_BLOCK // nu)
-    for inc in draw(a * max(1, _PATH_BLOCK // (a * j_star))):
-        loads = _cell_loads(O, inc, dt, dx, dtau)
-        for lo in range(0, loads.shape[1], piece):
-            states = np.empty((min(piece, loads.shape[1] - lo), nu))
-            rhs = advance(rhs, states, loads[:, lo:lo + piece])
-            yield states
+    with blas.ahead(lambda inc: _cell_loads(O, inc, dt, dx, dtau),
+                    draw(a * max(1, _PATH_BLOCK // (a * j_star)))) as blocks:
+        yield start
+        for loads in blocks:
+            for lo in range(0, loads.shape[1], piece):
+                states = np.empty((min(piece, loads.shape[1] - lo), nu))
+                rhs = advance(rhs, states, loads[:, lo:lo + piece])
+                yield states
 
 
 def cn_fem_spde(grid, system, M):
     """Crank-Nicolson finite element stepping, zero initial data: the
     whole ``cn_fem_path`` on the grid's increments."""
+    if M < 1:   # before the states are allocated
+        raise ValueError("need at least one step")
     inc = grid.increments
     states = np.empty((M + 1, system.mesh.nu))
     m = 0
-    for piece in cn_fem_path(
+    with contextlib.closing(cn_fem_path(
             lambda rows: np.split(inc, range(rows, len(inc), rows)),
-            grid.n_star, grid.j_star, grid.horizon, system, M):
-        states[m:m + len(piece)] = piece
-        m += len(piece)
+            grid.n_star, grid.j_star, grid.horizon, system, M)) as path:
+        for piece in path:
+            states[m:m + len(piece)] = piece
+            m += len(piece)
     return Trajectory(grid.horizon / M, states, "nodal")
 
 

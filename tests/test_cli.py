@@ -625,6 +625,96 @@ def test_sample_path_bytes_are_pinned(grid, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("block", [None, 2 ** 10],
+                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("grid, digests", [
+    (dict(seed="0", n_star="1024", j_star="1024", M="1024", mesh="512"),
+     {None: "1db25d03edcdd2e63d8d51f099b2d4065ac375dbb0a4151cc49dfe8a002865c4",
+      2 ** 10:
+      "0ba7ed376bafeb6905b7bec112bd761138245fd10ca040ef402553440e742f98"}),
+    (dict(seed="1", horizon="0.3", n_star="24", M="16"),
+     {None: "dd8f8083818433e9b95c4503245da769acb81d5a0edc95ddf0289ff9defaf48f",
+      2 ** 10:
+      "3676d81bf7484df196cf12ca8a052db4ea3b4843a2a13f0ab111b00399d0f7f9"})],
+    ids=["perfbench-size", "3-cells-per-2-steps"])
+def test_sample_path_bytes_in_blocks_are_pinned(grid, digests, block,
+                                                monkeypatch):
+    # sha256 of the CSV as the serial block loop wrote it: the
+    # perfbench-size path in 16 blocks (default) and 1024 (small), the
+    # non-aligned one in 1 and 8; the GEMM shapes of the step loads set
+    # their rounding, so each block size has its own digest
+    if block is not None:
+        monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
+    text = cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, **grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[block]
+
+
+class _RenderFailed(Exception):
+    pass
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS held at two threads for the test, so that a pass which
+    leaves its hold of one thread in place shows."""
+    get_set = blas.threads()
+    if get_set is None:
+        yield
+        return
+    get, put = get_set
+    prev = get()
+    put(2)
+    try:
+        yield
+    finally:
+        put(prev)
+
+
+@pytest.mark.parametrize("failure", ["draw", "advance", "consumer"])
+def test_failed_sample_path_leaves_nothing_behind(failure, two_blas_threads,
+                                                  monkeypatch, capsys):
+    # 4 noise blocks of 16 rows: the second one fails on the worker as it
+    # is drawn (draw), its NaN fails the stepping on the caller (advance:
+    # exit 2, no rows), or the rows of the second block fail to render
+    # while the worker forms the third (consumer)
+    monkeypatch.setattr(solvers, "_PATH_BLOCK", 16 * 16)
+    draw, drawn_on = noise.sample_blocks, []
+
+    def spoiled(*args):
+        for i, inc in enumerate(draw(*args)):
+            drawn_on.append(threading.current_thread())
+            if i == 1 and failure == "draw":
+                raise _DrawFailed("draw")
+            if i == 1 and failure == "advance":
+                inc[3, 5] = np.nan
+            yield inc
+    monkeypatch.setattr(noise, "sample_blocks", spoiled)
+    render, rendered = cli._csv_rows, []
+
+    def failing(states):
+        rendered.append(len(states))
+        if failure == "consumer" and len(rendered) == 3:
+            raise _RenderFailed("render")
+        return render(states)
+    monkeypatch.setattr(cli, "_csv_rows", failing)
+    argv = ["sample-path", "--set", "n_star=64", "--set", "j_star=16",
+            "--set", "M=64", "--set", "mesh=8"]
+    threads, count = threading.active_count(), _blas_count()
+    if failure == "advance":
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not finite" in out.err
+    else:
+        with pytest.raises(_DrawFailed if failure == "draw"
+                           else _RenderFailed):
+            run(argv)
+    assert threading.active_count() == threads
+    assert _blas_count() == count
+    assert len(drawn_on) >= 2
+    assert threading.main_thread() not in drawn_on
+
+
 def test_sample_path_peak_is_its_csv_and_one_block():
     # 16 blocks of 256 noise rows: the traced peak is the CSV, a quarter
     # of it for the last block's rows and arrays, and one noise block

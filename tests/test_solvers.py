@@ -166,6 +166,14 @@ def test_cn_fem_spde_in_blocks_matches_one_pass(n_star, M, horizon, block,
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("M", [0, -1, -2])
+def test_cn_fem_spde_needs_a_step(M):
+    # checked before the M + 1 states are allocated
+    g = noise.sample(4, 8, 1.0, 0)
+    with pytest.raises(ValueError, match="at least one step"):
+        solvers.cn_fem_spde(g, fem.assemble(fem.Mesh(8)), M)
+
+
 @pytest.mark.parametrize("budget", [64, None], ids=["small-blocks",
                                                   "default-blocks"])
 @pytest.mark.parametrize("n_star, M", [(24, 16), (3, 4096)],
