@@ -23,44 +23,27 @@ class ConfigError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "model-space": {
-        "study": "model-space", "horizon": "1.0", "seed": "0",
-        "samples": "0", "n_star": str(2 ** 16), "K": "8192",
-        "dx_levels": "3,4,5,6,7,8", "window": "6",
-    },
-    "model-time": {
-        "study": "model-time", "horizon": "1.0", "seed": "0",
-        "samples": "0", "j_star": str(2 ** 10), "K": "8192",
-        "dt_levels": "4,5,6,7,8,9,10,11,12", "window": "4",
-    },
-    "tdr": {
-        "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
-        "n_star": "1024", "j_star": "1024", "K": "4096",
-        "dtau_levels": "4,5,6,7,8,9", "window": "4",
-    },
-    "sdr": {
-        "study": "sdr", "horizon": "1.0", "seed": "0", "samples": "0",
-        "n_star": "4096", "j_star": "1024", "K": "4096", "M": "4096",
-        "h_levels": "3,4,5,6,7", "window": "4",
-    },
-    "total": {
-        "study": "total", "horizon": "1.0", "seed": "0", "samples": "0",
-        "n_star": "4096", "j_star": "1024", "K": "4096", "M": "4096",
-        "h_levels": "3,4,5,6,7", "window": "4",
-    },
-    "deterministic-cn": {
-        "study": "deterministic-cn", "horizon": "1.0", "seed": "0",
-        "samples": "0", "axis": "time", "M": "4096",
-        "dtau_levels": "4,5,6,7,8,9,10", "h_levels": "3,4,5,6,7",
-        "window": "4",
-    },
-}
+# sample-path shares the horizon and seed; sdr and total share one grid
+_RUN = {"horizon": "1.0", "seed": "0"}
+_FEM_LEVELS = {"n_star": "4096", "j_star": "1024", "K": "4096", "M": "4096",
+               "h_levels": "3,4,5,6,7", "window": "4"}
+_DEFAULTS = {study: dict(study=study, **_RUN, samples="0", **keys)
+             for study, keys in (
+    ("model-space", {"n_star": str(2 ** 16), "K": "8192",
+                     "dx_levels": "3,4,5,6,7,8", "window": "6"}),
+    ("model-time", {"j_star": str(2 ** 10), "K": "8192",
+                    "dt_levels": "4,5,6,7,8,9,10,11,12", "window": "4"}),
+    ("tdr", {"n_star": "1024", "j_star": "1024", "K": "4096",
+             "dtau_levels": "4,5,6,7,8,9", "window": "4"}),
+    ("sdr", _FEM_LEVELS),
+    ("total", _FEM_LEVELS),
+    ("deterministic-cn", {"axis": "time", "M": "4096",
+                          "dtau_levels": "4,5,6,7,8,9,10",
+                          "h_levels": "3,4,5,6,7", "window": "4"}),
+)}
 
-_SAMPLE_PATH_DEFAULTS = {
-    "horizon": "1.0", "seed": "0", "n_star": "256", "j_star": "256",
-    "M": "256", "mesh": "64",
-}
+_SAMPLE_PATH_DEFAULTS = dict(_RUN, n_star="256", j_star="256", M="256",
+                             mesh="64")
 
 
 def parse_config_text(text):
@@ -85,8 +68,8 @@ def serialize_config(cfg):
     return "".join("%s = %s\n" % (k, cfg[k]) for k in sorted(cfg))
 
 
-def _merged(defaults, path, overrides):
-    cfg = dict(defaults)
+def _merged(path, overrides):
+    cfg = {}
     if path:
         try:
             with open(path) as fh:
@@ -246,7 +229,7 @@ def run_study(cfg):
                                            M, M)
             rows.append((lvl, horizon / n_star, 1.0 / j_star, horizon / M, h,
                          K, errors.pair_error(map_a, map_b)))
-            if samples:  # right after pair_error, which paired the maps
+            if samples:
                 levels.append((map_a, map_b,
                                solvers.squared_distance(map_a, map_b)))
         mc = (_mc_rms(levels, samples, seed) if samples
@@ -571,7 +554,7 @@ def main(argv=None):
             raise ConfigError("missing subcommand")
         if args.command == "selftest":
             return run_selftest()
-        given = _merged({}, args.config, args.overrides)
+        given = _merged(args.config, args.overrides)
         if args.command == "sample-path":
             cfg, known = dict(_SAMPLE_PATH_DEFAULTS), [_SAMPLE_PATH_DEFAULTS]
         else:

@@ -211,24 +211,27 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
     variant 'midpoint':  (dtau ||A^1 - B^1||^2
                           + dtau sum_{m=2}^M ||A^{m-1/2} - B^{m-1/2}||^2)^{1/2}
 
-    Spectral-vs-nodal comparisons use exact sine-hat inner products:
-    ||s||^2 - 2 (s, v) + v^T M v.  The squared distances are formed in
-    blocks of steps and added to the sum one step at a time, in order.
+    Both trajectories are spectral, or one is spectral and one nodal (in
+    either order): that distance takes exact sine-hat inner products,
+    ||s||^2 - 2 (s, v) + v^T M v.  Two nodal ones raise ValueError.  The
+    squared distances are formed in blocks of steps and added to the sum
+    one step at a time, in order.
     """
     if traj_a.steps != traj_b.steps or not math.isclose(traj_a.dtau, traj_b.dtau):
         raise ValueError("time grids do not match")
     if variant not in ("endpoint", "midpoint"):
         raise ValueError(f"unknown variant {variant!r}")
-    if traj_a.kind == "nodal" and traj_b.kind == "spectral":
+    if traj_a.kind == "nodal":
         traj_a, traj_b = traj_b, traj_a
-    kinds = (traj_a.kind, traj_b.kind)
-    if kinds == ("spectral", "spectral") \
-            and traj_a.states.shape[1] != traj_b.states.shape[1]:
+    if traj_a.kind == "nodal":
+        raise ValueError("two nodal trajectories do not compare")
+    nodal = traj_b.kind == "nodal"
+    if not nodal and traj_a.states.shape[1] != traj_b.states.shape[1]:
         raise ValueError("truncation levels differ: K = %d and K = %d"
                          % (traj_a.states.shape[1], traj_b.states.shape[1]))
-    if "nodal" in kinds and system is None:
-        raise ValueError("nodal comparison needs the FemSystem")
-    if kinds == ("spectral", "nodal"):
+    if nodal:
+        if system is None:
+            raise ValueError("nodal comparison needs the FemSystem")
         C = fem.sine_hat_inner_matrix(traj_a.states.shape[1], system.mesh)
     M = traj_a.steps
     midpoint = variant == "midpoint"
@@ -237,15 +240,12 @@ def l2t_error(traj_a, traj_b, variant="endpoint", system=None):
         hi = min(lo + _STEP_BLOCK, M + 1)
         a = _compared_states(traj_a, lo, hi, midpoint)
         b = _compared_states(traj_b, lo, hi, midpoint)
-        if kinds == ("spectral", "spectral"):
-            d2 = np.sum((a - b) ** 2, axis=1)
-        elif kinds == ("nodal", "nodal"):
-            d = a - b
-            d2 = _row_dots(d, system.mass_apply(d))
-        else:
+        if nodal:
             cb = np.matmul(C, b[:, :, None])[:, :, 0]
             d2 = (np.sum(a**2, axis=1) - 2.0 * _row_dots(a, cb)
                   + _row_dots(b, system.mass_apply(b)))
+        else:
+            d2 = np.sum((a - b) ** 2, axis=1)
         for x in d2.tolist():
             total += x
     return math.sqrt(traj_a.dtau * total)

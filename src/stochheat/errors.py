@@ -48,7 +48,8 @@ def _mode_tail(K, t):
 
     The t-independent part is a trigamma value; the correction, the sum
     of exp(-2 lam_k^2 t)/(2 lam_k^2), decays like exp(-2 pi^2 K^2 t) and
-    is summed until it underflows.  Where it has not underflowed 4096
+    is summed until it underflows; from 2 lam_k^2 t >= 746 on every term
+    is exactly 0, so none is formed.  Where it has not underflowed 4096
     modes past K (2 pi^2 (K + 4096)^2 t < 746; it takes about 1.6/sqrt(t)
     modes), the whole series is sqrt(t/(2 pi)) - t/2 (Poisson summation,
     up to terms of order exp(-1/(2t)), which underflow there) less its
@@ -65,7 +66,7 @@ def _mode_tail(K, t):
         return float(_nonnegative(whole - head, whole, "mode tail"))
     tail = trigamma = _trigamma(K + 1) / (2.0 * pis2)
     k = K + 1
-    while True:
+    while 2.0 * pis2 * k * k * t < 746.0:
         ks = np.arange(k, k + 4096, dtype=float)
         lam2 = pis2 * ks**2
         terms = np.exp(-2.0 * lam2 * t) / (2.0 * lam2)
@@ -114,19 +115,19 @@ def modeling_errors(t, grids, K=8192, horizon=1.0, include_tail=True):
     return out
 
 
-def _cell_time_integrals(lam2, t_lo, t_hi, t, npts=24, levels=60):
+def _cell_time_integrals(lam2, t_lo, t_hi, t):
     """Quadrature of exp(-lam2 (t - s)) and its square over (t_lo, t_hi).
 
-    Panels are graded dyadically toward the upper end, where the
-    integrand concentrates for stiff modes.
+    60 panels of 24 Gauss points are graded dyadically toward the upper
+    end, where the integrand concentrates for stiff modes.
     """
     top = min(t_hi, t)
     if top <= t_lo:
         return 0.0, 0.0
     width = top - t_lo
-    cuts = top - width * 0.5 ** np.arange(levels + 1)
+    cuts = top - width * 0.5 ** np.arange(61)
     cuts[0] = t_lo
-    x, w = np.polynomial.legendre.leggauss(npts)
+    x, w = np.polynomial.legendre.leggauss(24)
     a, b = cuts[:-1], cuts[1:]
     s = 0.5 * (b + a)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
     ws = 0.5 * (b - a)[:, None] * w[None, :]
@@ -134,8 +135,7 @@ def _cell_time_integrals(lam2, t_lo, t_hi, t, npts=24, levels=60):
     return float((ws * e).sum()), float((ws * e * e).sum())
 
 
-def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
-                              nsub=256, npts=8):
+def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0):
     """Brute-force quadrature of the modeling error, modes 1..K only.
 
     Works straight from the heat kernel factors: the space integrals of
@@ -154,7 +154,7 @@ def modeling_error_quadrature(t, n_star, j_star, K, horizon=1.0,
         y1 = np.empty(j_star)
         y2 = np.empty(j_star)
         for j in range(j_star):
-            y, wy = quadrature.gauss_points(j * dx, (j + 1) * dx, nsub, npts)
+            y, wy = quadrature.gauss_points(j * dx, (j + 1) * dx)
             e = math.sqrt(2.0) * np.sin(lam * y)
             y1[j] = float((wy * e).sum())
             y2[j] = float((wy * e * e).sum())

@@ -167,12 +167,13 @@ def _tent_overlaps(center, half, lo, hi):
     return y1 * (2 * half - abs(y1)) - y0 * (2 * half - abs(y0))
 
 
-def load_vector(f, mesh, npts=8, nsub=4):
-    """(f, hat_i) for all interior nodes; exact for SpectralField inputs."""
+def load_vector(f, mesh):
+    """(f, hat_i) for all interior nodes; exact for SpectralField inputs,
+    else 4 panels of 8 Gauss points per element."""
     if isinstance(f, SpectralField):
         C = sine_hat_inner_matrix(f.K, mesh)
         return C.T @ f.coeffs
-    x, w = gauss_points(0.0, mesh.h, nsub, npts)
+    x, w = gauss_points(0.0, mesh.h, 4, 8)
     load = np.zeros(mesh.nu)
     for e in range(mesh.intervals):
         xx = e * mesh.h + x

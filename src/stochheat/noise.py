@@ -154,17 +154,14 @@ def mode_cell_integrals(K, j_star):
     """Matrix b with b[k-1, j-1] = integral of e_k over space cell D_j.
 
     Product form b_{k,j} = a_k sin(k pi (2j - 1)/(2J)) with amplitude
-    a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)), filled in blocks of rows.  A
-    dense oracle for ``sine_cell_fold``, which needs only min(K, J) rows.
+    a_k = (2 sqrt2 / lam_k) sin(k pi/(2J)).  A dense oracle for
+    ``sine_cell_fold``, which needs only min(K, J) rows.
     """
     if K < 1 or j_star < 1:
         raise ValueError("K and j_star must be >= 1")
-    b = np.empty((K, j_star))
-    for lo in range(0, K, 512):
-        ks = np.arange(lo + 1, min(lo + 512, K) + 1)
-        a = 2 * math.sqrt(2) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
-        np.multiply(a[:, None], _cell_sines(ks, j_star), out=b[lo:lo + 512])
-    return b
+    ks = np.arange(1, K + 1)
+    a = 2 * math.sqrt(2) * sin_pi_ratio(ks, 2 * j_star) / (ks * math.pi)
+    return a[:, None] * _cell_sines(ks, j_star)
 
 
 @functools.lru_cache(maxsize=1)

@@ -532,24 +532,15 @@ def _pairing(map_a, map_b):
     """(rows, g, w): X - Y = sum_k (x_k - g_k y_{rows_k}) e_k + R with
     E ||R||^2 = w . E y^2.  One basis (the same K or FEM eigenbasis
     object) pairs all rows with g = 1, w = 0; sine against FEM takes
-    ``_alias_pairing``; any other pair raises ValueError."""
+    ``spectral_fem_gram`` and w_p = 1 - sum_{rows_k = p} g_k^2 (phi_p above
+    mode K); any other pair raises ValueError."""
     a, b = map_a.basis, map_b.basis
     if a == b:
         return slice(None), 1.0, 0.0
     if not _is_fem(a) and _is_fem(b):
-        return _alias_pairing(a, b)
+        rows, g = spectral_fem_gram(a, b)
+        return rows, g, 1.0 - np.bincount(rows, g * g, b.values.size)
     raise ValueError("the bases of these maps do not pair")
-
-
-@functools.lru_cache(maxsize=1)
-def _alias_pairing(K, eigen):
-    """``spectral_fem_gram`` and w_p = 1 - sum_{rows_k = p} g_k^2 (phi_p above
-    mode K), kept read-only for a level's exact and Monte Carlo columns."""
-    rows, g = spectral_fem_gram(K, eigen)
-    w = 1.0 - np.bincount(rows, g * g, eigen.values.size)
-    for v in (rows, g, w):
-        v.flags.writeable = False
-    return rows, g, w
 
 
 def cross_moment(map_a, map_b):

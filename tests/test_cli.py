@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,22 +255,6 @@ def test_study_draws_each_grid_once(study, monkeypatch):
     assert drawn == [errors.sample_seed(5, i) for i in range(7)]
 
 
-@pytest.mark.parametrize("study", ["sdr", "total"])
-def test_sampled_study_pairs_each_level_once(study, monkeypatch):
-    # the exact column and the Monte Carlo distance share one pairing
-    meshes = []
-    gram = solvers.spectral_fem_gram
-
-    def counted(K, eigen):
-        meshes.append(eigen.system.mesh.intervals)
-        return gram(K, eigen)
-    monkeypatch.setattr(solvers, "spectral_fem_gram", counted)
-    solvers._alias_pairing.cache_clear()
-    rep = cli.run_study(_study_cfg(study, 3, 1.0, 16, 8, 24, 8, (2, 3, 4)))
-    assert all(row["error_mc"] > 0.0 for row in rep.rows)
-    assert meshes == [4, 8, 16]
-
-
 def test_shared_projection_keeps_grid_check():
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
     # same space fold (so the projection is shared), other horizon
@@ -438,6 +423,24 @@ def test_modeling_error_beyond_rounding_exits_2(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "beyond rounding" in out.err
+
+
+@pytest.mark.parametrize("study, grid", [
+    ("model-space", ["n_star=16", "dx_levels=2,3"]),
+    ("model-time", ["j_star=16", "dt_levels=2,3"])])
+def test_modeling_study_at_a_huge_horizon_runs_clean(study, grid, capsys):
+    # 2 lam_k^2 t overflows in the mode tail's correction terms, which
+    # are all 0 there: no RuntimeWarning, no traceback
+    argv = ["study", "--set", "study=" + study, "--set", "horizon=1e300",
+            "--set", "K=32", "--set", "window=2"]
+    for item in grid:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("study,level,")
 
 
 def test_allocation_failure_exits_2(capsys):

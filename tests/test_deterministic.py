@@ -107,6 +107,15 @@ def test_l2t_error_rejects_mismatched_truncations():
             deterministic.l2t_error(x, y)
 
 
+def test_l2t_error_rejects_two_nodal_trajectories():
+    system = fem.assemble(fem.Mesh(8))
+    v0 = SpectralField(np.array([1.0, -0.4]))
+    a = deterministic.modified_cn_fem(v0, system, 4, 0.25)
+    for variant in ("endpoint", "midpoint"):
+        with pytest.raises(ValueError, match="two nodal"):
+            deterministic.l2t_error(a, a, variant, system)
+
+
 def test_l2t_error_zero_on_identical():
     v0 = SpectralField(np.array([1.0, 2.0]))
     a = deterministic.modified_cn_spectral(v0, 6, 0.1)
@@ -239,9 +248,6 @@ def _per_step_l2t(traj_a, traj_b, variant, system):
     def dist(a, b):
         if kinds == ("spectral", "spectral"):
             return float(np.sum((a - b) ** 2))
-        if kinds == ("nodal", "nodal"):
-            d = a - b
-            return float(d @ system.mass_apply(d))
         return (float(np.sum(a**2)) - 2.0 * float(a @ (C @ b))
                 + float(b @ system.mass_apply(b)))
 
@@ -256,9 +262,8 @@ def _per_step_l2t(traj_a, traj_b, variant, system):
 
 
 @pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
-@pytest.mark.parametrize("pair", ["spectral", "nodal", "mixed", "reversed"])
-def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair,
-                                                    cn_fem_whole_path):
+@pytest.mark.parametrize("pair", ["spectral", "mixed", "reversed"])
+def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair):
     # M = 1100 steps cross two blocks of 512; K = 200 modes make the row
     # sums pairwise
     rng = np.random.default_rng(3)
@@ -270,9 +275,6 @@ def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair,
     nodal = deterministic.modified_cn_fem(v0, system, M, dtau)
     a, b = {
         "spectral": (spec, deterministic.exact_trajectory(v0, M, dtau)),
-        "nodal": (nodal, cn_fem_whole_path(
-            nodal.states[0], system, M, dtau,
-            rng.standard_normal((system.mesh.nu, M)) * 1e-3)),
         "mixed": (spec, nodal),
         "reversed": (nodal, spec),
     }[pair]
@@ -283,13 +285,11 @@ def test_l2t_error_matches_per_step_sum_bit_for_bit(variant, pair,
 
 @pytest.mark.parametrize("variant", ["endpoint", "midpoint"])
 @pytest.mark.parametrize("intervals", [2, 8, 128])
-def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals,
-                                                    cn_fem_whole_path):
+def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals):
     # nu = 1, 7, 127 interior nodes; M = 1000 ends on a partial block of
     # 512 steps.  Levels stepped as one stacked system, as the
-    # deterministic-cn space study does: nodal/nodal on the stacked
-    # system, spectral/nodal on a level sliced from it.
-    rng = np.random.default_rng(intervals)
+    # deterministic-cn space study does: spectral/nodal on a level sliced
+    # from it.
     M, dtau = 1000, 1.0 / 1000
     systems = [fem.assemble(fem.Mesh(n)) for n in (intervals, 4)]
     stacked = fem.FemSystem.stack(systems)
@@ -297,11 +297,8 @@ def test_l2t_error_batched_dots_match_per_step_loop(variant, intervals,
     v0 = SpectralField(np.array([1.0, -0.3, 0.2]))
     x0 = np.concatenate([fem.l2_project(v0, s) for s in systems])
     num = deterministic.modified_cn_fem(x0, stacked, M, dtau)
-    other = cn_fem_whole_path(
-        x0, stacked, M, dtau, rng.standard_normal((x0.size, M)) * 1e-3)
     level = deterministic.Trajectory(dtau, num.states[:, :nu], "nodal")
     for a, b, system in [
-            (num, other, stacked),
             (deterministic.modified_cn_spectral(v0, M, dtau), level,
              systems[0]),
             (level, deterministic.exact_trajectory(v0, M, dtau),

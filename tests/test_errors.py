@@ -1,6 +1,8 @@
+import functools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ def test_modeling_error_quadrature_raises_on_negative_sum(monkeypatch):
         return 10.0 * s1, s2
     monkeypatch.setattr(errors, "_cell_time_integrals", inflated)
     with pytest.raises(RuntimeError, match="beyond rounding"):
-        errors.modeling_error_quadrature(1.0, 2, 2, 4, nsub=8)
+        errors.modeling_error_quadrature(1.0, 2, 2, 4)
 
 
 def test_modeling_error_tail_tiny_for_large_K():
@@ -79,6 +81,15 @@ def test_mode_tail_at_a_tiny_horizon_returns_at_once():
     assert time.perf_counter() - start < 0.1
     assert tail == pytest.approx(math.sqrt(1e-300 / (2.0 * math.pi)),
                                  rel=1e-12)
+
+
+def test_mode_tail_at_a_huge_horizon_is_the_trigamma_term():
+    # 2 lam_k^2 t overflows: past 746 every correction term is 0, so
+    # none is formed and no overflow warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = errors._mode_tail(32, 1e300)
+    assert tail == errors._trigamma(33) / (2.0 * math.pi ** 2)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +317,8 @@ def test_tdr_study_computes_sine_energies_once(monkeypatch):
         calls.append(j_star)
         return sq_sums(ks, j_star)
     monkeypatch.setattr(noise, "mode_cell_sq_sums", counted)
-    solvers._sine_energies.cache_clear()
+    monkeypatch.setattr(solvers, "_sine_energies", functools.lru_cache(
+        maxsize=1)(solvers._sine_energies.__wrapped__))   # an empty cache
     rep = cli.run_study({
         "study": "tdr", "horizon": "1.0", "seed": "0", "samples": "0",
         "n_star": "64", "j_star": "32", "K": "128", "dtau_levels": "2,3,4",
@@ -354,7 +366,6 @@ def test_pair_error_zero_on_itself_and_raises_on_inconsistent_moments(
         rows, g = pairing(K, eigen)
         return rows, 2.0 * g
     monkeypatch.setattr(solvers, "spectral_fem_gram", doubled)
-    solvers._alias_pairing.cache_clear()    # it holds the pairing of (K, eig)
     with pytest.raises(RuntimeError):
         errors.pair_error(s, h)
 

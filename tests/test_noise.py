@@ -115,17 +115,6 @@ def test_mode_cell_integrals_rows_near_multiples_of_pi_match_mpmath():
         assert np.abs(B[k - 1] - exact).max() <= 1e-15 * abs(float(amp)), k
 
 
-def test_mode_cell_integrals_peak_memory():
-    # the product form is filled in row blocks: no K x (J* + 1) table
-    tracemalloc.start()
-    try:
-        B = noise.mode_cell_integrals(4096, 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * B.nbytes
-
-
 @pytest.mark.parametrize("J", [1, 3, 8, 1024])
 @pytest.mark.parametrize("modes", [
     lambda J: 1, lambda J: max(J - 1, 1), lambda J: J, lambda J: 2 * J,

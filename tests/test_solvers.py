@@ -543,7 +543,9 @@ def test_tabulated_factors_match_per_mode_formulas_bit_for_bit(J, j_star, K):
     rows_k, g_k = _gram_per_mode(K, eig)
     assert rows.tobytes() == rows_k.tobytes() and g.tobytes() == g_k.tobytes()
     w_k = 1.0 - np.bincount(rows_k, g_k * g_k, J - 1)
-    assert solvers._alias_pairing(K, eig)[2].tobytes() == w_k.tobytes()
+    s = solvers.map_regularized(4, j_star, 1.0, K, 1.0)
+    h = solvers.map_cn_fem(4, j_star, 1.0, eig, 4, 4)
+    assert solvers._pairing(s, h)[2].tobytes() == w_k.tobytes()
     ks = np.arange(1, K + 1)
     rem = ks % (2 * j_star)
     sq_k = (8.0 * sin_pi_ratio(rem, 2 * j_star) ** 2 / (ks * math.pi) ** 2
