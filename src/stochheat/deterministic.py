@@ -102,20 +102,23 @@ def cn_spectral_steps(v0, lam2, M, dtau, loads=None):
 
     V1 = (V0 + L1)/(1 + rho), then Vm = q V(m-1) + Lm/(1 + rho) with
     q = (1 - rho)/(1 + rho), where column m-1 of ``loads`` holds Lm
-    (omit it for the homogeneous scheme, V^m = r_m(lam2) V0).
+    (omit it for the homogeneous scheme, V^m = r_m(lam2) V0).  An
+    overflowing rho makes q nan without a warning, and the error of the
+    states fails the study's fit.
     """
     if M < 1:
         raise ValueError("need at least one step")
-    rho = 0.5 * dtau * lam2
-    q = (1.0 - rho) / (1.0 + rho)
-    states = np.empty((M + 1, rho.size))
+    states = np.empty((M + 1, np.size(lam2)))
     states[0] = v0
-    v = v0 / (1.0 + rho)
-    for m in range(1, M + 1):
-        if loads is not None:
-            v = v + loads[:, m - 1] / (1.0 + rho)
-        states[m] = v
-        v = q * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = 0.5 * dtau * lam2
+        q = (1.0 - rho) / (1.0 + rho)
+        v = v0 / (1.0 + rho)
+        for m in range(1, M + 1):
+            if loads is not None:
+                v = v + loads[:, m - 1] / (1.0 + rho)
+            states[m] = v
+            v = q * v
     return Trajectory(dtau, states, "spectral")
 
 
@@ -136,24 +139,25 @@ def cn_fem_stepper(system, dtau):
     step after it is returned, so a path stepped block by block has the
     bits of one pass.  A block with a non-finite state raises ValueError.
     """
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dpbtrs
-    chol = cholesky_banded(system.mass_band + 0.5 * dtau * system.stiff_band)
+    from . import blas   # imported here, so that start-up does not load it
+    with np.errstate(over="ignore"):   # a non-finite band raises below
+        band = system.mass_band + 0.5 * dtau * system.stiff_band
+    chol = blas.cholesky_band(band)
+    x = np.empty(band.shape[1])
+    solve = blas.cho_solver(chol, x)   # overwrites x with chol^-1 x
 
     def advance(rhs, out, loads=None):
-        # the LAPACK solve behind scipy's cho_solve_banded, without its
-        # per-call finiteness scans: a NaN or inf input spreads to the
-        # states (quietly), which are checked once per block
+        # a NaN or inf input spreads to the states (quietly), which are
+        # checked once per block
         with np.errstate(invalid="ignore", over="ignore"):
             for m in range(len(out)):
-                if loads is not None:
-                    rhs += loads[:, m]
-                out[m], info = dpbtrs(chol, rhs)
-                if info:
-                    raise ValueError("banded Cholesky solve failed (info %d)"
-                                     % info)
-                v = out[m]
-                rhs = system.mass_apply(v) - 0.5 * dtau * system.stiff_apply(v)
+                if loads is None:
+                    x[...] = rhs
+                else:
+                    np.add(rhs, loads[:, m], out=x)
+                solve()
+                out[m] = x
+                rhs = system.mass_apply(x) - 0.5 * dtau * system.stiff_apply(x)
         if not np.isfinite(out).all():
             raise ValueError("Crank-Nicolson states are not finite")
         return rhs
@@ -179,7 +183,8 @@ def exact_trajectory(v0, M, dtau):
     """Exact solution sampled on the scheme's time grid."""
     lam2 = eigenvalue_sqrt(v0.modes) ** 2
     t = np.arange(M + 1) * dtau
-    states = np.exp(-np.outer(t, lam2)) * v0.coeffs[None, :]
+    with np.errstate(over="ignore"):   # exp(-inf) is 0
+        states = np.exp(-np.outer(t, lam2)) * v0.coeffs[None, :]
     return Trajectory(dtau, states, "spectral")
 
 

@@ -52,7 +52,7 @@ class Mesh:
 
 class FemSystem:
     """Mesh plus the tridiagonal mass and stiffness matrices, each held
-    once in the upper banded form of scipy's Cholesky solvers: row 0 the
+    once in the upper banded form of LAPACK's Cholesky solvers: row 0 the
     off-diagonal behind a leading 0, row 1 the diagonal.
 
     ``stack`` joins independent systems into one block-diagonal system.
@@ -116,11 +116,13 @@ def _band_apply(band, v):
 
 
 def _solveh(band, rhs):
-    """``solveh_banded``; one node (nu = 1, which it rejects) divides."""
+    """LAPACK's tridiagonal solve (``blas.tridiagonal_solve``), the one
+    scipy's ``solveh_banded`` calls; one node (nu = 1) divides, where
+    LAPACK would multiply by the reciprocal."""
     if band.shape[1] == 1:
         return rhs / band[1, 0]
-    from scipy.linalg import solveh_banded
-    return solveh_banded(band, rhs)
+    from . import blas   # imported here, so that start-up does not load it
+    return blas.tridiagonal_solve(band, rhs)
 
 
 def assemble(mesh):

@@ -105,13 +105,16 @@ def _cell_loads(space, inc, dt, dx, dtau):
     on the noise rows ``inc``: whole periods of cells dt x dx.
 
     a cells span b steps (``_period``), so V^T is one period's a x b
-    overlaps, applied to each period of a cells.
+    overlaps, applied to each period of a cells.  A load that overflows
+    is inf or nan without a warning (it may be formed on a worker
+    thread): the stepping rejects the non-finite states it makes.
     """
-    proj = space @ inc.T
     a, b = _period(dtau, dt)
     V = interval_overlaps(b, dtau, a, a * dt)
-    steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), -1)
-    return steps / (dt * dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = space @ inc.T
+        steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), -1)
+        return steps / (dt * dx)
 
 
 def stochastic_loads_spectral(grid, K, M):

@@ -443,6 +443,27 @@ def test_modeling_study_at_a_huge_horizon_runs_clean(study, grid, capsys):
     assert out.out.startswith("study,level,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample-path", "--set", "horizon=1e300", "--set", "n_star=4", "--set",
+     "M=4", "--set", "mesh=4"],
+    ["study", "--set", "study=deterministic-cn", "--set", "axis=time",
+     "--set", "horizon=1e308", "--set", "dtau_levels=1,2"],
+    ["study", "--set", "study=deterministic-cn", "--set", "axis=space",
+     "--set", "horizon=1e308", "--set", "M=2"]],
+    ids=["sample-path", "deterministic-time", "deterministic-space"])
+def test_stepping_at_a_huge_horizon_exits_2_without_a_warning(argv, capsys):
+    # the step loads (on the path's worker thread), rho, the exact
+    # trajectory and the CN band overflow: the finiteness checks fail
+    # the run, with no RuntimeWarning and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numerical failure:")
+    assert out.err.count("\n") == 1
+
+
 def test_allocation_failure_exits_2(capsys):
     # dtau = 2^-50 asks CN stepping for an 8 PiB array of states; numpy
     # refuses it at once
@@ -456,9 +477,11 @@ def test_allocation_failure_exits_2(capsys):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported by the first banded solve only: neither start-up
-    # nor an exact study (the mode tail's trigamma is computed in-package)
-    # loads it; the CSV kernel's tables are not built at import
+    # no run loads scipy: neither start-up nor an exact study (the mode
+    # tail's trigamma is computed in-package), nor the banded solves of
+    # a sample path, a deterministic study, a Monte Carlo study or the
+    # selftest (numpy's own LAPACK); the CSV kernel's tables are not
+    # built at import
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     studies = [
@@ -473,7 +496,15 @@ def test_cli_import_leaves_scipy_out():
         ["study=total", "n_star=64", "j_star=16", "K=32", "M=64",
          "h_levels=2,3,4"],
     ]
-    code = ("import sys, stochheat.cli as cli\n"
+    stepped = [
+        ["sample-path", "--seed", "1"],
+        ["study", "--set", "study=deterministic-cn", "--set", "axis=time"],
+        ["study", "--set", "study=deterministic-cn", "--set", "axis=space"],
+        ["study", "--samples", "2", "--set", "study=sdr", "--set",
+         "n_star=64", "--set", "j_star=16", "--set", "K=32", "--set",
+         "M=64", "--set", "h_levels=2,3,4"],
+    ]
+    code = ("import contextlib, io, sys, stochheat.cli as cli\n"
             "print('scipy' in sys.modules)\n"
             "print(cli._csv_tables.cache_info().currsize)\n"
             "for s in %r:\n"
@@ -481,10 +512,17 @@ def test_cli_import_leaves_scipy_out():
             "    for kv in s:\n"
             "        argv += ['--set', kv]\n"
             "    assert cli.main(argv) == 0, s\n"
-            "print('scipy' in sys.modules)\n" % (studies, os.devnull))
+            "print('scipy' in sys.modules)\n"
+            "for argv in %r:\n"
+            "    assert cli.main(argv + ['--out', %r]) == 0, argv\n"
+            "    print('scipy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['selftest']) == 0\n"
+            "print('scipy' in sys.modules)\n"
+            % (studies, os.devnull, stepped, os.devnull))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "0", "False"]
+    assert out.split() == ["False", "0", "False"] + ["False"] * 5
 
 
 def test_cli_import_leaves_concurrent_futures_out():

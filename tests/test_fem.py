@@ -34,6 +34,18 @@ def test_mass_solve_round_trip():
     assert np.allclose(system.stiff_solve(system.stiff_apply(v)), v)
 
 
+@pytest.mark.parametrize("nu", [2, 7, 243, 511])
+def test_solves_match_scipy_solveh_banded_bit_for_bit(nu):
+    # numpy's LAPACK dptsv, the routine solveh_banded calls for a
+    # tridiagonal band
+    system = fem.assemble(fem.Mesh(nu + 1))
+    rhs = np.random.default_rng(nu).standard_normal(nu)
+    assert (system.mass_solve(rhs).tobytes()
+            == sla.solveh_banded(system.mass_band, rhs).tobytes())
+    assert (system.stiff_solve(rhs).tobytes()
+            == sla.solveh_banded(system.stiff_band, rhs).tobytes())
+
+
 def test_stack_is_block_diagonal_bit_for_bit():
     # the bands end to end: each block's leading 0 is its zero coupling to
     # the block before, so the stack is block_diag of its parts, and its
