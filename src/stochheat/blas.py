@@ -46,33 +46,37 @@ def _library():
         return None
 
 
+def _symbols(patterns, *names):
+    """(pattern, functions) for the first of ``patterns`` under which
+    every one of ``names`` resolves in ``_library()``, or (None, None)."""
+    lib = _library()
+    for pattern in patterns:
+        fns = [getattr(lib, pattern % name, None) for name in names]
+        if None not in fns:
+            return pattern, fns
+    return None, None
+
+
 def threads():
     """(get, set) of the OpenBLAS thread count, or None when numpy's
     core extension exports none of ``_NAMES``."""
-    lib = _library()
-    if lib is None:
+    fns = _symbols(_NAMES, "get", "set")[1]
+    if fns is None:
         return None
-    for name in _NAMES:
-        try:
-            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    get, put = fns
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _lapack(routine):
     """(function, integer type) of the LAPACK ``routine`` numpy's
     OpenBLAS exports; RuntimeError when none of ``_LAPACK`` resolves."""
-    lib = _library()
-    for name in _LAPACK:
-        fn = None if lib is None else getattr(lib, name % routine, None)
-        if fn is not None:
-            fn.restype = None
-            return fn, ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
-    raise RuntimeError("numpy's BLAS library exports no LAPACK %s" % routine)
+    name, fns = _symbols(_LAPACK, routine)
+    if name is None:
+        raise RuntimeError("numpy's BLAS library exports no LAPACK " + routine)
+    fns[0].restype = None
+    return fns[0], ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
 
 
 def _ptr(a):

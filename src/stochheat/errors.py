@@ -47,14 +47,14 @@ def _mode_tail(K, t):
     """sum_{k > K} (1 - exp(-2 lam_k^2 t)) / (2 lam_k^2), exact to roundoff.
 
     The t-independent part is a trigamma value; the correction, the sum
-    of exp(-2 lam_k^2 t)/(2 lam_k^2), decays like exp(-2 pi^2 K^2 t) and
-    is summed until it underflows; from 2 lam_k^2 t >= 746 on every term
-    is exactly 0, so none is formed.  Where it has not underflowed 4096
-    modes past K (2 pi^2 (K + 4096)^2 t < 746; it takes about 1.6/sqrt(t)
-    modes), the whole series is sqrt(t/(2 pi)) - t/2 (Poisson summation,
-    up to terms of order exp(-1/(2t)), which underflow there) less its
-    first K terms.  A result below 0 goes through ``_nonnegative``
-    against the trigamma term, or the whole series.
+    of exp(-2 lam_k^2 t)/(2 lam_k^2), decays like exp(-2 pi^2 K^2 t): it is
+    the 4096 modes past K, formed unless the first term is 0 (2 lam_k^2 t
+    >= 746), since every term after them is 0.  Where they have not
+    underflowed (2 pi^2 (K + 4096)^2 t < 746; that takes about 1.6/sqrt(t)
+    modes), the whole series is sqrt(t/(2 pi)) - t/2 (Poisson summation, up
+    to terms of order exp(-1/(2t)), which underflow there) less its first K
+    terms.  A result below 0 goes through ``_nonnegative`` against the
+    trigamma term, or the whole series.
     """
     if t <= 0.0:
         return 0.0
@@ -65,16 +65,9 @@ def _mode_tail(K, t):
         head = float(np.sum(-np.expm1(-2.0 * lam2 * t) / (2.0 * lam2)))
         return float(_nonnegative(whole - head, whole, "mode tail"))
     tail = trigamma = _trigamma(K + 1) / (2.0 * pis2)
-    k = K + 1
-    while 2.0 * pis2 * k * k * t < 746.0:
-        ks = np.arange(k, k + 4096, dtype=float)
-        lam2 = pis2 * ks**2
-        terms = np.exp(-2.0 * lam2 * t) / (2.0 * lam2)
-        s = terms.sum()
-        tail -= s
-        if s < 1e-300 or terms[-1] < 1e-20 * abs(tail):
-            break
-        k += 4096
+    if 2.0 * pis2 * (K + 1) ** 2 * t < 746.0:
+        lam2 = pis2 * np.arange(K + 1, K + 4097, dtype=float) ** 2
+        tail -= (np.exp(-2.0 * lam2 * t) / (2.0 * lam2)).sum()
     return float(_nonnegative(tail, trigamma, "mode tail"))
 
 
@@ -246,14 +239,18 @@ def mc_error(pair_fn, samples, base_seed=0):
                          % samples)
     if vals.ndim == 1:
         return _mean_se(vals)
-    # a contiguous copy per level sums exactly as a scalar run would
-    stats = [_mean_se(np.ascontiguousarray(col)) for col in vals.T]
+    stats = [_mean_se(col) for col in vals.T]
     return [m for m, _ in stats], [se for _, se in stats]
 
 
 def _mean_se(vals):
-    return (float(vals.mean()),
-            float(vals.std(ddof=1) / math.sqrt(vals.size)))
+    # scaled exactly by a power of two, into a new contiguous array: the
+    # squared deviations neither underflow nor overflow, and one level's
+    # samples sum as in a scalar run
+    e = np.frexp(np.abs(vals).max())[1]
+    vals = np.ldexp(vals, -e)
+    return (float(np.ldexp(vals.mean(), e)),
+            float(np.ldexp(vals.std(ddof=1) / math.sqrt(vals.size), e)))
 
 
 def fit_rate(steps, errors, window=None):

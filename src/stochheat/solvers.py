@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 _MODE_CHUNK = 512
-# rows per block of a profile's live band (``_Profile.columns``)
-_BAND_ROWS = 256
 
 
 def interval_overlaps(m, dtau, n_star, horizon=1.0):
@@ -107,13 +105,18 @@ def _cell_loads(space, inc, dt, dx, dtau):
     a cells span b steps (``_period``), so V^T is one period's a x b
     overlaps, applied to each period of a cells.  A load that overflows
     is inf or nan without a warning (it may be formed on a worker
-    thread): the stepping rejects the non-finite states it makes.
+    thread): the stepping rejects the non-finite states it makes.  One
+    that underflows (below the normal range, or 0 on nonzero noise)
+    raises ValueError.
     """
     a, b = _period(dtau, dt)
     V = interval_overlaps(b, dtau, a, a * dt)
     with np.errstate(over="ignore", invalid="ignore"):
         proj = space @ inc.T
         steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), -1)
+        low = np.abs(steps) < np.finfo(float).tiny
+        if low.any() and (steps[low].any() or proj.any()):
+            raise ValueError("the step loads underflow")
         return steps / (dt * dx)
 
 
@@ -235,22 +238,11 @@ class _Profile:
         k = back // u                             # run j carries x^k
         W = amp.take(u - 1 - back % u, axis=1)
         live = np.count_nonzero(k)   # x^0 = 1 also at log|x| = -inf
-        # exp rounds to 0 below -745.2, so row i needs exponents only on
-        # its band k |log x_i| <= 746 (+ |log x_i| for rounding), a tail
-        # of the live columns since k falls along them; per block of rows
-        # the widest band is exponentiated and the rest scaled by 0.0,
-        # which keeps the bits (and signed zeros) of the dense product
-        with np.errstate(divide="ignore"):
-            reach = 746.0 / np.abs(log_x) + 1.0
-        band = np.searchsorted(k[:live][::-1], reach, side="right")
-        for r in range(0, len(W), _BAND_ROWS):
-            rows = slice(r, r + _BAND_ROWS)
-            first = live - band[rows].max(initial=0)
-            e = np.multiply.outer(log_x[rows], k[first:live])
-            # skip numpy's slow underflow path below -746
-            W[rows, first:live] *= np.exp(e, out=np.zeros(e.shape),
-                                          where=e > -746.0)
-            W[rows, :first] *= 0.0
+        e = np.multiply.outer(log_x, k[:live])
+        # exp rounds to 0 below -745.2: skip numpy's slow underflow path
+        # there, in place, and set the exponents it left (all < 0) to 0
+        np.exp(e, out=e, where=e > -746.0)
+        W[:, :live] *= np.maximum(e, 0.0, out=e)
         W[np.ix_(neg, k % 2 == 1)] *= -1.0   # odd powers of x < 0
         return W
 

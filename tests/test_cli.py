@@ -464,6 +464,36 @@ def test_stepping_at_a_huge_horizon_exits_2_without_a_warning(argv, capsys):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("horizon", ["1e-300", "1e-210"])
+def test_sample_path_whose_step_loads_underflow_exits_2(horizon, capsys):
+    # the loads' overlaps carry a factor dtau: at 1e-300 they underflow to
+    # 0, at 1e-210 below the normal range; an all-zero (or a truncated)
+    # path must not exit 0
+    argv = ["sample-path", "--set", "horizon=" + horizon, "--set",
+            "n_star=4", "--set", "j_star=4", "--set", "M=4", "--set",
+            "mesh=4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "numerical failure: the step loads underflow\n"
+
+
+def test_monte_carlo_stderr_at_a_huge_horizon_is_not_zero(capsys):
+    # the squared errors lie near 1e-301, where their squared deviations
+    # underflow unless scaled: the stderr column would read 0
+    argv = ["study", "--samples", "2", "--set", "study=total", "--set",
+            "horizon=1e300", "--set", "n_star=4", "--set", "j_star=4",
+            "--set", "K=8", "--set", "M=4", "--set", "h_levels=1,2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(rows) == 2
+    assert all(float(row.split(",")[-1]) > 0.0 for row in rows)
+
+
 def test_allocation_failure_exits_2(capsys):
     # dtau = 2^-50 asks CN stepping for an 8 PiB array of states; numpy
     # refuses it at once

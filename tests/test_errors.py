@@ -44,10 +44,14 @@ def test_modeling_error_tail_tiny_for_large_K():
     assert abs(hi - ref) < 1e-6
 
 
-@pytest.mark.parametrize("K, t", [(40, 0.3), (8, 1e-3), (3, 0.01), (1, 1.0)])
+@pytest.mark.parametrize("K, t", [(40, 0.3), (8, 1e-3), (3, 0.01), (1, 1.0)]
+                         + [(K, f * 373.0 / (math.pi * (K + 1)) ** 2)
+                            for K in (0, 7, 40) for f in (0.999, 1.001)])
 def test_mode_tail_matches_mpmath_series(K, t):
     # sum_{k > K} (1 - exp(-2 lam_k^2 t)) / (2 lam_k^2); at (40, 0.3) the
-    # exponential part underflows and the tail is 1.25082e-3, not 0.
+    # exponential part underflows and the tail is 1.25082e-3, not 0.  Just
+    # below 2 pi^2 (K + 1)^2 t = 746 one chunk of modes past K is summed,
+    # just above none.
     # (nsum extrapolates wrongly once t is below about 1e-4.)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
@@ -386,6 +390,18 @@ def test_mc_error_vector_matches_scalar_per_column():
     for c in range(3):
         assert (means[c], ses[c]) == errors.mc_error(
             lambda seeds: [draws(seed)[c] for seed in seeds], 37, base_seed=4)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 700])
+def test_mc_error_scales_by_a_power_of_two_exactly(scale):
+    # unscaled, the squared deviations of samples near 1e-301 underflow
+    # (a stderr of 0) and those of samples near 1e200 overflow
+    draws = np.random.default_rng(4).random(9)
+    mean, se = errors.mc_error(lambda seeds: draws, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = errors.mc_error(lambda seeds: scale * draws, 9)
+    assert se > 0.0 and got == (scale * mean, scale * se)
 
 
 def test_mc_error_needs_samples():
