@@ -10,10 +10,10 @@ factor and solve of the Crank-Nicolson step (``cholesky_band``,
 the mass and stiffness matrices (``tridiagonal_solve``: dptsv, which
 scipy's ``solveh_banded`` calls for such a band).  A band is held in
 LAPACK's upper form: row 0 the off-diagonal behind a leading 0, row 1
-the diagonal.  Only the stepping, the solves and the draw-ahead passes
-(``ahead``: the Monte Carlo pass ``cli._mc_rms`` and the sample path
-``solvers.cn_fem_path``) import this module, so the start-up of the CLI
-does not compile it.
+the diagonal.  Only the stepping, the solves, the sample path's draw-ahead
+(``ahead``, ``solvers.cn_fem_path``) and the Monte Carlo pass
+(``one_thread``, ``cli._mc_rms``) import this module, so the start-up of
+the CLI does not compile it.
 """
 
 import contextlib
@@ -153,7 +153,8 @@ def one_thread():
     """Hold OpenBLAS to one thread, restoring its count on exit.
 
     Idle OpenBLAS workers spin on the other core after each GEMM, where
-    the draw-ahead worker (``ahead``) runs.  A no-op without OpenBLAS.
+    the draw-ahead worker (``ahead``) runs; the Monte Carlo pass's
+    products are too small to share.  A no-op without OpenBLAS.
     """
     blas = threads()
     if blas is None:

@@ -121,53 +121,32 @@ def _levels(cfg, key):
     return vals
 
 
-# increments drawn per Monte Carlo block: 2^18 doubles (2 MiB); with the
-# next block drawn ahead, two blocks (4 MiB) are in flight
-_MC_BLOCK = 2 ** 18
-
-
 def _mc_rms(levels, samples, seed):
     """Monte Carlo RMS of X - Y and its standard error, one per level.
 
     Each ``(map_a, map_b, dist)`` of ``levels`` is a level, ``dist`` its
-    ``solvers.squared_distance``.  All levels see the same grids (read
-    from the first map), drawn in the seed order of ``errors.mc_error``,
-    in blocks of at most ``_MC_BLOCK`` increments; each block is
-    projected once per distinct space fold (``GaussianCoefficientMap.fold``;
-    every sine map on one (K, J*) shares one) and reconstructed once per
-    distinct map.  One worker thread draws the next block while this one
-    is projected, with BLAS held to one thread (``blas.ahead``).  Every
-    seed has its own generator, so the bits depend on neither the
-    threads nor the block size.
+    ``solvers.squared_distance``.  One ``solvers.JointSampler`` over the
+    distinct maps draws the coefficients of every level from the same
+    standard normals, one sample per seed, in the seed order of
+    ``errors.mc_error``.  The pass runs serially, with BLAS held to one
+    thread (``blas.one_thread``): its products are small.
     """
     from . import blas   # imported here, so that start-up loads neither
 
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
-    first = maps[0]
-    size = max(1, _MC_BLOCK // (first.n_star * first.j_star))
-
-    def draw(seeds):
-        return [noise.sample(first.n_star, first.j_star, first.horizon, s)
-                for s in seeds]
-
-    def distances(grids):
-        proj, coef = {}, {}
-        for m in maps:   # each map keeps its fold, so the ids stay live
-            if id(m.fold()) not in proj:
-                proj[id(m.fold())] = m.project(grids)
-            coef[id(m)] = m.reconstruct(grids, proj[id(m.fold())])
-        return [[dist(coef[id(a)][i], coef[id(b)][i])
-                 for a, b, dist in levels] for i in range(len(grids))]
+    at = {id(m): i for i, m in enumerate(maps)}
 
     def sampled(seeds):
         out = []
-        cuts = (seeds[lo:lo + size] for lo in range(0, len(seeds), size))
-        with blas.ahead(draw, cuts) as blocks:
-            for grids in blocks:
-                out += distances(grids)
+        for s in seeds:
+            coef = sampler.coefficients(sampler.draw(s))
+            out.append([dist(coef[at[id(a)]], coef[at[id(b)]])
+                        for a, b, dist in levels])
         return out
 
-    means, ses = errors.mc_error(sampled, samples, seed)
+    with blas.one_thread():
+        sampler = solvers.JointSampler(maps)
+        means, ses = errors.mc_error(sampled, samples, seed)
     return [(math.sqrt(mean),
              se / (2.0 * math.sqrt(mean)) if mean > 0 else 0.0)
             for mean, se in zip(means, ses)]

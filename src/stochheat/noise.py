@@ -9,6 +9,7 @@ that make all downstream second-moment computations exact.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,12 +100,17 @@ def sample_blocks(n_star, j_star, horizon, seed, rows):
         raise ValueError("cell counts must be >= 1")
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    rng = _philox(seed)
     sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
     for lo in range(0, n_star, rows):
         inc = rng.standard_normal((min(rows, n_star - lo), j_star))
         inc *= sd
         yield inc
+
+
+def _philox(seed):
+    """numpy's Philox generator keyed by ``seed`` (mod 2^64)."""
+    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
 
 
 def coarsen(grid, time_factor=1, space_factor=1):
@@ -199,7 +205,7 @@ def sine_cell_fold(K, j_star):
     the mode reads row J, which alone holds half as many modes (s = J),
     so every row of S serves as many modes as its neighbours.
     The last result is kept (read-only): every sine map on one (K, J)
-    shares one fold, and so one projection per sample.
+    shares one fold.
     """
     alias, c = fold_rows(K, j_star)
     rows = min(K, j_star)
@@ -232,9 +238,11 @@ def time_overlaps(ks, t, n_star, horizon=1.0):
     """Time overlaps I[k, n], the dense form of ``solvers.OverlapProfile``.
 
     I[k, n] = integral over T_n intersect (0, t) of exp(-lam_k^2 (t - s)) ds.
-    The offsets t - t_n are taken in whole cells (t/dt snapped to an
-    integer when within 1e-12 of one), so float cell ends that miss t
-    by an ulp cannot cost the high modes their relative accuracy.
+    The offsets t - n dt of the cell ends are whole cells plus the exact
+    remainder d = t - w dt, as in ``OverlapProfile`` (t/dt snapped to an
+    integer within 1e-12 of one, else floored to w), so neither the
+    digits of t/dt below its ulp nor float cell ends that miss t by an
+    ulp cost the high modes their relative accuracy.
     """
     ks = np.asarray(ks, dtype=np.int64)
     dt = horizon / n_star
@@ -242,7 +250,8 @@ def time_overlaps(ks, t, n_star, horizon=1.0):
     s = t / dt
     if abs(s - round(s)) <= 1e-12 * s:
         s = float(round(s))
-    n = np.arange(n_star)
-    expo_hi = np.exp(-np.outer(lam2, np.maximum(s - n - 1, 0.0) * dt))
-    expo_lo = np.exp(-np.outer(lam2, np.maximum(s - n, 0.0) * dt))
-    return (expo_hi - expo_lo) / lam2[:, None]
+    w = math.floor(s)
+    d = 0.0 if s == w else float(Fraction(t) - Fraction(horizon) * w / n_star)
+    ends = np.maximum((w - np.arange(n_star + 1)) * dt + d, 0.0)
+    expo = np.exp(-np.outer(lam2, ends))
+    return (expo[:, 1:] - expo[:, :-1]) / lam2[:, None]

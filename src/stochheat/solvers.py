@@ -45,6 +45,7 @@ __all__ = [
     "cross_moment",
     "distance_moments",
     "squared_distance",
+    "JointSampler",
     "spectral_fem_gram",
     "sine_fem_cell_cross",
 ]
@@ -230,9 +231,11 @@ class _Profile:
         map of a modeling study at one n* shares one profile."""
         return time_gram(self, self)
 
-    def columns(self, lo, hi):
-        """Weights of runs lo .. hi - 1, run j on cells j p .. j p + p - 1."""
+    def columns(self, lo, hi, rows=slice(None)):
+        """Weights of runs lo .. hi - 1, run j on cells j p .. j p + p - 1,
+        of the profile's ``rows`` (all by default)."""
         amp, log_x, neg, p, end, _ = self.geometric
+        amp, log_x, neg = amp[rows], log_x[rows], neg[rows]
         u = amp.shape[1]
         back = end // p - 1 - np.arange(lo, hi)   # runs after run j
         k = back // u                             # run j carries x^k
@@ -246,12 +249,13 @@ class _Profile:
         W[np.ix_(neg, k % 2 == 1)] *= -1.0   # odd powers of x < 0
         return W
 
-    def steps(self):
+    def steps(self, rows=slice(None)):
         """``(W, p)``: column l of W weighs noise cells l p .. l p + p - 1
-        of every row, cells past p * W.shape[1] weigh 0."""
+        of each of ``rows`` (every row by default), cells past
+        p * W.shape[1] weigh 0."""
         _, _, _, p, end, tail = self.geometric
-        W = self.columns(0, end // p)
-        return (W if tail is None else np.column_stack([W, tail])), p
+        W = self.columns(0, end // p, rows)
+        return (W if tail is None else np.column_stack([W, tail[rows]])), p
 
 
 class OverlapProfile(_Profile):
@@ -424,7 +428,8 @@ class GaussianCoefficientMap:
         c_i S[rows_i].  Sine maps take ``noise.sine_cell_fold`` (at most
         J* rows of S, shared by every sine map on one (K, J*)); a FEM map
         keeps (every row, 1, V^T O) with O the hat-cell overlaps.  Only
-        sampling (``project``, ``reconstruct``) and ``space()`` read it."""
+        sampling (``project``, ``reconstruct``, ``JointSampler``'s FEM
+        rows) and ``space()`` read it."""
         if self._fold is None:
             if _is_fem(self.basis):
                 O = fem.hat_cell_overlap_matrix(self.basis.system.mesh,
@@ -444,9 +449,7 @@ class GaussianCoefficientMap:
         """The grid factor ``S @ R^T`` of ``reconstruct`` (rows are the
         rows of the ``fold``, columns time cells): (rows, N) for one
         grid, (B, rows, N) for a sequence of B grids.  Each grid takes its
-        own product, so a grid in a block gets the bits it gets alone.
-        Maps with the same fold, such as every sine map on one (K, J*),
-        share it."""
+        own product, so a grid in a block gets the bits it gets alone."""
         grids, one = self._grid_list(grids)
         S = self.fold()[2]
         out = np.empty((len(grids), len(S), self.n_star))
@@ -454,21 +457,17 @@ class GaussianCoefficientMap:
             np.matmul(S, g.increments.T, out=o)
         return out[0] if one else out
 
-    def reconstruct(self, grids, projection=None):
+    def reconstruct(self, grids):
         """Basis coefficients of the observable on sampled grids: (K,)
         for one grid, (B, K) for a sequence of B grids.
 
-        ``projection`` passes in ``project(grids)`` when a map with the
-        same fold has already formed it for these grids.  A time profile
-        of p cells per step (``steps``) meets the projection summed over
-        blocks of p cells; each fold row meets the time rows grouped on
-        it (``_grouped_steps``), so no projection row is copied per mode.
+        A time profile of p cells per step (``steps``) meets the
+        projection (``project``) summed over blocks of p cells; each fold
+        row meets the time rows grouped on it (``_grouped_steps``), so no
+        projection row is copied per mode.
         """
         grids, one = self._grid_list(grids)
-        if projection is None:
-            projection = self.project(grids)   # a list: (B, rows, N)
-        elif one:
-            projection = projection[None]
+        projection = self.project(grids)   # a list: (B, rows, N)
         (rows, slot), Wg, p = self._grouped_steps()
         cells = projection[:, :, : Wg.shape[2] * p]
         if p > 1:   # a matrix-vector product sums short rows fastest
@@ -563,6 +562,114 @@ def squared_distance(map_a, map_b):
         d = a - g * b[rows]
         return float(d @ d + np.sum(w * b * b))
     return f
+
+
+# doubles of sine time rows, widened to cells, that ``JointSampler``
+# holds per chunk of fold rows while it factors them
+_SAMPLER_CHUNK = 2 ** 18
+
+
+class JointSampler:
+    """Joint draws of the coefficients of several maps on one noise grid,
+    in the law that ``reconstruct`` gives them on ``noise.sample``'s grids.
+
+    The J* rows S_r[j] = sin(r pi (2j - 1)/(2J*)), r = 1..J*, of the
+    space cells are orthogonal, ||S_r||^2 = J*/2 (J* for r = J*), so the
+    noise folds onto them as independent rows xi_r = S_r R^T of N iid
+    N(0, dt dx ||S_r||^2) values.  A sine map reads fold row r only
+    through the time rows of its modes aliased to r (``noise.fold_rows``,
+    steps widened to cells); a FEM map reads every row through
+    G = (V^T O) S^T D^-1 (``fold``, D = diag ||S_r||^2) and its own time
+    rows.  Per fold row, the readings are R^T zeta: zeta holds min(N, d)
+    standard normals and R^T R is the Gram of the d time rows that read
+    the row.  The FEM rows B take one QR, shared by every row; the sine
+    rows on a row are projected off B and take one small QR each, a
+    chunk of about ``_SAMPLER_CHUNK`` doubles of them at a time.
+    """
+
+    def __init__(self, maps):
+        self.maps = list(maps)
+        first = self.maps[0]
+        if not all(_same_grid(first, m) for m in self.maps):
+            raise ValueError("the maps live on different noise grids")
+        N, J = first.n_star, first.j_star
+        norms = np.full(J, 0.5 * J)
+        norms[-1] = J
+        gain = np.sqrt(norms / first.cell_area)   # sigma_r / (dt dx)
+        # where each map's coefficients are read: FEM rows i..i + nu of B,
+        # sine mode k at (its fold row, its slot among the time rows of
+        # that row), a map's slots after those of the maps before it
+        self._take, fems, sines, nB, ds = [], [], [], 0, 0
+        for m in self.maps:
+            if _is_fem(m.basis):
+                fems.append((m, slice(nB, nB + m.basis.values.size)))
+                self._take.append(fems[-1][1])
+                nB += m.basis.values.size
+                continue
+            alias, c = noise.fold_rows(m.basis, J)
+            order = np.argsort(alias, kind="stable")
+            row = alias[order]
+            slot = ds + np.arange(row.size) - np.searchsorted(row, row)
+            sines.append((m, order, row, slot, c[order] * gain[row]))
+            self._take.append((alias, np.empty_like(slot)))
+            self._take[-1][1][order] = slot
+            ds = int(slot.max()) + 1
+        # a sine mode's place, flat in the (fold row, slot) readings
+        self._take = [t if isinstance(t, slice) else t[0] * ds + t[1]
+                      for t in self._take]
+        rows = J if fems else max(min(m.basis, J) for m in self.maps)
+        kB = min(N, nB)
+        kr = min(N - kB, ds)
+        self.shape = (rows, kB + kr)
+        self._fem = None
+        if fems:
+            B = np.zeros((nB, N))
+            G = np.empty((J, nB))   # G^T, row r times gain_r
+            for m, t in fems:
+                W, p = m.time.steps()
+                B[t, :W.shape[1] * p] = np.repeat(W, p, axis=1)
+                G[:, t] = noise.sine_cell_fold(J, J)[2] @ m.fold()[2].T
+            G *= (gain / norms)[:, None]
+            Q, RB = np.linalg.qr(B.T, mode="complete" if N < nB + ds
+                                 else "reduced")
+            self._fem = G, RB[:kB]
+        self._sine = np.zeros((rows, kB + kr, ds))
+        chunk = max(1, _SAMPLER_CHUNK // max(1, ds * N))
+        for lo in range(0, rows if ds else 0, chunk):
+            hi = min(lo + chunk, rows)
+            A = np.zeros((hi - lo, ds, N))
+            fac = np.zeros((hi - lo, ds))
+            for m, order, row, slot, f in sines:
+                a, b = np.searchsorted(row, (lo, hi))
+                W, p = m.time.steps(order[a:b])
+                A[row[a:b] - lo, slot[a:b], :W.shape[1] * p] = np.repeat(
+                    W, p, axis=1)
+                fac[row[a:b] - lo, slot[a:b]] = f[a:b]
+            F = self._sine[lo:hi]
+            E = A.reshape(-1, N).T   # a column per time row
+            if fems:   # coordinates on B's basis, then the part off it
+                Y = Q.T @ E
+                F[:, :kB] = Y[:kB].reshape(kB, hi - lo, ds).transpose(1, 0, 2)
+                E = Y[kB:] if Q.shape[1] == N else E - Q @ Y
+            if kr:
+                F[:, kB:] = np.linalg.qr(
+                    E.reshape(-1, hi - lo, ds).transpose(1, 0, 2), mode="r")
+            F *= fac[:, None, :]
+
+    def draw(self, seed):
+        """The standard normals zeta of one sample, ``shape`` of them from
+        the Philox stream of ``seed``."""
+        return noise._philox(seed).standard_normal(self.shape)
+
+    def coefficients(self, z):
+        """Each map's basis coefficients from the standard normals ``z``
+        (``draw``), a list in the order of ``maps``."""
+        sine = np.matmul(z[:, None, :], self._sine).ravel()
+        if self._fem is not None:
+            G, RB = self._fem
+            fem_rows = np.einsum("ri,ri->i", G, z[:, :len(RB)] @ RB)
+        return [fem_rows[t] if isinstance(t, slice) else sine[t]
+                for t in self._take]
 
 
 def _moment(map_a, map_b, pairing):

@@ -203,15 +203,20 @@ def _level_pairs(study, horizon, n_star, j_star, K, M, levels):
     return pairs
 
 
-_ONE_BLOCK = [("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
-              ("total", 0.3, 24, 16), ("tdr", 0.3, 24, 16)]
+def _study_maps(pairs):
+    """The distinct maps of a study's levels in the order the study's pass
+    meets them: the shared map, then each level's own."""
+    return [pairs[0][0]] + [b for _, b, _ in pairs]
+
+
+_SMALL = [("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
+          ("total", 0.3, 24, 16), ("tdr", 0.3, 24, 16)]
 
 
 @pytest.mark.parametrize("study,horizon,n_star,M,j_star,samples", [
     pytest.param(*case, 8, 6, id="-".join(map(str, case)))
-    for case in _ONE_BLOCK] + [
-    # 2^18 increments per block: blocks of 4, 4 and 2 grids at 256 x 256,
-    # one grid per block at 1024 x 1024
+    for case in _SMALL] + [
+    # N and J* past every FEM row count: 256 x 256 and 1024 x 1024
     pytest.param("tdr", 1.0, 256, 8, 256, 10, id="tdr-blocks-4-4-2"),
     pytest.param("sdr", 1.0, 256, 8, 256, 10, id="sdr-blocks-4-4-2"),
     pytest.param("tdr", 1.0, 1024, 8, 1024, 2, id="tdr-blocks-1-1"),
@@ -219,54 +224,129 @@ _ONE_BLOCK = [("tdr", 1.0, 16, 8), ("sdr", 1.0, 16, 8), ("total", 1.0, 16, 8),
 def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M,
                                                j_star, samples):
     # one shared pass over the samples must give, bit for bit, what one
-    # mc_error run per level with plain reconstruct calls gives
+    # mc_error run per level gives on the same joint draws, with BLAS held
+    # to one thread as in the pass
     K = 24
     levels = (1, 2, 3) if study == "tdr" else (2, 3, 4)
     rep = cli.run_study(_study_cfg(study, samples, horizon, n_star, j_star,
                                    K, M, levels))
     pairs = _level_pairs(study, horizon, n_star, j_star, K, M, levels)
-    for row, (map_a, map_b, pairing) in zip(rep.rows, pairs):
-        def one(s):
-            g = noise.sample(n_star, j_star, horizon, s)
-            a, b = map_a.reconstruct(g), map_b.reconstruct(g)
-            if pairing is None:
-                d = a - b
-                return float(d @ d)
-            # termwise: ||a - g b[rows]||^2 plus the FEM part above mode K
-            rows, gk, w = pairing
-            d = a - gk * b[rows]
-            return float(d @ d + w @ (b * b))
-        mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)),
-                                  samples, 5)
-        assert row["error_mc"] == math.sqrt(mean)
-        assert row["stderr"] == se / (2.0 * math.sqrt(mean))
+    with blas.one_thread():
+        sampler = solvers.JointSampler(_study_maps(pairs))
+        for lvl, (row, (_, _, pairing)) in enumerate(zip(rep.rows, pairs)):
+            def one(s):
+                coef = sampler.coefficients(sampler.draw(s))
+                a, b = coef[0], coef[lvl + 1]
+                if pairing is None:
+                    d = a - b
+                    return float(d @ d)
+                # termwise: ||a - g b[rows]||^2 plus the FEM part above K
+                rows, gk, w = pairing
+                d = a - gk * b[rows]
+                return float(d @ d + w @ (b * b))
+            mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)),
+                                      samples, 5)
+            assert row["error_mc"] == math.sqrt(mean)
+            assert row["stderr"] == se / (2.0 * math.sqrt(mean))
 
 
 @pytest.mark.parametrize("study", ["tdr", "sdr", "total"])
 def test_study_draws_each_grid_once(study, monkeypatch):
     drawn = []
-    sample = noise.sample
+    draw = solvers.JointSampler.draw
 
-    def counting(*args):
-        drawn.append(args[-1])
-        return sample(*args)
-    monkeypatch.setattr(noise, "sample", counting)
+    def counting(self, seed):
+        drawn.append(seed)
+        return draw(self, seed)
+    monkeypatch.setattr(solvers.JointSampler, "draw", counting)
     cli.run_study(_study_cfg(study, 7, 1.0, 16, 8, 24, 8, (1, 2, 3)))
     assert drawn == [errors.sample_seed(5, i) for i in range(7)]
 
 
 def test_shared_projection_keeps_grid_check():
+    # the pass factors its maps jointly, so each must read its noise grid
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
-    # same space fold (so the projection is shared), other horizon
+    # same space fold, other horizon; a FEM map on other space cells
     foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
     assert foreign.fold() is ok.fold()
-    g = noise.sample(16, 8, 1.0, 0)
-    assert (ok.reconstruct(g, ok.project(g)) == ok.reconstruct(g)).all()
-    with pytest.raises(ValueError, match="does not match"):
-        foreign.reconstruct(g, ok.project(g))
-    with pytest.raises(ValueError, match="does not match"):
+    eigen = fem.generalized_eigen(fem.assemble(fem.Mesh(4)))
+    for other in (foreign, solvers.map_cn_fem(16, 16, 1.0, eigen, 8, 8)):
+        with pytest.raises(ValueError, match="different noise grids"):
+            solvers.JointSampler([ok, other])
+    with pytest.raises(ValueError, match="different noise grids"):
         cli._mc_rms([(ok, foreign, solvers.squared_distance(ok, foreign))],
                     2, 0)
+
+
+# each study's CI grids: aligned (and 4 cells per FEM step); horizon 0.3
+# on 24 cells (3 cells per 2 steps at M = 16); K = 7 < J*; J* = 24, which
+# no mesh divides; J* = 8 with h down to 2^-5, where the FEM rows
+# outnumber N = 16
+_LAW_GRIDS = [
+    ("tdr", 1.0, 16, 16, 32, 16, (1, 2, 3)),
+    ("sdr", 1.0, 16, 16, 32, 16, (2, 3, 4)),
+    ("total", 1.0, 16, 16, 32, 16, (2, 3, 4)),
+    ("sdr", 1.0, 64, 16, 32, 16, (2, 3, 4)),
+    ("tdr", 0.3, 24, 16, 32, 16, (1, 2, 3)),
+    ("sdr", 0.3, 24, 16, 32, 16, (2, 3, 4)),
+    ("total", 0.3, 24, 16, 32, 16, (2, 3, 4)),
+    ("sdr", 1.0, 16, 16, 7, 16, (2, 3, 4)),
+    ("total", 1.0, 16, 16, 7, 16, (2, 3, 4)),
+    ("sdr", 1.0, 16, 24, 32, 16, (2, 3, 4)),
+    ("total", 1.0, 16, 24, 32, 16, (2, 3, 4)),
+    ("sdr", 1.0, 16, 8, 32, 16, (2, 3, 4, 5)),
+    ("total", 1.0, 16, 8, 32, 16, (2, 3, 4, 5))]
+
+
+@pytest.mark.parametrize("study,horizon,n_star,j_star,K,M,levels", [
+    pytest.param(*case, id="-".join(map(str, case[:5])))
+    for case in _LAW_GRIDS])
+def test_joint_sampler_law_is_exact(study, horizon, n_star, j_star, K, M,
+                                    levels):
+    # the coefficients are linear in the draws, so the squared distance
+    # summed over unit draws is E ||X - Y||^2 of the sampler's factor; it
+    # must be the exact squared error, to the rounding of the exact sum
+    # (4 eps times its cancellation ratio, ROADMAP Baseline)
+    pairs = _level_pairs(study, horizon, n_star, j_star, K, M, levels)
+    sampler = solvers.JointSampler(_study_maps(pairs))
+    assert sampler.shape[1] <= n_star
+    total = np.zeros(len(pairs))
+    z = np.zeros(sampler.shape)
+    for i in range(z.size):
+        z.flat[i] = 1.0
+        coef = sampler.coefficients(z)
+        z.flat[i] = 0.0
+        total += [solvers.squared_distance(a, b)(coef[0], coef[lvl + 1])
+                  for lvl, (a, b, _) in enumerate(pairs)]
+    for got, (a, b, _) in zip(total, pairs):
+        x2, _, gy2, wy2 = solvers.distance_moments(a, b)
+        e2 = errors.pair_error(a, b) ** 2
+        scale = float(np.sum(x2 + gy2)) + wy2   # e2 times the ratio
+        assert abs(got - e2) <= max(1e-12 * e2, 4 * np.finfo(float).eps
+                                    * scale)
+
+
+def test_joint_sampler_matches_second_moments():
+    # criterion 7's maps drawn jointly: each mean square and each distance
+    # of 1000 samples lies within 3 standard errors of its exact value
+    n, j, K, M = 64, 64, 128, 64
+    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(32)))
+    reg = solvers.map_regularized(n, j, 1.0, K, 1.0)
+    cn = solvers.map_cn_spectral(n, j, 1.0, K, M, M)
+    cnf = solvers.map_cn_fem(n, j, 1.0, eig, M, M)
+    sampler = solvers.JointSampler([reg, cn, cnf])
+    stats = [(lambda c, i=i: float(c[i] @ c[i]), m.second_moment())
+             for i, m in enumerate((reg, cn, cnf))]
+    stats += [(lambda c, i=i, f=solvers.squared_distance(a, cnf):
+               f(c[i], c[2]), errors.pair_error(a, cnf) ** 2)
+              for i, a in enumerate((reg, cn))]
+
+    def sampled(seeds):
+        coefs = [sampler.coefficients(sampler.draw(s)) for s in seeds]
+        return [[f(c) for f, _ in stats] for c in coefs]
+    means, ses = errors.mc_error(sampled, 1000, 777)
+    for (_, exact), mean, se in zip(stats, means, ses):
+        assert abs(mean - exact) <= 3.0 * se
 
 
 # the perfbench sampled studies at seed 0, as that benchmark spells them
@@ -274,23 +354,19 @@ _MC_PINS = [
     ({"study": "tdr", "horizon": "1.0", "seed": "0", "samples": "200",
       "n_star": "256", "j_star": "256", "K": "1024",
       "dtau_levels": "4,5,6,7,8", "window": "4"},
-     "e89d1be8119468be4f0de3788d872bb0cc11a7e0d702029b266f95b35808e67f"),
+     "5a3e9119d7fb04c8387f44cd2e5b4e810d778b82750bd383ee76e14305ecbacd"),
     ({"study": "sdr", "horizon": "1.0", "seed": "0", "samples": "50",
       "n_star": "256", "j_star": "256", "K": "1024", "M": "256",
       "h_levels": "3,4,5,6", "window": "4"},
-     "6daf1baf99090c969a45ee6a67f3c12942cf17db783b26bc370df71d9579a1b5")]
+     "d70b39b1dc4879fca759a094acf7c1a3ec76c9447623db9ba94c7038ea7b919f")]
 
 
 @pytest.mark.parametrize("cfg, digest", _MC_PINS, ids=["tdr-mc", "sdr-mc"])
-@pytest.mark.parametrize("grids_per_block", [None, 1],
-                         ids=["default-blocks", "one-grid-blocks"])
-def test_mc_study_bytes_are_pinned(cfg, digest, grids_per_block,
-                                   monkeypatch):
-    # sha256 of the CSV recorded when the grids were drawn serially, in
-    # blocks of 2^19 increments: neither the draw thread nor the block
-    # size may move a bit
-    if grids_per_block:
-        monkeypatch.setattr(cli, "_MC_BLOCK", 256 * 256 * grids_per_block)
+def test_mc_study_bytes_are_pinned(cfg, digest):
+    # sha256 of the CSV recorded when the joint sampler first drew it; its
+    # exact columns are the cell-draw pass's, its Monte Carlo columns lie
+    # within 2.1 standard errors of them.  The bits of a FEM study follow
+    # the shapes of the set-up's products, so _SAMPLER_CHUNK moves them
     text = cli.run_study(dict(cfg)).to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -306,21 +382,19 @@ class _DrawFailed(Exception):
 
 @pytest.mark.parametrize("failure", ["draw", "grid-check"])
 def test_failed_mc_pass_leaves_nothing_behind(failure, monkeypatch):
-    # one grid per block, so the draw thread is busy when the pass fails
-    monkeypatch.setattr(cli, "_MC_BLOCK", 16 * 8)
     ok = solvers.map_regularized(16, 8, 1.0, 24, 1.0)
-    # same space fold (so the projection is shared), other horizon
+    # same space fold, other horizon: the sampler's set-up refuses it
     foreign = solvers.map_regularized(16, 8, 2.0, 24, 1.0)
     other, expect = foreign, ValueError
     if failure == "draw":
         bad = errors.sample_seed(0, 3)
-        sample = noise.sample
+        draw = solvers.JointSampler.draw
 
-        def failing(*args):
-            if args[-1] == bad:
+        def failing(self, seed):
+            if seed == bad:
                 raise _DrawFailed("draw")
-            return sample(*args)
-        monkeypatch.setattr(noise, "sample", failing)
+            return draw(self, seed)
+        monkeypatch.setattr(solvers.JointSampler, "draw", failing)
         other, expect = ok, _DrawFailed
     threads, count = threading.active_count(), _blas_count()
     with pytest.raises(expect):
