@@ -16,7 +16,7 @@ import numpy as np
 from . import deterministic, errors, fem, noise, solvers
 from .spectral import SpectralField
 
-__all__ = ["main", "parse_config_text", "serialize_config", "run_study"]
+__all__ = ["main", "parse_config_text", "run_study"]
 
 
 class ConfigError(Exception):
@@ -61,11 +61,6 @@ def parse_config_text(text):
             raise ConfigError("line %d: empty key or value" % ln)
         cfg[key] = value
     return cfg
-
-
-def serialize_config(cfg):
-    """Canonical text form: sorted keys, one per line."""
-    return "".join("%s = %s\n" % (k, cfg[k]) for k in sorted(cfg))
 
 
 def _merged(path, overrides):

@@ -258,14 +258,16 @@ def fit_rate(steps, errors, window=None):
 
     Fits the ``window`` finest levels (all, if omitted) and reports the
     largest absolute log-misfit alongside slope and intercept; a step
-    that the window holds twice raises ValueError.
+    that the window holds twice, or a step or error anywhere that is not
+    positive and finite (nan included), raises ValueError.
     """
     steps = np.asarray(steps, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if steps.shape != errors.shape or steps.size < 2:
         raise ValueError("need matching arrays with at least two points")
-    if np.any(steps <= 0.0) or np.any(errors <= 0.0):
-        raise ValueError("steps and errors must be positive")
+    if not np.all((0.0 < steps) & (steps < np.inf)
+                  & (0.0 < errors) & (errors < np.inf)):
+        raise ValueError("steps and errors must be positive and finite")
     order = np.argsort(steps)
     steps, errors = steps[order], errors[order]
     if window is not None:

@@ -45,10 +45,6 @@ class Mesh:
     def nu(self):
         return self.intervals - 1
 
-    @property
-    def interior(self):
-        return self.nodes[1:-1]
-
 
 class FemSystem:
     """Mesh plus the tridiagonal mass and stiffness matrices, each held

@@ -218,6 +218,15 @@ def _same_grid(a, b):
             and math.isclose(a.horizon, b.horizon))
 
 
+def _cell_width(horizon, n_star):
+    """dt = horizon / n*; ValueError below the normal range, where a
+    profile loses digits and a map's scale 1/(dt dx) overflows."""
+    dt = horizon / n_star
+    if not dt >= np.finfo(float).tiny:
+        raise ValueError("the noise cell width dt underflows")
+    return dt
+
+
 class _Profile:
     """Time factor of a map: rows are basis functions, columns noise
     cells, ``dense()`` the oracle array.  ``geometric`` is (amp, log|x|,
@@ -272,7 +281,7 @@ class OverlapProfile(_Profile):
         self.shape = (self.ks.size, self.n_star)
         if not 0.0 <= self.t <= self.horizon + 1e-12:
             raise ValueError("time outside [0, T]")
-        dt = self.horizon / self.n_star
+        dt = _cell_width(self.horizon, self.n_star)
         lam2 = (self.ks * math.pi) ** 2
         s = self.t / dt
         s = round(s) if abs(s - round(s)) <= 1e-12 * s else s
@@ -307,7 +316,7 @@ class PropagatorProfile(_Profile):
         self.n_star = int(n_star)
         self.horizon = float(horizon)
         self.shape = (self.mus.size, self.n_star)
-        dt = self.horizon / self.n_star
+        dt = _cell_width(self.horizon, self.n_star)
         a, b = _period(self.dtau, dt)
         end, r = divmod(self.m * a, b)   # whole cells by t; r > 0: a tail
         inv, log_q, neg = _cn_factors(self.mus, self.dtau)
@@ -406,11 +415,13 @@ class GaussianCoefficientMap:
         self.time = time
         self.basis = basis
         self.j_star = int(j_star)
-        # the fold, row moments and grouped steps: built on first use, kept
-        self._fold = self._rows = self._grouped = None
+        # the fold and the row moments: built on first use, kept
+        self._fold = self._rows = None
         rows = basis.values.size if _is_fem(basis) else basis
         if self.time.shape[0] != rows:
             raise ValueError("time profile rows differ from the basis size")
+        if not self.cell_area >= np.finfo(float).tiny:   # 0 * inf ahead
+            raise ValueError("the noise cell area dt dx underflows")
 
     n_star = property(lambda self: self.time.n_star)
     horizon = property(lambda self: self.time.horizon)
@@ -428,8 +439,8 @@ class GaussianCoefficientMap:
         c_i S[rows_i].  Sine maps take ``noise.sine_cell_fold`` (at most
         J* rows of S, shared by every sine map on one (K, J*)); a FEM map
         keeps (every row, 1, V^T O) with O the hat-cell overlaps.  Only
-        sampling (``project``, ``reconstruct``, ``JointSampler``'s FEM
-        rows) and ``space()`` read it."""
+        sampling (``reconstruct``, ``JointSampler``'s FEM rows) and
+        ``space()`` read it."""
         if self._fold is None:
             if _is_fem(self.basis):
                 O = fem.hat_cell_overlap_matrix(self.basis.system.mesh,
@@ -445,65 +456,19 @@ class GaussianCoefficientMap:
         rows, c, S = self.fold()
         return np.reshape(c, (-1, 1)) * S[rows]
 
-    def project(self, grids):
-        """The grid factor ``S @ R^T`` of ``reconstruct`` (rows are the
-        rows of the ``fold``, columns time cells): (rows, N) for one
-        grid, (B, rows, N) for a sequence of B grids.  Each grid takes its
-        own product, so a grid in a block gets the bits it gets alone."""
-        grids, one = self._grid_list(grids)
-        S = self.fold()[2]
-        out = np.empty((len(grids), len(S), self.n_star))
-        for g, o in zip(grids, out):
-            np.matmul(S, g.increments.T, out=o)
-        return out[0] if one else out
-
-    def reconstruct(self, grids):
-        """Basis coefficients of the observable on sampled grids: (K,)
-        for one grid, (B, K) for a sequence of B grids.
-
-        A time profile of p cells per step (``steps``) meets the
-        projection (``project``) summed over blocks of p cells; each fold
-        row meets the time rows grouped on it (``_grouped_steps``), so no
-        projection row is copied per mode.
-        """
-        grids, one = self._grid_list(grids)
-        projection = self.project(grids)   # a list: (B, rows, N)
-        (rows, slot), Wg, p = self._grouped_steps()
-        cells = projection[:, :, : Wg.shape[2] * p]
+    def reconstruct(self, grid):
+        """The basis coefficients on one sampled grid, the pathwise oracle
+        of the exact moments and of ``JointSampler``: the fold's grid
+        factor ``S @ R^T``, summed over the p cells of each time step
+        (``time.steps()``), meets each row's steps on its fold row."""
+        if not _same_grid(self, grid):
+            raise ValueError("noise grid does not match the map's grid")
+        rows, c, S = self.fold()
+        W, p = self.time.steps()
+        steps = (S @ grid.increments.T)[:, :W.shape[1] * p]
         if p > 1:   # a matrix-vector product sums short rows fastest
-            cells = (cells.reshape(-1, p) @ np.ones(p)).reshape(
-                cells.shape[:2] + (-1,))
-        dots = np.einsum("rgn,brn->rgb", Wg, cells)[rows, slot].T
-        coef = self.scale * self.fold()[1] * dots
-        return coef[0] if one else coef
-
-    def _grid_list(self, grids):
-        """``(list of grids, whether one grid was given)``, each grid
-        checked to be the map's noise grid."""
-        one = isinstance(grids, noise.NoiseGrid)
-        grids = [grids] if one else list(grids)
-        for g in grids:
-            if not _same_grid(self, g):
-                raise ValueError("noise grid does not match the map's grid")
-        return grids, one
-
-    def _grouped_steps(self):
-        """``((rows, slot), Wg, p)``: the rows of ``time.steps()`` grouped
-        by fold row, row i at Wg[rows_i, slot_i] with slot_i the number of
-        earlier rows on the same fold row (a stable argsort), the rest 0.
-        Built on first use and kept."""
-        if self._grouped is None:
-            W, p = self.time.steps()
-            rows, _, S = self.fold()
-            rows = np.arange(len(S))[rows]
-            order = np.argsort(rows, kind="stable")
-            first = np.searchsorted(rows[order], rows[order])  # of its run
-            slot = np.empty_like(rows)
-            slot[order] = np.arange(rows.size) - first
-            Wg = np.zeros((len(S), slot.max() + 1, W.shape[1]))
-            Wg[rows, slot] = W
-            self._grouped = (rows, slot), Wg, p
-        return self._grouped
+            steps = (steps.reshape(-1, p) @ np.ones(p)).reshape(len(S), -1)
+        return self.scale * c * np.einsum("in,in->i", W, steps[rows])
 
     def row_moments(self):
         """E x_i^2 per basis row, exact (independent increments,

@@ -22,9 +22,10 @@ def run(argv):
 def test_config_round_trip():
     text = "study = tdr\nseed = 5\n# comment\nK = 32\n"
     cfg = cli.parse_config_text(text)
-    canon = cli.serialize_config(cfg)
+    assert cfg == {"study": "tdr", "seed": "5", "K": "32"}
+    # one key per line, sorted, parses back to the same keys
+    canon = "".join("%s = %s\n" % (k, cfg[k]) for k in sorted(cfg))
     assert cli.parse_config_text(canon) == cfg
-    assert cli.serialize_config(cli.parse_config_text(canon)) == canon
 
 
 def test_config_rejects_garbage():
@@ -552,6 +553,31 @@ def test_sample_path_whose_step_loads_underflow_exits_2(horizon, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "numerical failure: the step loads underflow\n"
+
+
+@pytest.mark.parametrize("study", ["tdr", "sdr", "total", "model-space",
+                                   "model-time"])
+@pytest.mark.parametrize("horizon, cells, what", [
+    ("1e-320", ["n_star=16", "j_star=16"], "width dt"),
+    ("1e-305", ["n_star=16", "j_star=1024"], "area dt dx")],
+    ids=["subnormal-dt", "subnormal-area"])
+def test_exact_study_whose_noise_cells_underflow_exits_2(study, horizon,
+                                                         cells, what, capsys):
+    # below the normal range dt keeps too few digits, and the noise scale
+    # 1/(dt dx) overflows, so a moment would form 0 * inf: the study must
+    # fail, not print nan errors and exit 0
+    argv = ["study", "--set", "study=" + study, "--set", "horizon=" + horizon,
+            "--set", "K=32", "--set", "M=16", "--set", "window=2"]
+    for item in cells + ["dtau_levels=1,2", "h_levels=2,3", "dx_levels=10,11",
+                         "dt_levels=2,3"]:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("numerical failure: the noise cell %s underflows\n"
+                       % what)
 
 
 def test_monte_carlo_stderr_at_a_huge_horizon_is_not_zero(capsys):

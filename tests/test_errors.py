@@ -453,6 +453,18 @@ def test_fit_rate_rejects_bad_input():
         errors.fit_rate([0.1], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rate_rejects_a_non_finite_point(bad):
+    # nan passes a test of <= 0; a nan error must not give a slope
+    for steps, errs in (([0.1, 0.2, bad], [1.0, 2.0, 3.0]),
+                        ([0.1, 0.2, 0.4], [1.0, bad, 3.0])):
+        with pytest.raises(ValueError, match="positive and finite"):
+            errors.fit_rate(steps, errs)
+    # also outside the fitted window
+    with pytest.raises(ValueError, match="positive and finite"):
+        errors.fit_rate([0.1, 0.2, 0.4], [1.0, 2.0, bad], window=2)
+
+
 def test_fit_rate_rejects_a_repeated_step_in_its_window():
     with pytest.raises(ValueError, match="repeats a step"):
         errors.fit_rate([0.25, 0.25], [0.5, 0.59])

@@ -182,7 +182,8 @@ def test_cn_fem_path_draws_whole_periods(n_star, M, budget, monkeypatch):
 
 def _fem_schemes(g, M, whole_path):
     system = fem.assemble(fem.Mesh(8))
-    v0 = np.sin(math.pi * system.mesh.interior) + system.mesh.interior
+    x = system.mesh.nodes[1:-1]
+    v0 = np.sin(math.pi * x) + x
     loads = solvers.stochastic_loads_fem(g, system, M)
     return (whole_path(v0, system, M, 1.0 / M, loads),
             deterministic.modified_cn_fem(v0, system, M, 1.0 / M),
@@ -370,64 +371,28 @@ def test_cell_side_closed_forms_match_mpmath(j_star, J):
 @pytest.mark.parametrize("horizon, n_star, M", [(1.0, 16, 16), (1.0, 64, 16),
                                                 (0.3, 24, 16)])
 def test_folded_reconstruct_matches_dense_maps(horizon, n_star, M):
-    # p = 1 and p = 4 noise cells per step, and a non-aligned grid; K
-    # wraps the period 4 J* of the cell integrals
-    j_star, K = 8, 37
-    grid = noise.sample(n_star, j_star, horizon, 3)
-    eig = fem.generalized_eigen(fem.assemble(fem.Mesh(8)))
-    B = noise.mode_cell_integrals(K, j_star)
-    for m, space in (
-            (solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M), B),
-            (solvers.map_cn_spectral(n_star, j_star, horizon, K, M, 5), B),
-            (solvers.map_regularized(n_star, j_star, horizon, K, horizon), B),
-            (solvers.map_cn_fem(n_star, j_star, horizon, eig, M, M), None)):
-        if space is None:
-            space = m.space()
-        ref = m.scale * np.einsum("kn,kn->k", m.time.dense(),
-                                  space @ grid.increments.T)
-        got = m.reconstruct(grid)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def _block_maps(kind, horizon, n_star, M):
-    """A sine map with K < J*, with K = 4J* + 3 and on J* = 24 (each as
-    CN at step M, CN at step 5 and regularized), or the FEM maps."""
-    if kind == "fem":
-        eigens = [fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
-                  for J in (4, 8)]
-        return 8, [solvers.map_cn_fem(n_star, 8, horizon, eig, M, m)
-                   for eig in eigens for m in (M, 5)]
-    j_star, K = {"K<J*": (16, 5), "4J*+3": (8, 35), "J*=24": (24, 50)}[kind]
-    return j_star, [
-        solvers.map_cn_spectral(n_star, j_star, horizon, K, M, M),
-        solvers.map_cn_spectral(n_star, j_star, horizon, K, M, 5),
-        solvers.map_regularized(n_star, j_star, horizon, K, horizon)]
-
-
-@pytest.mark.parametrize("kind", ["K<J*", "4J*+3", "J*=24", "fem"])
-@pytest.mark.parametrize("horizon, n_star, M", [(1.0, 64, 16), (0.3, 24, 16)],
-                         ids=["aligned-p4", "dense"])
-def test_block_reconstruct_matches_per_grid_bit_for_bit(kind, horizon,
-                                                        n_star, M):
-    # p = 4 noise cells per step, and the dense profile of a non-aligned
-    # grid; a block of grids gives each grid the bits it gets alone
-    j_star, maps = _block_maps(kind, horizon, n_star, M)
-    grids = [noise.sample(n_star, j_star, horizon, s) for s in range(5)]
-    for m in maps:
-        ref = np.array([m.reconstruct(g) for g in grids])
-        assert m.reconstruct(grids).tobytes() == ref.tobytes()
-        assert m.reconstruct(grids[2:3]).tobytes() == ref[2:3].tobytes()
-        assert m.project(grids)[3].tobytes() == m.project(grids[3]).tobytes()
-
-
-@pytest.mark.parametrize("at", [0, 1, 2])
-def test_block_reconstruct_rejects_a_foreign_grid_anywhere(at):
-    m = solvers.map_cn_spectral(16, 8, 1.0, 12, 8, 8)
-    grids = [noise.sample(16, 8, 1.0, s) for s in range(3)]
-    grids[at] = noise.sample(16, 8, 2.0, at)
-    for call in (lambda: m.project(grids), lambda: m.reconstruct(grids)):
-        with pytest.raises(ValueError, match="does not match"):
-            call()
+    # p = 1 and p = 4 noise cells per step, and a non-aligned grid; sine
+    # maps with K < J*, with K wrapping the period 4 J* of the cell
+    # integrals, and on J* = 24, each at the last step, at step 5 and
+    # regularized; FEM maps on meshes 4 and 8 at both steps
+    for j_star, K in ((16, 5), (8, 37), (24, 50)):
+        grid = noise.sample(n_star, j_star, horizon, 3)
+        B = noise.mode_cell_integrals(K, j_star)
+        maps = [(solvers.map_cn_spectral(n_star, j_star, horizon, K, M, step),
+                 B) for step in (M, 5)]
+        maps.append((solvers.map_regularized(n_star, j_star, horizon, K,
+                                             horizon), B))
+        for J in ((4, 8) if j_star == 8 else ()):
+            eig = fem.generalized_eigen(fem.assemble(fem.Mesh(J)))
+            maps += [(solvers.map_cn_fem(n_star, 8, horizon, eig, M, step),
+                      None) for step in (M, 5)]
+        for m, space in maps:
+            if space is None:
+                space = m.space()
+            ref = m.scale * np.einsum("kn,kn->k", m.time.dense(),
+                                      space @ grid.increments.T)
+            got = m.reconstruct(grid)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_cross_moment_cross_basis_matches_monte_carlo():
@@ -761,9 +726,9 @@ def test_time_gram_of_overlaps_matches_mpmath(horizon, n_star, t, exact,
     assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
 
-def test_regularized_map_holds_one_grouped_profile():
-    # reconstruct keeps only the grouped per-step weights; the profile
-    # builds them from its geometric tuple and keeps no dense array
+def test_reconstruct_leaves_no_dense_array_on_the_map():
+    # reconstruct builds the per-step weights from the profile's
+    # geometric tuple on each call: the map keeps no K x N array (32 MiB)
     g = noise.sample(1024, 1024, 1.0, 3)
     noise.sine_cell_fold(4096, 1024)     # kept by its cache, not the map
     tracemalloc.start()
@@ -773,7 +738,7 @@ def test_regularized_map_holds_one_grouped_profile():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 33 * 2 ** 20
+    assert held <= 2 ** 20
 
 
 @pytest.mark.parametrize("horizon, n_star, M", [(0.3, 24, 16), (1.0, 8, 16)])
