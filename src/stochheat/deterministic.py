@@ -138,29 +138,41 @@ def cn_fem_stepper(system, dtau):
     scheme).  State m of the block goes to out[m - 1] and the rhs of the
     step after it is returned, so a path stepped block by block has the
     bits of one pass.  A block with a non-finite state raises ValueError.
+    The next rhs takes ``mass_apply``'s operations in its order, in place:
+    one product of both bands with the windows of the zero-padded state.
     """
     from . import blas   # imported here, so that start-up does not load it
     with np.errstate(over="ignore"):   # a non-finite band raises below
         band = system.mass_band + 0.5 * dtau * system.stiff_band
     chol = blas.cholesky_band(band)
-    x = np.empty(band.shape[1])
+    nu = band.shape[1]
+    padded = np.zeros(nu + 2)
+    x = padded[1:-1]
     solve = blas.cho_solver(chol, x)   # overwrites x with chol^-1 x
+    coef = np.zeros((2, 3, nu))   # mass, stiffness: lower, diagonal, upper
+    for c, b in zip(coef, (system.mass_band, system.stiff_band)):
+        c[0], c[1], c[2, :-1] = b[0], b[1], b[0, 1:]
+    window = np.lib.stride_tricks.sliding_window_view(padded, 3).T
+    terms, sums = np.empty_like(coef), np.empty((2, nu))
 
     def advance(rhs, out, loads=None):
         # a NaN or inf input spreads to the states (quietly), which are
         # checked once per block
         with np.errstate(invalid="ignore", over="ignore"):
+            x[...] = rhs
             for m in range(len(out)):
-                if loads is None:
-                    x[...] = rhs
-                else:
-                    np.add(rhs, loads[:, m], out=x)
+                if loads is not None:
+                    np.add(x, loads[:, m], out=x)
                 solve()
                 out[m] = x
-                rhs = system.mass_apply(x) - 0.5 * dtau * system.stiff_apply(x)
+                np.multiply(coef, window, out=terms)
+                np.add(terms[:, 1], terms[:, 2], out=sums)
+                np.add(sums, terms[:, 0], out=sums)
+                np.multiply(sums[1], 0.5 * dtau, out=sums[1])
+                np.subtract(sums[0], sums[1], out=x)
         if not np.isfinite(out).all():
             raise ValueError("Crank-Nicolson states are not finite")
-        return rhs
+        return x.copy()
     return advance
 
 

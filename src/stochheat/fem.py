@@ -70,12 +70,6 @@ class FemSystem:
         out.stiff_band = np.hstack([s.stiff_band for s in systems])
         return out
 
-    def mass_dense(self):
-        return _band_dense(self.mass_band)
-
-    def stiff_dense(self):
-        return _band_dense(self.stiff_band)
-
     def mass_apply(self, v):
         """M v, for one nodal vector or a stack (..., nu) of them."""
         return _band_apply(self.mass_band, v)
@@ -96,11 +90,6 @@ def _band(nu, diag, off):
     band = np.full((2, nu), [[off], [diag]])
     band[0, 0] = 0.0
     return band
-
-
-def _band_dense(band):
-    off = band[0, 1:]
-    return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _band_apply(band, v):
@@ -139,16 +128,24 @@ def sine_hat_inner_matrix(K, mesh):
 
 def hat_cell_overlap_matrix(mesh, j_star):
     """Matrix O with O[i-1, j-1] = integral of hat_i over D_j, correctly
-    rounded: ``_tent_overlaps`` in units of 1/(J J*), over 2 J J*^2, on
-    the band of cells each hat meets (``_hat_cells``), scattered into O."""
+    rounded: the band of ``_hat_cell_band`` scattered into O."""
+    cells, w = _hat_cell_band(mesh, j_star)
+    O = np.zeros((mesh.nu, j_star))
+    np.add.at(O, (np.arange(mesh.nu)[:, None], cells), w)   # 0 + w is w
+    return O
+
+
+def _hat_cell_band(mesh, j_star):
+    """``(cells, w)``: hat i meets cells[i-1] (``_hat_cells``, less the
+    columns no hat meets; past x = 1, cell J* with weight 0) with the
+    overlaps w[i-1] = ``_tent_overlaps`` / (2 J J*^2), correctly rounded."""
     J = mesh.intervals
     i = np.arange(1, J)[:, None]
     cells = _hat_cells(i, J, j_star)
     N = _tent_overlaps(i * j_star, j_star, cells * J, cells * J + J)
-    inside = cells < j_star   # hat J - 1's band may run past x = 1
-    O = np.zeros((mesh.nu, j_star))
-    O[inside.nonzero()[0], cells[inside]] = N[inside] / (2.0 * J * j_star**2)
-    return O
+    live = N.any(0)
+    return (np.minimum(cells[:, live], j_star - 1),
+            N[:, live] / (2.0 * J * j_star**2))
 
 
 def _hat_cells(i, J, j_star):

@@ -99,40 +99,50 @@ def propagator_time_profile(mus, m, dtau, n_star, horizon=1.0):
     return out
 
 
-def _cell_loads(space, inc, dt, dx, dtau):
-    """Step loads (space @ inc^T) @ V^T / (dt dx) of the rows of ``space``
-    on the noise rows ``inc``: whole periods of cells dt x dx.
-
-    a cells span b steps (``_period``), so V^T is one period's a x b
-    overlaps, applied to each period of a cells.  A load that overflows
-    is inf or nan without a warning (it may be formed on a worker
-    thread): the stepping rejects the non-finite states it makes.  One
-    that underflows (below the normal range, or 0 on nonzero noise)
+def _cell_loads(reads, dt, dx, dtau):
+    """Step loads (rows x steps) of the noise cells dt x dx from
+    ``reads``, row n each basis row's reading of noise row n, in whole
+    periods of a cells per b steps (``_period``).  Each step adds its
+    overlaps in the period's staircase, integers in units of dt/b, times
+    its cells' readings in order, with no BLAS call.  A load that
+    overflows is inf or nan without a warning (it may be formed on a
+    worker thread): the stepping rejects the non-finite states it makes.
+    One that underflows (below the normal range, or 0 on nonzero noise)
     raises ValueError.
     """
     a, b = _period(dtau, dt)
-    V = interval_overlaps(b, dtau, a, a * dt)
+    cells = reads.reshape(-1, a, reads.shape[1])
+    steps = np.zeros((len(cells), b, reads.shape[1]))
+    ends = np.union1d(np.arange(1, b + 1) * a, np.arange(1, a + 1) * b)
     with np.errstate(over="ignore", invalid="ignore"):
-        proj = space @ inc.T
-        steps = (proj.reshape(-1, a) @ V.T).reshape(len(proj), -1)
+        for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()):
+            steps[:, lo // a] += (hi - lo) * (dt / b) * cells[:, lo // b]
         low = np.abs(steps) < np.finfo(float).tiny
-        if low.any() and (steps[low].any() or proj.any()):
+        if low.any() and (steps[low].any() or reads.any()):
             raise ValueError("the step loads underflow")
-        return steps / (dt * dx)
+        steps /= dt * dx
+    return steps.reshape(-1, reads.shape[1]).T
+
+
+def _hat_reads(band, inc):
+    """inc @ O^T, each hat adding its cells in the order of its band
+    ``(cells, w)`` of the hat-cell overlaps O (``fem._hat_cell_band``)."""
+    return sum(inc[:, c] * w for c, w in zip(band[0].T, band[1].T))
 
 
 def stochastic_loads_spectral(grid, K, M):
     """W[k-1, l-1] = integral over Delta_l of (noise, e_k), from the
     loads of the folded rows (``noise.sine_cell_fold``)."""
     alias, c, S = noise.sine_cell_fold(K, grid.j_star)
-    return c[:, None] * _cell_loads(S, grid.increments, grid.dt, grid.dx,
+    return c[:, None] * _cell_loads(grid.increments @ S.T, grid.dt, grid.dx,
                                     grid.horizon / M)[alias]
 
 
 def stochastic_loads_fem(grid, system, M):
     """L[i-1, l-1] = integral over Delta_l of (noise, hat_i)."""
-    return _cell_loads(fem.hat_cell_overlap_matrix(system.mesh, grid.j_star),
-                       grid.increments, grid.dt, grid.dx, grid.horizon / M)
+    band = fem._hat_cell_band(system.mesh, grid.j_star)
+    return _cell_loads(_hat_reads(band, grid.increments), grid.dt, grid.dx,
+                       grid.horizon / M)
 
 
 def regularized_exact(grid, K, t):
@@ -180,12 +190,13 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
     a = _period(dtau, dt)[0]
     nu = system.mesh.nu
-    O = fem.hat_cell_overlap_matrix(system.mesh, j_star)
+    band = fem._hat_cell_band(system.mesh, j_star)
     advance = cn_fem_stepper(system, dtau)
     start = np.zeros((1, nu))
     rhs = system.mass_apply(start[0])
     piece = max(1, _PATH_BLOCK // nu)
-    with blas.ahead(lambda inc: _cell_loads(O, inc, dt, dx, dtau),
+    with blas.ahead(lambda inc: _cell_loads(_hat_reads(band, inc), dt, dx,
+                                            dtau),
                     draw(a * max(1, _PATH_BLOCK // (a * j_star)))) as blocks:
         yield start
         for loads in blocks:
@@ -520,12 +531,14 @@ def distance_moments(map_a, map_b):
 
 def squared_distance(map_a, map_b):
     """``f(a, b) = ||X - Y||^2 = ||a - g b[rows]||^2 + w . (b b)`` from the
-    coefficients a and b that the maps ``reconstruct`` from one sample."""
+    coefficients a and b that the maps ``reconstruct`` from one sample
+    (one basis: ||a - b||^2, since g = 1 and w = 0 are exact no-ops)."""
     rows, g, w = _pairing(map_a, map_b)
+    one_basis = map_a.basis == map_b.basis
 
     def f(a, b):
-        d = a - g * b[rows]
-        return float(d @ d + np.sum(w * b * b))
+        d = a - b if one_basis else a - g * b[rows]
+        return float(d @ d if one_basis else d @ d + np.sum(w * b * b))
     return f
 
 
@@ -545,11 +558,16 @@ class JointSampler:
     through the time rows of its modes aliased to r (``noise.fold_rows``,
     steps widened to cells); a FEM map reads every row through
     G = (V^T O) S^T D^-1 (``fold``, D = diag ||S_r||^2) and its own time
-    rows.  Per fold row, the readings are R^T zeta: zeta holds min(N, d)
-    standard normals and R^T R is the Gram of the d time rows that read
-    the row.  The FEM rows B take one QR, shared by every row; the sine
-    rows on a row are projected off B and take one small QR each, a
-    chunk of about ``_SAMPLER_CHUNK`` doubles of them at a time.
+    rows.  Per fold row r, the readings are F_r^T zeta_r: zeta_r holds
+    standard normals and F_r^T F_r is the Gram of the time rows that read
+    the row.  The FEM rows B take one QR, B^T = Q R_B, shared by every
+    row; the sine rows on a row are projected off B and take one small QR
+    each, a chunk of about ``_SAMPLER_CHUNK`` doubles of them at a time.
+    With F_r = Q_r T_r, the sine readings are T_r^T a_r, a_r = Q_r^T
+    zeta_r, k_r <= n_r (the row's modes) normals; the FEM rows sum_r
+    diag(G_r) R_B^T zeta_r[:kB] are K a + L w, K = [diag(G_r) R_B^T
+    Q_r[:kB]] and L L^T = (G^T G) o (R_B^T R_B) - K K^T.  So a sample is
+    sum_r k_r + nB normals, no more than the coefficients.
     """
 
     def __init__(self, maps):
@@ -563,8 +581,9 @@ class JointSampler:
         gain = np.sqrt(norms / first.cell_area)   # sigma_r / (dt dx)
         # where each map's coefficients are read: FEM rows i..i + nu of B,
         # sine mode k at (its fold row, its slot among the time rows of
-        # that row), a map's slots after those of the maps before it
-        self._take, fems, sines, nB, ds = [], [], [], 0, 0
+        # that row), the row's next free slot
+        self._take, fems, sines, nB = [], [], [], 0
+        filled = np.zeros(J, int)   # the slots taken on each fold row
         for m in self.maps:
             if _is_fem(m.basis):
                 fems.append((m, slice(nB, nB + m.basis.values.size)))
@@ -574,19 +593,17 @@ class JointSampler:
             alias, c = noise.fold_rows(m.basis, J)
             order = np.argsort(alias, kind="stable")
             row = alias[order]
-            slot = ds + np.arange(row.size) - np.searchsorted(row, row)
+            slot = filled[row] + np.arange(row.size) - row.searchsorted(row)
+            filled += np.bincount(row, minlength=J)
             sines.append((m, order, row, slot, c[order] * gain[row]))
             self._take.append((alias, np.empty_like(slot)))
             self._take[-1][1][order] = slot
-            ds = int(slot.max()) + 1
+        ds = int(filled.max())
         # a sine mode's place, flat in the (fold row, slot) readings
         self._take = [t if isinstance(t, slice) else t[0] * ds + t[1]
                       for t in self._take]
-        rows = J if fems else max(min(m.basis, J) for m in self.maps)
         kB = min(N, nB)
         kr = min(N - kB, ds)
-        self.shape = (rows, kB + kr)
-        self._fem = None
         if fems:
             B = np.zeros((nB, N))
             G = np.empty((J, nB))   # G^T, row r times gain_r
@@ -597,11 +614,10 @@ class JointSampler:
             G *= (gain / norms)[:, None]
             Q, RB = np.linalg.qr(B.T, mode="complete" if N < nB + ds
                                  else "reduced")
-            self._fem = G, RB[:kB]
-        self._sine = np.zeros((rows, kB + kr, ds))
+        self._sine = np.zeros((J, kB + kr, ds))
         chunk = max(1, _SAMPLER_CHUNK // max(1, ds * N))
-        for lo in range(0, rows if ds else 0, chunk):
-            hi = min(lo + chunk, rows)
+        for lo in range(0, J if ds else 0, chunk):
+            hi = min(lo + chunk, J)
             A = np.zeros((hi - lo, ds, N))
             fac = np.zeros((hi - lo, ds))
             for m, order, row, slot, f in sines:
@@ -620,19 +636,34 @@ class JointSampler:
                 F[:, kB:] = np.linalg.qr(
                     E.reshape(-1, hi - lo, ds).transpose(1, 0, 2), mode="r")
             F *= fac[:, None, :]
+        # the n_r modes of row r fill its first slots, so the rows of T_r
+        # past k_r = min(n_r, kB + kr) are 0
+        Qr, self._sine = np.linalg.qr(self._sine)
+        self._live = np.arange(self._sine.shape[1]) < filled[:, None]
+        self.shape = (int(np.count_nonzero(self._live)) + nB,)
+        self._fem = np.zeros((0, self.shape[0]))
+        if fems:
+            K = G[:, :, None] * (RB[:kB].T @ Qr[:, :kB])   # J x nB x k
+            K = K.transpose(1, 0, 2).reshape(nB, -1)[:, self._live.ravel()]
+            cov = (G.T @ G) * (RB[:kB].T @ RB[:kB])   # the FEM rows'
+            vals, U = np.linalg.eigh(cov - K @ K.T)
+            # the rest may vanish: its rounding beside the FEM variances
+            if vals[0] < -1e-12 * cov.diagonal().max():
+                raise ValueError("negative FEM remainder covariance")
+            self._fem = np.hstack([K, U * np.sqrt(np.maximum(vals, 0.0))])
 
     def draw(self, seed):
-        """The standard normals zeta of one sample, ``shape`` of them from
-        the Philox stream of ``seed``."""
+        """The standard normals (a, w) of one sample, ``shape`` of them
+        from the Philox stream of ``seed``."""
         return noise._philox(seed).standard_normal(self.shape)
 
     def coefficients(self, z):
         """Each map's basis coefficients from the standard normals ``z``
         (``draw``), a list in the order of ``maps``."""
-        sine = np.matmul(z[:, None, :], self._sine).ravel()
-        if self._fem is not None:
-            G, RB = self._fem
-            fem_rows = np.einsum("ri,ri->i", G, z[:, :len(RB)] @ RB)
+        a = np.zeros(self._live.shape)
+        a[self._live] = z[:len(z) - len(self._fem)]
+        sine = np.matmul(a[:, None, :], self._sine).ravel()
+        fem_rows = self._fem @ z
         return [fem_rows[t] if isinstance(t, slice) else sine[t]
                 for t in self._take]
 

@@ -307,10 +307,13 @@ def test_joint_sampler_law_is_exact(study, horizon, n_star, j_star, K, M,
     # the coefficients are linear in the draws, so the squared distance
     # summed over unit draws is E ||X - Y||^2 of the sampler's factor; it
     # must be the exact squared error, to the rounding of the exact sum
-    # (4 eps times its cancellation ratio, ROADMAP Baseline)
+    # (4 eps times its cancellation ratio, ROADMAP Baseline).  A sample
+    # draws at the rank of the coefficients: no more normals than them
     pairs = _level_pairs(study, horizon, n_star, j_star, K, M, levels)
-    sampler = solvers.JointSampler(_study_maps(pairs))
-    assert sampler.shape[1] <= n_star
+    maps = _study_maps(pairs)
+    sampler = solvers.JointSampler(maps)
+    assert sampler.shape[0] <= sum(len(c) for c in sampler.coefficients(
+        np.zeros(sampler.shape)))
     total = np.zeros(len(pairs))
     z = np.zeros(sampler.shape)
     for i in range(z.size):
@@ -325,6 +328,35 @@ def test_joint_sampler_law_is_exact(study, horizon, n_star, j_star, K, M,
         scale = float(np.sum(x2 + gy2)) + wy2   # e2 times the ratio
         assert abs(got - e2) <= max(1e-12 * e2, 4 * np.finfo(float).eps
                                     * scale)
+
+
+def test_sampler_rank_at_perfbench_sdr():
+    # perfbench's sdr-mc: K = 1024 modes on 256 fold rows, 4 each, and 116
+    # FEM rows: a sample draws one normal per coefficient, 1140
+    n, j, K, M = 256, 256, 1024, 256
+    maps = [solvers.map_cn_spectral(n, j, 1.0, K, M, M)] + [
+        solvers.map_cn_fem(n, j, 1.0, fem.generalized_eigen(fem.assemble(
+            fem.Mesh(2 ** e))), M, M) for e in (3, 4, 5, 6)]
+    assert solvers.JointSampler(maps).shape == (1140,)
+
+
+def test_negative_remainder_covariance_exits_2(monkeypatch, capsys):
+    # the FEM rows' remainder covariance with an eigenvalue below -1e-12
+    # of the largest FEM variance is a numerical failure, not a clamp
+    eigh = np.linalg.eigh
+
+    def flipped(a):
+        vals, vecs = eigh(a)
+        vals[0] = -vals[-1]
+        return vals, vecs
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    argv = ["study", "--seed", "1", "--samples", "4", "--set", "study=sdr",
+            "--set", "n_star=16", "--set", "j_star=16", "--set", "K=32",
+            "--set", "M=16", "--set", "h_levels=2,3,4"]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "numerical failure: negative FEM remainder covariance\n"
 
 
 def test_joint_sampler_matches_second_moments():
@@ -359,14 +391,15 @@ _MC_PINS = [
     ({"study": "sdr", "horizon": "1.0", "seed": "0", "samples": "50",
       "n_star": "256", "j_star": "256", "K": "1024", "M": "256",
       "h_levels": "3,4,5,6", "window": "4"},
-     "d70b39b1dc4879fca759a094acf7c1a3ec76c9447623db9ba94c7038ea7b919f")]
+     "b98e64031b39a3129074ac412edb538b42c0871747f1082f2affc95af3a53d92")]
 
 
 @pytest.mark.parametrize("cfg, digest", _MC_PINS, ids=["tdr-mc", "sdr-mc"])
 def test_mc_study_bytes_are_pinned(cfg, digest):
-    # sha256 of the CSV recorded when the joint sampler first drew it; its
+    # sha256 of the CSV recorded when the joint sampler first drew it (the
+    # FEM study: when it first drew at the rank of the coefficients); its
     # exact columns are the cell-draw pass's, its Monte Carlo columns lie
-    # within 2.1 standard errors of them.  The bits of a FEM study follow
+    # within 2.5 standard errors of them.  The bits of a FEM study follow
     # the shapes of the set-up's products, so _SAMPLER_CHUNK moves them
     text = cli.run_study(dict(cfg)).to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -774,19 +807,19 @@ def test_streamed_sample_path_matches_whole_path(grid, block, monkeypatch):
 
 @pytest.mark.parametrize("grid, digest", [
     (dict(seed="0"),
-     "f0afa3adc29953be8a2888cf07e3f1048dc8e034ef79a6962bd52d8edb1b17c9"),
+     "2a2afedeffe662118c9d1d8d99dbd4b43897d45940624866898aedc09c217ff4"),
     (dict(seed="1"),
-     "64a337310fa98d2865f9d821f699e3cafee0ed58bf29b857879e187b16073c12"),
+     "179d4b5e299b05deb38ca9ae978dca62295f2dec9a9742f39b149a28bad90dba"),
     (dict(seed="1", horizon="0.3", n_star="24", M="16"),
-     "dd8f8083818433e9b95c4503245da769acb81d5a0edc95ddf0289ff9defaf48f"),
+     "94521dd3ff631242fffdf6589c32e6fd42ef0b777404769eccc055bf546fce1e"),
     (dict(seed="1", n_star="8", M="16"),
-     "d9b8416413a93049c4608101a821fc34c9a509ffd5c81e9d6fa927f54f390d62"),
+     "53ed34c6193cecec40adf8f86c2cc6b4c37c1c4f6f5812fdc16fc13245833971"),
     (dict(seed="1", n_star="512", M="128"),
-     "ee348e248ae8b50f7944df1d8c6cfa1ddfd9228707944b628dbdef2626258f37"),
+     "967ca10c5a5321efef4f9af23fc7119f07480cb028ab80321b1f9183a094588d"),
     (dict(seed="1", n_star="600", M="600", mesh="16"),
-     "4f35907d444fd839f9f3d2eedf058b3c054449b330ce3063df2917c602d4e3b5"),
+     "c0b7c682df202fe922eef574fecb7575df02af4ee202d879f19e08241a6bd4a7"),
     (dict(seed="1", mesh="48", j_star="64"),
-     "4f1f49a41f53f9cae8154a7de779442ed2456d7a32e0de0adda8e6b6c3c59616")],
+     "acd0b673025236425d213d99c32989e3981646ce88e0ae70dae10d1bd5604e18")],
     ids=["default-seed-0", "default-seed-1", "3-cells-per-2-steps",
          "2-steps-per-cell", "4-cells-per-step", "partial-last-block",
          "mesh-48"])
@@ -796,28 +829,28 @@ def test_sample_path_bytes_are_pinned(grid, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("block", [None, 2 ** 10],
-                         ids=["default-blocks", "small-blocks"])
-@pytest.mark.parametrize("grid, digests", [
+@pytest.mark.parametrize("block", [None, 2 ** 10, 2 ** 12],
+                         ids=["default-blocks", "small-blocks", "mid-blocks"])
+@pytest.mark.parametrize("grid, digest", [
     (dict(seed="0", n_star="1024", j_star="1024", M="1024", mesh="512"),
-     {None: "1db25d03edcdd2e63d8d51f099b2d4065ac375dbb0a4151cc49dfe8a002865c4",
-      2 ** 10:
-      "0ba7ed376bafeb6905b7bec112bd761138245fd10ca040ef402553440e742f98"}),
+     "27b632861fa21e6ecbe202ebd55edc7b7e054b9f49fcb57c362c9fff869eacd4"),
     (dict(seed="1", horizon="0.3", n_star="24", M="16"),
-     {None: "dd8f8083818433e9b95c4503245da769acb81d5a0edc95ddf0289ff9defaf48f",
-      2 ** 10:
-      "3676d81bf7484df196cf12ca8a052db4ea3b4843a2a13f0ab111b00399d0f7f9"})],
+     "94521dd3ff631242fffdf6589c32e6fd42ef0b777404769eccc055bf546fce1e")],
     ids=["perfbench-size", "3-cells-per-2-steps"])
-def test_sample_path_bytes_in_blocks_are_pinned(grid, digests, block,
+def test_sample_path_bytes_in_blocks_are_pinned(grid, digest, block,
                                                 monkeypatch):
     # sha256 of the CSV as the serial block loop wrote it: the
-    # perfbench-size path in 16 blocks (default) and 1024 (small), the
-    # non-aligned one in 1 and 8; the GEMM shapes of the step loads set
-    # their rounding, so each block size has its own digest
+    # perfbench-size path in 16 blocks (default), 1024 (small) and 256
+    # (mid), the non-aligned one in 1, 8 and 1.  Each load is a fixed-order
+    # sum over its own cells with no BLAS call, so every block size, and
+    # OpenBLAS held to one thread or not, writes the same bytes
     if block is not None:
         monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
-    text = cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, **grid))
-    assert hashlib.sha256(text.encode()).hexdigest() == digests[block]
+    cfg = dict(cli._SAMPLE_PATH_DEFAULTS, **grid)
+    text = cli.run_sample_path(cfg)
+    with blas.one_thread():
+        assert cli.run_sample_path(cfg) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class _RenderFailed(Exception):
@@ -915,6 +948,22 @@ def test_sample_path_peak_when_one_period_is_the_whole_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * len(text) + 8 * 63 * 4096 + 8 * solvers._PATH_BLOCK
+
+
+def test_sample_path_peak_without_the_period_overlaps():
+    # 1000 cells per 999 steps: one period is the whole grid.  The loads
+    # add each step's staircase of overlaps, so no 999 x 1000 period
+    # matrix (8.0 MB) is built: the traced peak is the CSV, the one
+    # block's noise (1000 x 256), its hat readings and its loads
+    cfg = dict(cli._SAMPLE_PATH_DEFAULTS, n_star="1000", M="999")
+    cli.run_sample_path(dict(cli._SAMPLE_PATH_DEFAULTS, n_star="4", M="4"))
+    tracemalloc.start()
+    try:
+        text = cli.run_sample_path(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * len(text) + 8 * (1000 * 256 + 2 * 1000 * 63)
 
 
 def test_non_finite_sample_path_block_exits_2(monkeypatch, capsys):

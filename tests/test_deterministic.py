@@ -7,6 +7,13 @@ from stochheat import deterministic, fem
 from stochheat.spectral import SpectralField, semigroup_apply
 
 
+def _dense(band):
+    """The symmetric tridiagonal matrix of an upper band (the oracle of
+    the banded products and solves)."""
+    off = band[0, 1:]
+    return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_amplification_bounded_and_exact():
     # |r_m| <= 1 for all mu >= 0, and the closed form matches recursion
     for mu in (0.0, 1.0, 40.0, 1e4, 1e8):
@@ -60,7 +67,7 @@ def test_fem_scheme_matches_eigen_expansion():
     v0 = SpectralField(np.array([1.0, 0.3, -0.2]))
     M, dtau = 12, 0.05
     traj = deterministic.modified_cn_fem(v0, system, M, dtau)
-    c0 = eig.vectors.T @ system.mass_dense() @ fem.l2_project(v0, system)
+    c0 = eig.vectors.T @ _dense(system.mass_band) @ fem.l2_project(v0, system)
     F = deterministic.step_factors(eig.values, M, dtau)
     nodal = eig.vectors @ (F[:, M - 1] * c0)
     assert np.max(np.abs(traj.states[-1] - nodal)) < 1e-9
@@ -146,7 +153,7 @@ def _cho_solve_banded_steps(v0, system, M, dtau, loads=None):
     """Oracle: the stepping loop written with scipy's cho_solve_banded."""
     from scipy.linalg import cho_solve_banded, cholesky_banded
     chol = cholesky_banded(system.mass_band + 0.5 * dtau * system.stiff_band)
-    states = np.empty((M + 1, system.mesh.nu))
+    states = np.empty((M + 1, v0.size))
     states[0] = v0
     rhs = system.mass_apply(v0)
     for m in range(1, M + 1):
@@ -170,6 +177,27 @@ def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads,
             else deterministic.modified_cn_fem(v0, system, M, dtau))
     assert np.array_equal(traj.states,
                           _cho_solve_banded_steps(v0, system, M, dtau, loads))
+
+
+@pytest.mark.parametrize("with_loads", [False, True])
+@pytest.mark.parametrize("system, M", [
+    (fem.FemSystem.stack([fem.assemble(fem.Mesh(2 ** e))
+                          for e in range(3, 8)]), 4096),
+    (fem.assemble(fem.Mesh(512)), 1024)],
+    ids=["stacked-default", "mesh-512"])
+def test_fused_rhs_matches_mass_minus_stiffness_bit_for_bit(
+        system, M, with_loads, cn_fem_whole_path):
+    # the stepper forms M v - (dtau/2) S v from one product of both bands'
+    # windows, in mass_apply's order: the bits of the two band products,
+    # the scale and the difference, on the stacked default deterministic
+    # system and on a sample-path-size mesh
+    rng = np.random.default_rng(3)
+    nu, dtau = system.mass_band.shape[1], 1.0 / M
+    v0 = rng.standard_normal(nu)
+    loads = rng.standard_normal((nu, M)) if with_loads else None
+    states = cn_fem_whole_path(v0, system, M, dtau, loads).states
+    ref = _cho_solve_banded_steps(v0, system, M, dtau, loads)
+    assert states.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["nan load", "inf load", "nan start"])

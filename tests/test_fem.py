@@ -11,6 +11,13 @@ from stochheat import cli, fem, quadrature
 from stochheat.spectral import SpectralField, sin_pi_ratio
 
 
+def _dense(band):
+    """The symmetric tridiagonal matrix of an upper band (the oracle of
+    the banded products and solves)."""
+    off = band[0, 1:]
+    return np.diag(band[1]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def hat(i, mesh, x):
     return np.maximum(0.0, 1.0 - np.abs(x - mesh.nodes[i]) / mesh.h)
 
@@ -22,9 +29,9 @@ def test_matrices_match_quadrature():
     for i, j in ((1, 1), (1, 2), (2, 4)):
         val = quadrature.composite_gauss(
             lambda x: hat(i, mesh, x) * hat(j, mesh, x), nsub=200)
-        M = system.mass_dense()
+        M = _dense(system.mass_band)
         assert abs(M[i - 1, j - 1] - val) < 1e-12
-    assert np.allclose(system.stiff_dense().sum(axis=1)[1:-1], 0.0)
+    assert np.allclose(_dense(system.stiff_band).sum(axis=1)[1:-1], 0.0)
 
 
 def test_mass_solve_round_trip():
@@ -55,8 +62,8 @@ def test_stack_is_block_diagonal_bit_for_bit():
     ends = np.cumsum([s.mesh.nu for s in systems])[:-1]
     v = np.random.default_rng(2).standard_normal((3, 1 + 2 + 7))
     for name in ("mass", "stiff"):
-        dense = getattr(stacked, name + "_dense")()
-        parts = [getattr(s, name + "_dense")() for s in systems]
+        dense = _dense(getattr(stacked, name + "_band"))
+        parts = [_dense(getattr(s, name + "_band")) for s in systems]
         assert dense.tobytes() == sla.block_diag(*parts).tobytes()
         own = [getattr(s, name + "_apply")(w)
                for s, w in zip(systems, np.split(v, ends, axis=1))]
@@ -68,11 +75,11 @@ def test_one_node_mesh_solves_by_division():
     # Mesh(2) has one interior node, so each banded system is 1 x 1
     system = fem.assemble(fem.Mesh(2))
     rhs = np.array([0.3])
-    assert system.mass_solve(rhs)[0] == 0.3 / system.mass_dense()[0, 0]
-    assert system.stiff_solve(rhs)[0] == 0.3 / system.stiff_dense()[0, 0]
+    assert system.mass_solve(rhs)[0] == 0.3 / _dense(system.mass_band)[0, 0]
+    assert system.stiff_solve(rhs)[0] == 0.3 / _dense(system.stiff_band)[0, 0]
     v = fem.l2_project(SpectralField(np.array([1.0])), system)
     C = fem.sine_hat_inner_matrix(1, system.mesh)
-    assert v.shape == (1,) and v[0] == C[0, 0] / system.mass_dense()[0, 0]
+    assert v.shape == (1,) and v[0] == C[0, 0] / _dense(system.mass_band)[0, 0]
     # -Lap_h v = 1 is nodally exact in 1D: v(1/2) = (x^2 - x)/2 = -1/8
     v = fem.elliptic_solve_discrete(lambda x: np.ones_like(x), system)
     assert np.allclose(v, [-0.125], rtol=1e-14, atol=0)
@@ -193,11 +200,11 @@ def test_generalized_eigen_orthonormal_and_ordered():
     eig = fem.generalized_eigen(system)
     assert np.all(np.diff(eig.values) > 0.0)
     assert np.all(eig.values > 0.0)
-    G = eig.vectors.T @ system.mass_dense() @ eig.vectors
+    G = eig.vectors.T @ _dense(system.mass_band) @ eig.vectors
     assert np.allclose(G, np.eye(system.mesh.nu), atol=1e-12)
     # residual S phi = eps M phi
-    R = system.stiff_dense() @ eig.vectors \
-        - system.mass_dense() @ eig.vectors @ np.diag(eig.values)
+    R = _dense(system.stiff_band) @ eig.vectors \
+        - _dense(system.mass_band) @ eig.vectors @ np.diag(eig.values)
     assert np.max(np.abs(R)) < 1e-10
 
 
@@ -207,7 +214,7 @@ def test_generalized_eigen_matches_dense_solver(J):
     # closed-form eigenpairs against LAPACK's, up to each vector's sign
     system = fem.assemble(fem.Mesh(J))
     eig = fem.generalized_eigen(system)
-    vals, vecs = sla.eigh(system.stiff_dense(), system.mass_dense())
+    vals, vecs = sla.eigh(_dense(system.stiff_band), _dense(system.mass_band))
     assert np.abs(eig.values - vals).max() <= 1e-13 * vals.max()
     signs = np.sign((vecs * eig.vectors).sum(0))
     assert np.all(signs != 0.0)

@@ -770,23 +770,23 @@ def _dense_cell_loads(space, grid, M):
 @pytest.mark.parametrize("n_star, M", [(64, 64), (1024, 1024), (64, 16),
                                        (1024, 256)])
 def test_cell_loads_sum_whole_cells(n_star, M):
-    # p = n_star/M cells per step.  p = 1 is the dense overlap product bit
-    # for bit; p = 4 weighs each step's cells by one period's overlaps,
-    # which is the dense product up to the order of BLAS's sum
+    # p = n_star/M cells per step.  p = 1 scales each cell's reading by
+    # dt/(dt dx), bit for bit; p = 4 adds each step's cells, which is the
+    # dense overlap product up to the order of its sum
     grid = noise.sample(n_star, 64, 1.0, 9)
     space = fem.hat_cell_overlap_matrix(fem.Mesh(32), 64)
-    loads = solvers._cell_loads(space, grid.increments, grid.dt, grid.dx,
-                                1.0 / M)
+    reads = grid.increments @ space.T
+    loads = solvers._cell_loads(reads, grid.dt, grid.dx, 1.0 / M)
     dense = _dense_cell_loads(space, grid, M)
     if n_star == M:
-        assert np.array_equal(loads, dense)
+        assert np.array_equal(loads, (reads * grid.dt / (grid.dt * grid.dx)).T)
     assert np.abs(loads - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
 def test_cell_loads_non_aligned_take_the_overlaps():
     grid = noise.sample(24, 16, 0.3, 4)
     space = noise.mode_cell_integrals(20, 16)
-    loads = solvers._cell_loads(space, grid.increments, grid.dt, grid.dx,
+    loads = solvers._cell_loads(grid.increments @ space.T, grid.dt, grid.dx,
                                 0.3 / 16)
     # each step load is the noise integrated over the step: the loads of
     # steps add up to the loads of the whole horizon
@@ -794,6 +794,55 @@ def test_cell_loads_non_aligned_take_the_overlaps():
     assert np.allclose(loads.sum(axis=1), whole, rtol=1e-12, atol=1e-12)
     assert np.allclose(loads, _dense_cell_loads(space, grid, 16),
                        rtol=1e-13, atol=1e-13)
+
+
+def _hat_antiderivative(i, J, x):
+    """Integral of hat_i from 0 to x, exact for a rational x."""
+    h = Fraction(1, J)
+    rise = min(max(x, (i - 1) * h), i * h) - (i - 1) * h
+    fall = min(max(x, i * h), (i + 1) * h) - i * h
+    return (rise * rise + 2 * h * fall - fall * fall) / (2 * h)
+
+
+@pytest.mark.parametrize("n_star, j_star, M, J, horizon", [
+    (16, 16, 16, 8, 1.0), (16, 16, 4, 8, 1.0), (24, 16, 16, 8, 0.3),
+    (8, 64, 8, 48, 1.0), (8, 16, 16, 8, 1.0)],
+    ids=["aligned", "4-cells-per-step", "3-cells-per-2-steps", "mesh-48",
+         "2-steps-per-cell"])
+def test_fem_step_loads_match_rational_arithmetic(n_star, j_star, M, J,
+                                                  horizon):
+    # L[i, l] = sum over cells (n, j) of R[n, j] |Delta_l ^ T_n|/dt times
+    # (hat_i, 1_Dj)/dx, each of its n nonzero terms an exact rational: the
+    # banded fixed-order sums are within (n + 1) eps sum |terms| of it
+    grid = noise.sample(n_star, j_star, horizon, 21)
+    loads = solvers.stochastic_loads_fem(grid, fem.assemble(fem.Mesh(J)), M)
+    R = [[Fraction(x) for x in row] for row in grid.increments.tolist()]
+    F = Fraction
+    steps = [{n: w for n in range(n_star) if (w := n_star * (
+        min(F(l + 1, M), F(n + 1, n_star)) - max(F(l, M), F(n, n_star)))) > 0}
+        for l in range(M)]
+    hats = [{j: w for j in range(j_star) if (w := j_star * (
+        _hat_antiderivative(i, J, F(j + 1, j_star))
+        - _hat_antiderivative(i, J, F(j, j_star)))) > 0}
+        for i in range(1, J)]
+    for i, cells in enumerate(hats):
+        for l, rows in enumerate(steps):
+            terms = [R[n][j] * v * w for n, v in rows.items()
+                     for j, w in cells.items()]
+            bound = (len(terms) + 1) * np.finfo(float).eps * float(
+                sum(abs(t) for t in terms))
+            assert abs(F(loads[i, l]) - sum(terms)) <= bound, (i, l)
+
+
+def test_fem_loads_read_the_hat_bands(monkeypatch):
+    # the FEM step loads read the hats' bands, not the dense overlaps
+    def dense(*args):
+        raise AssertionError("dense hat-cell overlaps built")
+    monkeypatch.setattr(fem, "hat_cell_overlap_matrix", dense)
+    grid = noise.sample(24, 16, 0.3, 2)
+    system = fem.assemble(fem.Mesh(8))
+    assert solvers.stochastic_loads_fem(grid, system, 16).shape == (7, 16)
+    assert solvers.cn_fem_spde(grid, system, 16).states.shape == (17, 7)
 
 
 def test_time_factors_read_at_most_two_periods(monkeypatch):
