@@ -1,6 +1,5 @@
-"""The OpenBLAS that numpy loaded: its thread count, its LAPACK banded
-solves, and one worker thread that forms the next item while the
-caller uses the one before it.
+"""The OpenBLAS that numpy loaded: its thread count and its LAPACK
+banded solves.
 
 OpenBLAS exports its thread-count functions and LAPACK from the library
 numpy links; ctypes reaches them through numpy's core extension, so no
@@ -10,8 +9,7 @@ factor and solve of the Crank-Nicolson step (``cholesky_band``,
 the mass and stiffness matrices (``tridiagonal_solve``: dptsv, which
 scipy's ``solveh_banded`` calls for such a band).  A band is held in
 LAPACK's upper form: row 0 the off-diagonal behind a leading 0, row 1
-the diagonal.  Only the stepping, the solves, the sample path's draw-ahead
-(``ahead``, ``solvers.cn_fem_path``) and the Monte Carlo pass
+the diagonal.  Only the stepping, the solves and the Monte Carlo pass
 (``one_thread``, ``cli._mc_rms``) import this module, so the start-up of
 the CLI does not compile it.
 """
@@ -22,7 +20,7 @@ import sys
 
 import numpy as np   # also loads the extension that _library() opens
 
-__all__ = ["threads", "one_thread", "ahead", "cholesky_band", "cho_solver",
+__all__ = ["threads", "one_thread", "cholesky_band", "cho_solver",
            "tridiagonal_solve"]
 
 # thread-count symbols of the OpenBLAS numpy may load; %s is get or set
@@ -152,9 +150,11 @@ def tridiagonal_solve(band, rhs):
 def one_thread():
     """Hold OpenBLAS to one thread, restoring its count on exit.
 
-    Idle OpenBLAS workers spin on the other core after each GEMM, where
-    the draw-ahead worker (``ahead``) runs; the Monte Carlo pass's
-    products are too small to share.  A no-op without OpenBLAS.
+    The Monte Carlo pass (``cli._mc_rms``) runs under it: the GEMMs of
+    ``solvers.JointSampler``'s set-up round differently at other thread
+    counts, so a sampled ``sdr`` study's bytes would follow the host's
+    cores.  One thread gives every host the same bits.  A no-op without
+    OpenBLAS.
     """
     blas = threads()
     if blas is None:
@@ -168,39 +168,3 @@ def one_thread():
     finally:
         put(prev)
 
-
-@contextlib.contextmanager
-def ahead(fn, items):
-    """An iterator over fn(x) for x in ``items``, in order, each formed
-    on one worker thread while the caller uses the one before it, with
-    OpenBLAS held to one thread (``one_thread``).
-
-    The worker also advances ``items``, so a generator of draws runs
-    there.  An exception of ``fn`` or ``items`` reaches the caller where
-    it asks for that item.  On exit, normal or by an exception on either
-    side, an item not yet started is cancelled, the worker is joined and
-    the BLAS thread count restored.
-    """
-    it = iter(items)
-
-    def task():
-        for x in it:
-            return True, fn(x)
-        return False, None
-
-    def results(nxt):
-        while True:
-            more, out = nxt.result()
-            if not more:
-                return
-            nxt = pool.submit(task)
-            yield out
-
-    # imported here, so that the solves do not load it
-    from concurrent.futures import ThreadPoolExecutor
-    with one_thread():
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            yield results(pool.submit(task))
-        finally:
-            pool.shutdown(cancel_futures=True)

@@ -6,7 +6,6 @@ refinement level and a trailing fitted-slope line.
 """
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -124,9 +123,9 @@ def _mc_rms(levels, samples, seed):
     distinct maps draws the coefficients of every level from the same
     standard normals, one sample per seed, in the seed order of
     ``errors.mc_error``.  The pass runs serially, with BLAS held to one
-    thread (``blas.one_thread``): its products are small.
+    thread (``blas.one_thread``), so its bits are the same on every host.
     """
-    from . import blas   # imported here, so that start-up loads neither
+    from . import blas   # imported here, so that start-up does not load it
 
     maps = list({id(m): m for lv in levels for m in lv[:2]}.values())
     at = {id(m): i for i, m in enumerate(maps)}
@@ -261,15 +260,13 @@ def run_sample_path(cfg):
                              seed)
     step = max(1, _CSV_BLOCK // mesh.nu)
     text = ""
-    # closed on any exit, so a failure here stops the path's worker thread
-    with contextlib.closing(solvers.cn_fem_path(
-            draw, n_star, j_star, horizon, fem.assemble(mesh), M)) as path:
-        for states in path:
-            for lo in range(0, len(states), step):
-                # += grows the one string in place (CPython resizes a str
-                # that nothing else references); "".join over the pieces,
-                # or StringIO.getvalue(), would hold a second full copy
-                text += _csv_rows(states[lo:lo + step])
+    for states in solvers.cn_fem_path(draw, n_star, j_star, horizon,
+                                      fem.assemble(mesh), M):
+        for lo in range(0, len(states), step):
+            # += grows the one string in place (CPython resizes a str
+            # that nothing else references); "".join over the pieces,
+            # or StringIO.getvalue(), would hold a second full copy
+            text += _csv_rows(states[lo:lo + step])
     return text
 
 

@@ -94,7 +94,8 @@ def sample_blocks(n_star, j_star, horizon, seed, rows):
     (the last block may be shorter), each block a fresh array.
 
     Consecutive draws continue the one Philox stream, so the blocks
-    stacked are ``sample``'s matrix bit for bit.
+    stacked are ``sample``'s matrix bit for bit.  The suspended generator
+    holds no block: once the caller drops one, it is freed.
     """
     if n_star < 1 or j_star < 1:
         raise ValueError("cell counts must be >= 1")
@@ -102,10 +103,13 @@ def sample_blocks(n_star, j_star, horizon, seed, rows):
         raise ValueError("horizon must be positive")
     rng = _philox(seed)
     sd = math.sqrt((horizon / n_star) * (1.0 / j_star))
-    for lo in range(0, n_star, rows):
-        inc = rng.standard_normal((min(rows, n_star - lo), j_star))
+
+    def block(n):
+        inc = rng.standard_normal((n, j_star))
         inc *= sd
-        yield inc
+        return inc
+    for lo in range(0, n_star, rows):
+        yield block(min(rows, n_star - lo))
 
 
 def _philox(seed):

@@ -14,7 +14,6 @@ profile and its ratio to the period before.  ``time_gram`` and sampling
 both read that tuple; the dense K x N arrays (``dense()``) are oracles.
 """
 
-import contextlib
 import functools
 import math
 from fractions import Fraction
@@ -105,10 +104,9 @@ def _cell_loads(reads, dt, dx, dtau):
     periods of a cells per b steps (``_period``).  Each step adds its
     overlaps in the period's staircase, integers in units of dt/b, times
     its cells' readings in order, with no BLAS call.  A load that
-    overflows is inf or nan without a warning (it may be formed on a
-    worker thread): the stepping rejects the non-finite states it makes.
-    One that underflows (below the normal range, or 0 on nonzero noise)
-    raises ValueError.
+    overflows is inf or nan without a warning: the stepping rejects the
+    non-finite states it makes.  One that underflows (below the normal
+    range, or 0 on nonzero noise) raises ValueError.
     """
     a, b = _period(dtau, dt)
     cells = reads.reshape(-1, a, reads.shape[1])
@@ -174,19 +172,16 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     Yields the states in row blocks: the zero start state, then each
     noise block's steps in pieces of at most ``_PATH_BLOCK`` / nu states.
     A block's step loads take the whole grid's dt, dx and dtau, and its
-    steps go on from the last right-hand side (``cn_fem_stepper``).  One
-    worker thread draws the next block and forms its loads while this
-    one is stepped (``blas.ahead``), so the loads of one block, the noise
-    and loads of the next and one piece of states are live at a time.
-    A block holds nu loads per step: where one period is the whole grid
-    (n* and M share no factor) its noise is the whole grid's, and where
-    M is many times n* its loads come near the whole path's.  A piece
-    with a non-finite state raises ValueError.  A caller that may stop
-    early closes the generator, which stops the worker.
+    steps go on from the last right-hand side (``cn_fem_stepper``).  A
+    block's noise is dropped once its loads are formed, so at most the
+    loads of one block, the noise and loads of the next and one piece of
+    states are live.  A block holds nu loads per step: where one period
+    is the whole grid (n* and M share no factor) its noise is the whole
+    grid's, and where M is many times n* its loads come near the whole
+    path's.  A piece with a non-finite state raises ValueError.
     """
     if M < 1:
         raise ValueError("need at least one step")
-    from . import blas   # imported here, so that start-up loads neither
     dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
     a = _period(dtau, dt)[0]
     nu = system.mesh.nu
@@ -195,15 +190,17 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
     start = np.zeros((1, nu))
     rhs = system.mass_apply(start[0])
     piece = max(1, _PATH_BLOCK // nu)
-    with blas.ahead(lambda inc: _cell_loads(_hat_reads(band, inc), dt, dx,
-                                            dtau),
-                    draw(a * max(1, _PATH_BLOCK // (a * j_star)))) as blocks:
-        yield start
-        for loads in blocks:
-            for lo in range(0, loads.shape[1], piece):
-                states = np.empty((min(piece, loads.shape[1] - lo), nu))
-                rhs = advance(rhs, states, loads[:, lo:lo + piece])
-                yield states
+    rows = a * max(1, _PATH_BLOCK // (a * j_star))
+
+    def block_loads(inc):
+        return _cell_loads(_hat_reads(band, inc), dt, dx, dtau)
+
+    yield start
+    for loads in map(block_loads, draw(rows)):
+        for lo in range(0, loads.shape[1], piece):
+            states = np.empty((min(piece, loads.shape[1] - lo), nu))
+            rhs = advance(rhs, states, loads[:, lo:lo + piece])
+            yield states
 
 
 def cn_fem_spde(grid, system, M):
@@ -214,12 +211,11 @@ def cn_fem_spde(grid, system, M):
     inc = grid.increments
     states = np.empty((M + 1, system.mesh.nu))
     m = 0
-    with contextlib.closing(cn_fem_path(
+    for piece in cn_fem_path(
             lambda rows: np.split(inc, range(rows, len(inc), rows)),
-            grid.n_star, grid.j_star, grid.horizon, system, M)) as path:
-        for piece in path:
-            states[m:m + len(piece)] = piece
-            m += len(piece)
+            grid.n_star, grid.j_star, grid.horizon, system, M):
+        states[m:m + len(piece)] = piece
+        m += len(piece)
     return Trajectory(grid.horizon / M, states, "nodal")
 
 
@@ -431,7 +427,7 @@ class GaussianCoefficientMap:
         rows = basis.values.size if _is_fem(basis) else basis
         if self.time.shape[0] != rows:
             raise ValueError("time profile rows differ from the basis size")
-        if not self.cell_area >= np.finfo(float).tiny:   # 0 * inf ahead
+        if not self.cell_area >= np.finfo(float).tiny:   # else 0 * inf later
             raise ValueError("the noise cell area dt dx underflows")
 
     n_star = property(lambda self: self.time.n_star)

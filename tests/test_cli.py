@@ -244,7 +244,7 @@ def test_study_mc_columns_match_per_level_loop(study, horizon, n_star, M,
                 # termwise: ||a - g b[rows]||^2 plus the FEM part above K
                 rows, gk, w = pairing
                 d = a - gk * b[rows]
-                return float(d @ d + w @ (b * b))
+                return float(d @ d + np.sum(w * b * b))
             mean, se = errors.mc_error(lambda seeds: list(map(one, seeds)),
                                       samples, 5)
             assert row["error_mc"] == math.sqrt(mean)
@@ -395,12 +395,14 @@ _MC_PINS = [
 
 
 @pytest.mark.parametrize("cfg, digest", _MC_PINS, ids=["tdr-mc", "sdr-mc"])
-def test_mc_study_bytes_are_pinned(cfg, digest):
+def test_mc_study_bytes_are_pinned(cfg, digest, two_blas_threads):
     # sha256 of the CSV recorded when the joint sampler first drew it (the
     # FEM study: when it first drew at the rank of the coefficients); its
     # exact columns are the cell-draw pass's, its Monte Carlo columns lie
     # within 2.5 standard errors of them.  The bits of a FEM study follow
-    # the shapes of the set-up's products, so _SAMPLER_CHUNK moves them
+    # the shapes of the set-up's products, so _SAMPLER_CHUNK moves them,
+    # and so would OpenBLAS's threads: the pass holds it to one, and the
+    # run starts from two (two_blas_threads), also on a 1-core host
     text = cli.run_study(dict(cfg)).to_csv()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -560,9 +562,9 @@ def test_modeling_study_at_a_huge_horizon_runs_clean(study, grid, capsys):
      "--set", "horizon=1e308", "--set", "M=2"]],
     ids=["sample-path", "deterministic-time", "deterministic-space"])
 def test_stepping_at_a_huge_horizon_exits_2_without_a_warning(argv, capsys):
-    # the step loads (on the path's worker thread), rho, the exact
-    # trajectory and the CN band overflow: the finiteness checks fail
-    # the run, with no RuntimeWarning and no traceback
+    # the step loads, rho, the exact trajectory and the CN band
+    # overflow: the finiteness checks fail the run, with no
+    # RuntimeWarning and no traceback
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv) == 2
@@ -689,8 +691,8 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_concurrent_futures_out():
-    # the Monte Carlo pass imports its thread pool and the BLAS thread
-    # hold: start-up does not
+    # no run imports a thread pool, and only a run imports the BLAS
+    # thread hold: start-up does neither
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, stochheat.cli\n"
@@ -860,7 +862,7 @@ class _RenderFailed(Exception):
 @pytest.fixture
 def two_blas_threads():
     """OpenBLAS held at two threads for the test, so that a pass which
-    leaves its hold of one thread in place shows."""
+    leaves its hold of one thread in place, or takes none, shows."""
     get_set = blas.threads()
     if get_set is None:
         yield
@@ -877,16 +879,17 @@ def two_blas_threads():
 @pytest.mark.parametrize("failure", ["draw", "advance", "consumer"])
 def test_failed_sample_path_leaves_nothing_behind(failure, two_blas_threads,
                                                   monkeypatch, capsys):
-    # 4 noise blocks of 16 rows: the second one fails on the worker as it
-    # is drawn (draw), its NaN fails the stepping on the caller (advance:
-    # exit 2, no rows), or the rows of the second block fail to render
-    # while the worker forms the third (consumer)
+    # 4 noise blocks of 16 rows: the second one fails as it is drawn
+    # (draw), its NaN fails the stepping (advance: exit 2, no rows), or the
+    # rows of the second block fail to render (consumer).  Every block is
+    # drawn on the calling thread, with no other thread started
     monkeypatch.setattr(solvers, "_PATH_BLOCK", 16 * 16)
-    draw, drawn_on = noise.sample_blocks, []
+    draw, drawn_on, alive = noise.sample_blocks, [], []
 
     def spoiled(*args):
         for i, inc in enumerate(draw(*args)):
             drawn_on.append(threading.current_thread())
+            alive.append(threading.active_count())
             if i == 1 and failure == "draw":
                 raise _DrawFailed("draw")
             if i == 1 and failure == "advance":
@@ -916,7 +919,8 @@ def test_failed_sample_path_leaves_nothing_behind(failure, two_blas_threads,
     assert threading.active_count() == threads
     assert _blas_count() == count
     assert len(drawn_on) >= 2
-    assert threading.main_thread() not in drawn_on
+    assert drawn_on == [threading.current_thread()] * len(drawn_on)
+    assert alive == [threads] * len(alive)
 
 
 def test_sample_path_peak_is_its_csv_and_one_block():
