@@ -256,11 +256,9 @@ def run_sample_path(cfg):
     seed = _get_int(cfg, "seed")
     horizon = _horizon(cfg)
     mesh = fem.Mesh(_at_least(cfg, "mesh", 2))
-    draw = functools.partial(noise.sample_blocks, n_star, j_star, horizon,
-                             seed)
     step = max(1, _CSV_BLOCK // mesh.nu)
     text = ""
-    for states in solvers.cn_fem_path(draw, n_star, j_star, horizon,
+    for states in solvers.cn_fem_path(n_star, j_star, horizon, seed,
                                       fem.assemble(mesh), M):
         for lo in range(0, len(states), step):
             # += grows the one string in place (CPython resizes a str

@@ -176,10 +176,12 @@ def cn_fem_stepper(system, dtau):
     return advance
 
 
-def modified_cn_fem(v0, system, M, dtau):
+def modified_cn_fem(v0, system, M, dtau, loads=None):
     """Fully discrete scheme: M steps of ``cn_fem_stepper`` in one pass
     from the L2 projection of v0, or from v0 if it is a nodal vector, as
-    for a stacked system (``fem.FemSystem.stack``)."""
+    for a stacked system (``fem.FemSystem.stack``).  Column m - 1 of
+    ``loads`` is the load of step m (omit it for the homogeneous scheme):
+    the FEM twin of ``cn_spectral_steps``."""
     if M < 1:
         raise ValueError("need at least one step")
     v = v0 if isinstance(v0, np.ndarray) else fem.l2_project(v0, system)
@@ -187,7 +189,7 @@ def modified_cn_fem(v0, system, M, dtau):
     states[0] = v
     with np.errstate(invalid="ignore", over="ignore"):   # checked per block
         rhs = system.mass_apply(v)
-    cn_fem_stepper(system, dtau)(rhs, states[1:])
+    cn_fem_stepper(system, dtau)(rhs, states[1:], loads)
     return Trajectory(dtau, states, "nodal")
 
 

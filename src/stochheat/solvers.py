@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import fem, noise
-from .deterministic import (Trajectory, _cn_factors, cn_fem_stepper,
-                            cn_spectral_steps, step_factors)
+from .deterministic import (_cn_factors, cn_fem_stepper, cn_spectral_steps,
+                            modified_cn_fem, step_factors)
 from .spectral import SpectralField, sin_pi_ratio
 
 __all__ = [
@@ -131,6 +131,8 @@ def _hat_reads(band, inc):
 def stochastic_loads_spectral(grid, K, M):
     """W[k-1, l-1] = integral over Delta_l of (noise, e_k), from the
     loads of the folded rows (``noise.sine_cell_fold``)."""
+    if M < 1:
+        raise ValueError("need at least one step")
     alias, c, S = noise.sine_cell_fold(K, grid.j_star)
     return c[:, None] * _cell_loads(grid.increments @ S.T, grid.dt, grid.dx,
                                     grid.horizon / M)[alias]
@@ -138,6 +140,8 @@ def stochastic_loads_spectral(grid, K, M):
 
 def stochastic_loads_fem(grid, system, M):
     """L[i-1, l-1] = integral over Delta_l of (noise, hat_i)."""
+    if M < 1:
+        raise ValueError("need at least one step")
     band = fem._hat_cell_band(system.mesh, grid.j_star)
     return _cell_loads(_hat_reads(band, grid.increments), grid.dt, grid.dx,
                        grid.horizon / M)
@@ -151,38 +155,37 @@ def regularized_exact(grid, K, t):
 
 def cn_time_discrete(grid, K, M):
     """Crank-Nicolson time stepping per sine mode, zero initial data."""
-    if M < 1:
-        raise ValueError("need at least one step")
+    loads = stochastic_loads_spectral(grid, K, M)
     return cn_spectral_steps(np.zeros(K), (np.arange(1, K + 1) * math.pi) ** 2,
-                             M, grid.horizon / M,
-                             stochastic_loads_spectral(grid, K, M))
+                             M, grid.horizon / M, loads)
 
 
 # doubles per block of a path: noise increments, or states
 _PATH_BLOCK = 2 ** 16
 
 
-def cn_fem_path(draw, n_star, j_star, horizon, system, M):
+def cn_fem_path(n_star, j_star, horizon, seed, system, M):
     """Crank-Nicolson finite element stepping, zero initial data, on the
-    noise increments of ``draw(rows)``: the N x J* grid in consecutive
-    blocks of ``rows`` rows (the last may be shorter), each whole periods
-    of a cells per b steps (``_period``) of about ``_PATH_BLOCK``
-    increments, at least one period.
+    noise of ``noise.sample`` drawn by ``noise.sample_blocks`` in blocks
+    of whole periods of a cells per b steps (``_period``), about
+    ``_PATH_BLOCK`` increments and at least one period each.
 
     Yields the states in row blocks: the zero start state, then each
     noise block's steps in pieces of at most ``_PATH_BLOCK`` / nu states.
     A block's step loads take the whole grid's dt, dx and dtau, and its
-    steps go on from the last right-hand side (``cn_fem_stepper``).  A
-    block's noise is dropped once its loads are formed, so at most the
-    loads of one block, the noise and loads of the next and one piece of
-    states are live.  A block holds nu loads per step: where one period
-    is the whole grid (n* and M share no factor) its noise is the whole
-    grid's, and where M is many times n* its loads come near the whole
-    path's.  A piece with a non-finite state raises ValueError.
+    steps go on from the last right-hand side (``cn_fem_stepper``), so
+    the states are ``cn_fem_spde``'s bit for bit.  A block's noise is
+    dropped once its loads are formed and its loads once it is stepped,
+    so at most one block's noise and loads and one piece of states are
+    live.  A block holds nu loads per step: where one period is the
+    whole grid (n* and M share no factor) its noise is the whole grid's,
+    and where M is many times n* its loads come near the whole path's.
+    A piece with a non-finite state, or a cell width dt below the normal
+    range (``_cell_width``), raises ValueError.
     """
     if M < 1:
         raise ValueError("need at least one step")
-    dt, dx, dtau = horizon / n_star, 1.0 / j_star, horizon / M
+    dt, dx, dtau = _cell_width(horizon, n_star), 1.0 / j_star, horizon / M
     a = _period(dtau, dt)[0]
     nu = system.mesh.nu
     band = fem._hat_cell_band(system.mesh, j_star)
@@ -196,27 +199,21 @@ def cn_fem_path(draw, n_star, j_star, horizon, system, M):
         return _cell_loads(_hat_reads(band, inc), dt, dx, dtau)
 
     yield start
-    for loads in map(block_loads, draw(rows)):
+    for loads in map(block_loads, noise.sample_blocks(n_star, j_star, horizon,
+                                                      seed, rows)):
         for lo in range(0, loads.shape[1], piece):
             states = np.empty((min(piece, loads.shape[1] - lo), nu))
             rhs = advance(rhs, states, loads[:, lo:lo + piece])
             yield states
+        del loads   # before the next block's loads are formed
 
 
 def cn_fem_spde(grid, system, M):
-    """Crank-Nicolson finite element stepping, zero initial data: the
-    whole ``cn_fem_path`` on the grid's increments."""
-    if M < 1:   # before the states are allocated
-        raise ValueError("need at least one step")
-    inc = grid.increments
-    states = np.empty((M + 1, system.mesh.nu))
-    m = 0
-    for piece in cn_fem_path(
-            lambda rows: np.split(inc, range(rows, len(inc), rows)),
-            grid.n_star, grid.j_star, grid.horizon, system, M):
-        states[m:m + len(piece)] = piece
-        m += len(piece)
-    return Trajectory(grid.horizon / M, states, "nodal")
+    """Crank-Nicolson finite element stepping, zero initial data: one
+    ``modified_cn_fem`` pass on the grid's ``stochastic_loads_fem``."""
+    loads = stochastic_loads_fem(grid, system, M)
+    return modified_cn_fem(np.zeros(system.mesh.nu), system, M,
+                           grid.horizon / M, loads)
 
 
 def _same_grid(a, b):

@@ -1,9 +1,6 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
-
-from stochheat import deterministic
 
 
 @pytest.fixture(scope="session")
@@ -28,20 +25,4 @@ def overlap_sq_sum_mp():
                     total += ((mpmath.exp(-lam2 * (t - hi))
                                - mpmath.exp(-lam2 * (t - lo))) / lam2) ** 2
             return float(total)
-    return f
-
-
-@pytest.fixture(scope="session")
-def cn_fem_whole_path():
-    """f(v0, system, M, dtau, loads=None): the nodal Trajectory of M
-    banded Crank-Nicolson steps from v0 in one pass of
-    ``deterministic.cn_fem_stepper``, column m - 1 of ``loads`` the load
-    of step m: ``modified_cn_fem`` with a forcing."""
-    def f(v0, system, M, dtau, loads=None):
-        states = np.empty((M + 1, v0.size))
-        states[0] = v0
-        with np.errstate(invalid="ignore", over="ignore"):
-            rhs = system.mass_apply(v0)
-        deterministic.cn_fem_stepper(system, dtau)(rhs, states[1:], loads)
-        return deterministic.Trajectory(dtau, states, "nodal")
     return f

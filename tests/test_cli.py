@@ -574,20 +574,33 @@ def test_stepping_at_a_huge_horizon_exits_2_without_a_warning(argv, capsys):
     assert out.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("horizon", ["1e-300", "1e-210"])
-def test_sample_path_whose_step_loads_underflow_exits_2(horizon, capsys):
+@pytest.mark.parametrize("settings, cause", [
+    (["horizon=1e-300", "n_star=4", "j_star=4", "M=4", "mesh=4"],
+     "the step loads underflow"),
+    (["horizon=1e-210", "n_star=4", "j_star=4", "M=4", "mesh=4"],
+     "the step loads underflow"),
+    (["horizon=5e-324"], "the noise cell width dt underflows"),
+    (["horizon=1e-322", "n_star=1024"], "the noise cell width dt underflows"),
+    (["horizon=1e-320", "n_star=1024", "j_star=1024", "M=1024", "mesh=4"],
+     "the noise cell width dt underflows")],
+    ids=["1e-300", "1e-210", "5e-324", "1e-322-n_star-1024",
+         "1e-320-area-0"])
+def test_sample_path_whose_step_loads_underflow_exits_2(settings, cause,
+                                                       capsys):
     # the loads' overlaps carry a factor dtau: at 1e-300 they underflow to
-    # 0, at 1e-210 below the normal range; an all-zero (or a truncated)
-    # path must not exit 0
-    argv = ["sample-path", "--set", "horizon=" + horizon, "--set",
-            "n_star=4", "--set", "j_star=4", "--set", "M=4", "--set",
-            "mesh=4"]
+    # 0, at 1e-210 below the normal range.  Below that the cell width dt
+    # itself is 0 or subnormal (at 1e-320 the cell area dt dx is 0): an
+    # all-zero (or a truncated) path must not exit 0, nor fail with a
+    # traceback or the wrong cause
+    argv = ["sample-path"]
+    for s in settings:
+        argv += ["--set", s]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "numerical failure: the step loads underflow\n"
+    assert out.err == "numerical failure: %s\n" % cause
 
 
 @pytest.mark.parametrize("study", ["tdr", "sdr", "total", "model-space",

@@ -166,15 +166,13 @@ def _cho_solve_banded_steps(v0, system, M, dtau, loads=None):
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads,
-                                                        cn_fem_whole_path):
+def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads):
     rng = np.random.default_rng(7)
     system = fem.assemble(fem.Mesh(32))
     M, dtau = 60, 1.0 / 60
     v0 = rng.standard_normal(system.mesh.nu)
     loads = rng.standard_normal((system.mesh.nu, M)) if with_loads else None
-    traj = (cn_fem_whole_path(v0, system, M, dtau, loads) if with_loads
-            else deterministic.modified_cn_fem(v0, system, M, dtau))
+    traj = deterministic.modified_cn_fem(v0, system, M, dtau, loads)
     assert np.array_equal(traj.states,
                           _cho_solve_banded_steps(v0, system, M, dtau, loads))
 
@@ -186,7 +184,7 @@ def test_cn_fem_steps_match_cho_solve_banded_bit_for_bit(with_loads,
     (fem.assemble(fem.Mesh(512)), 1024)],
     ids=["stacked-default", "mesh-512"])
 def test_fused_rhs_matches_mass_minus_stiffness_bit_for_bit(
-        system, M, with_loads, cn_fem_whole_path):
+        system, M, with_loads):
     # the stepper forms M v - (dtau/2) S v from one product of both bands'
     # windows, in mass_apply's order: the bits of the two band products,
     # the scale and the difference, on the stacked default deterministic
@@ -195,13 +193,13 @@ def test_fused_rhs_matches_mass_minus_stiffness_bit_for_bit(
     nu, dtau = system.mass_band.shape[1], 1.0 / M
     v0 = rng.standard_normal(nu)
     loads = rng.standard_normal((nu, M)) if with_loads else None
-    states = cn_fem_whole_path(v0, system, M, dtau, loads).states
+    states = deterministic.modified_cn_fem(v0, system, M, dtau, loads).states
     ref = _cho_solve_banded_steps(v0, system, M, dtau, loads)
     assert states.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["nan load", "inf load", "nan start"])
-def test_cn_fem_steps_reject_non_finite_input(bad, cn_fem_whole_path):
+def test_cn_fem_steps_reject_non_finite_input(bad):
     system = fem.assemble(fem.Mesh(8))
     v0, loads = np.ones(system.mesh.nu), np.zeros((system.mesh.nu, 5))
     if bad == "nan load":
@@ -211,12 +209,11 @@ def test_cn_fem_steps_reject_non_finite_input(bad, cn_fem_whole_path):
     else:
         v0[1] = np.nan
     with pytest.raises(ValueError):
-        cn_fem_whole_path(v0, system, 5, 0.2, loads)
+        deterministic.modified_cn_fem(v0, system, 5, 0.2, loads)
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads,
-                                                       cn_fem_whole_path):
+def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads):
     # a path stepped block by block, each from the right-hand side the
     # block before returned, has the bits of one pass
     rng = np.random.default_rng(11)
@@ -224,7 +221,7 @@ def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads,
     M, dtau = 40, 1.0 / 40
     v0 = rng.standard_normal(system.mesh.nu)
     loads = rng.standard_normal((system.mesh.nu, M)) if with_loads else None
-    whole = cn_fem_whole_path(v0, system, M, dtau, loads).states
+    whole = deterministic.modified_cn_fem(v0, system, M, dtau, loads).states
     advance = deterministic.cn_fem_stepper(system, dtau)
     rhs, out, lo = system.mass_apply(v0), np.empty((M, system.mesh.nu)), 0
     for hi in (1, 6, 23, M):
@@ -235,8 +232,7 @@ def test_stepper_in_blocks_matches_one_pass_bit_for_bit(with_loads,
 
 
 @pytest.mark.parametrize("with_loads", [False, True])
-def test_stacked_systems_step_each_block_bit_for_bit(with_loads,
-                                                     cn_fem_whole_path):
+def test_stacked_systems_step_each_block_bit_for_bit(with_loads):
     # the joint off-diagonals are exactly 0: every block keeps its bits
     rng = np.random.default_rng(5)
     systems = [fem.assemble(fem.Mesh(J)) for J in (16, 4, 8, 2)]
@@ -245,12 +241,12 @@ def test_stacked_systems_step_each_block_bit_for_bit(with_loads,
     loads = [rng.standard_normal((s.mesh.nu, M)) if with_loads else None
              for s in systems]
     stacked = fem.FemSystem.stack(systems)
-    traj = cn_fem_whole_path(
+    traj = deterministic.modified_cn_fem(
         np.concatenate(v0), stacked, M, dtau,
         np.concatenate(loads) if with_loads else None)
     lo = 0
     for s, v, L in zip(systems, v0, loads):
-        own = cn_fem_whole_path(v, s, M, dtau, L).states
+        own = deterministic.modified_cn_fem(v, s, M, dtau, L).states
         assert traj.states[:, lo:lo + s.mesh.nu].tobytes() == own.tobytes()
         lo += s.mesh.nu
     assert lo == traj.states.shape[1]

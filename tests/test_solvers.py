@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -135,28 +136,49 @@ def test_fem_solver_matches_duhamel_map():
     ids=["aligned", "3-cells-per-2-steps", "2-steps-per-cell",
          "one-period-is-the-grid"])
 def test_cn_fem_spde_in_blocks_matches_one_pass(n_star, M, horizon, block,
-                                                monkeypatch,
-                                                cn_fem_whole_path):
-    # blocks of whole noise periods, and pieces of states within a block
-    # (4 steps at nu = 15 with a budget of 64), step on from where the
-    # last one ended: one pass of the stepper on the whole grid's loads
-    # agrees up to the order of BLAS's sums
+                                                monkeypatch):
+    # the streamed path in blocks of whole noise periods, and pieces of
+    # states within a block (4 steps at nu = 15 with a budget of 64),
+    # steps on from where the last one ended: each load is a fixed-order
+    # sum over its own cells, so it has the bits of one pass of the
+    # stepper on the whole grid's loads
     monkeypatch.setattr(solvers, "_PATH_BLOCK", block)
-    g = noise.sample(n_star, 16, horizon, 3)
     system = fem.assemble(fem.Mesh(16))
-    got = solvers.cn_fem_spde(g, system, M).states
-    ref = cn_fem_whole_path(
-        np.zeros(system.mesh.nu), system, M, horizon / M,
-        solvers.stochastic_loads_fem(g, system, M)).states
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    streamed = np.concatenate(list(solvers.cn_fem_path(n_star, 16, horizon,
+                                                       3, system, M)))
+    whole = solvers.cn_fem_spde(noise.sample(n_star, 16, horizon, 3),
+                                system, M).states
+    assert streamed.tobytes() == whole.tobytes()
+
+
+def test_cn_fem_path_holds_one_block_of_loads(monkeypatch):
+    # each block's loads are dropped once it is stepped: none is alive
+    # when the next block's loads are formed
+    monkeypatch.setattr(solvers, "_PATH_BLOCK", 16 * 16)
+    cell_loads, formed, alive = solvers._cell_loads, [], []
+
+    def watched(*args):
+        alive.append(sum(ref() is not None for ref in formed))
+        loads = cell_loads(*args)
+        formed.append(weakref.ref(loads))
+        return loads
+    monkeypatch.setattr(solvers, "_cell_loads", watched)
+    for _ in solvers.cn_fem_path(64, 16, 1.0, 0, fem.assemble(fem.Mesh(8)),
+                                 64):
+        pass
+    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("M", [0, -1, -2])
 def test_cn_fem_spde_needs_a_step(M):
-    # checked before the M + 1 states are allocated
+    # the solver and both load builders, before any states are allocated
     g = noise.sample(4, 8, 1.0, 0)
+    system = fem.assemble(fem.Mesh(8))
+    for build in (solvers.cn_fem_spde, solvers.stochastic_loads_fem):
+        with pytest.raises(ValueError, match="at least one step"):
+            build(g, system, M)
     with pytest.raises(ValueError, match="at least one step"):
-        solvers.cn_fem_spde(g, fem.assemble(fem.Mesh(8)), M)
+        solvers.stochastic_loads_spectral(g, 8, M)
 
 
 @pytest.mark.parametrize("budget", [64, None], ids=["small-blocks",
@@ -167,30 +189,30 @@ def test_cn_fem_path_draws_whole_periods(n_star, M, budget, monkeypatch):
     # 3 cells per 2 steps, and 3 cells per 4096 steps: a = 3 either way
     if budget:
         monkeypatch.setattr(solvers, "_PATH_BLOCK", budget)
-    g = noise.sample(n_star, 16, 1.0, 3)
-    asked = []
+    draw, asked = noise.sample_blocks, []
 
-    def draw(rows):
+    def recorded(n_star, j_star, horizon, seed, rows):
         asked.append(rows)
-        return np.split(g.increments, range(rows, n_star, rows))
+        return draw(n_star, j_star, horizon, seed, rows)
+    monkeypatch.setattr(noise, "sample_blocks", recorded)
     system = fem.assemble(fem.Mesh(16))
-    steps = sum(len(s) for s in solvers.cn_fem_path(draw, n_star, 16, 1.0,
+    steps = sum(len(s) for s in solvers.cn_fem_path(n_star, 16, 1.0, 3,
                                                      system, M))
     assert steps == M + 1
     assert len(asked) == 1 and asked[0] % 3 == 0 and asked[0] >= 3
 
 
-def _fem_schemes(g, M, whole_path):
+def _fem_schemes(g, M):
     system = fem.assemble(fem.Mesh(8))
     x = system.mesh.nodes[1:-1]
     v0 = np.sin(math.pi * x) + x
     loads = solvers.stochastic_loads_fem(g, system, M)
-    return (whole_path(v0, system, M, 1.0 / M, loads),
+    return (deterministic.modified_cn_fem(v0, system, M, 1.0 / M, loads),
             deterministic.modified_cn_fem(v0, system, M, 1.0 / M),
             solvers.cn_fem_spde(g, system, M))
 
 
-def _spectral_schemes(g, M, whole_path):
+def _spectral_schemes(g, M):
     K = 10
     v0 = np.linspace(1.0, -0.5, K)
     lam2 = (np.arange(1, K + 1) * math.pi) ** 2
@@ -202,11 +224,9 @@ def _spectral_schemes(g, M, whole_path):
 
 @pytest.mark.parametrize("schemes", [_fem_schemes, _spectral_schemes],
                          ids=["fem", "spectral"])
-def test_cn_stepper_superposes_initial_data_and_loads(schemes,
-                                                      cn_fem_whole_path):
+def test_cn_stepper_superposes_initial_data_and_loads(schemes):
     # one stepper per basis serves both schemes; it is linear in (v0, L)
-    both, homogeneous, forced = schemes(small_grid(seed=17), 8,
-                                        cn_fem_whole_path)
+    both, homogeneous, forced = schemes(small_grid(seed=17), 8)
     np.testing.assert_allclose(both.states,
                                homogeneous.states + forced.states, rtol=1e-12)
 
